@@ -13,6 +13,7 @@ from .errors import (
     FormatError,
     HandlerFailureError,
     HeaderMismatchError,
+    InvariantError,
     ParseError,
     ProjectionOutOfRangeError,
     TdcountError,

@@ -16,8 +16,9 @@ from .dpcore import (
     Mode,
     Row,
     TableStore,
+    constraint_masks,
     insert_bit,
-    place_checks,
+    plan_constraints,
     purge,
     remove_bit,
     require_same_bag,
@@ -25,7 +26,7 @@ from .dpcore import (
     solution_rows,
     traverse,
 )
-from .graphs import primal_graph
+from .graphs import instance_graph
 from .model import GroundProgram, MinimizeStatement, Rule
 from .treedecomp import DecompResult, NiceTreeDecomposition, NodeKind, decompose
 
@@ -34,21 +35,7 @@ def plan_rule_checks(program: GroundProgram, ntd: NiceTreeDecomposition) -> dict
     """Each rule is checked once, at the forget node of its earliest
     forgotten atom; always-violated atomless rules are resolved at parse
     time and never reach the planner."""
-    atom_sets = [r.atoms for r in program.rules if r.atoms]
-    rules = [r for r in program.rules if r.atoms]
-    placed = place_checks(ntd, atom_sets)
-    return {node: [rules[i] for i in idxs] for node, idxs in placed.items()}
-
-
-def _rule_masks(rules: list[Rule], bag: tuple[int, ...]):
-    pos_of = {a: i for i, a in enumerate(bag)}
-    out = []
-    for r in rules:
-        head = sum(1 << pos_of[a] for a in r.head)
-        pos = sum(1 << pos_of[a] for a in r.body_pos)
-        neg = sum(1 << pos_of[a] for a in r.body_neg)
-        out.append((head, pos, neg))
-    return out
+    return plan_constraints(ntd, [r for r in program.rules if r.atoms])
 
 
 def make_asp_handlers(
@@ -109,7 +96,7 @@ def make_asp_handlers(
         a = node.vertex
         child_bag = ntd.nodes[node.children[0]].bag
         p = child_bag.index(a)
-        due = _rule_masks(plan.get(node_id, []), child_bag)
+        due = constraint_masks(plan.get(node_id, []), child_bag)
         nw = neg_weight(a)
         table = DpTable(node_id)
         for row in child:
@@ -183,7 +170,7 @@ def build_store(
 ) -> tuple[TableStore, DecompResult]:
     """Run the counting pass; caller picks the aggregate."""
     if decomp is None:
-        decomp = decompose(primal_graph(program), heuristic, seed, seeds)
+        decomp = decompose(instance_graph(program), heuristic, seed, seeds)
     plan = plan_rule_checks(program, decomp.ntd)
     minimize = program.minimize if mode is Mode.OPTCOUNT else None
     handlers = make_asp_handlers(decomp.ntd, plan, minimize)

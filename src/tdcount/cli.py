@@ -1,8 +1,8 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 1 parse or usage problems, 2 unsupported rule
-types or brute-force size guards; `solve` exits 10 when consistent and
-20 when inconsistent.
+Exit codes: 0 success, 1 parse or usage problems or an --oracle-check
+mismatch (any command), 2 unsupported rule types or brute-force size
+guards; `solve` exits 10 when consistent and 20 when inconsistent.
 """
 
 from __future__ import annotations
@@ -12,15 +12,14 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 
 from . import aspdp, oracle, satdp
 from .errors import ParseError, ProjectionOutOfRangeError, TooLargeError, UnsupportedRuleError
-from .graphs import incidence_graph, incidence_graph_cnf, primal_graph, primal_graph_cnf
+from .graphs import instance_graph
 from .model import CnfFormula, GroundProgram
 from .parsers import parse_dimacs, parse_ground_program, parse_smodels
 from .projection import projected_count
-from .treedecomp import decompose, elimination_ordering, td_from_ordering, validate_td
+from .treedecomp import decompose, lowest_width, seeded_decompositions, validate_td
 
 PROGRAM_COMMANDS = {"count", "solve", "enumerate", "optcount", "pcount"}
 CNF_COMMANDS = {"mc", "wmc", "pmc"}
@@ -30,6 +29,7 @@ EXIT_INPUT = 1
 EXIT_UNSUPPORTED = 2
 EXIT_CONSISTENT = 10
 EXIT_INCONSISTENT = 20
+EXIT_MISMATCH = 1
 
 
 class _UsageError(Exception):
@@ -152,48 +152,23 @@ def _project_vars(formula: CnfFormula, raw: str) -> set[int]:
     return out
 
 
-def _oracle_note(ok: bool, dp_value, oracle_value) -> None:
-    if ok:
-        print(f"oracle-check: ok ({oracle_value})", file=sys.stderr)
-    else:
-        print(
-            f"oracle-check: mismatch dp={dp_value} oracle={oracle_value}",
-            file=sys.stderr,
-        )
-
-
 def _td_stats(args, instance) -> dict:
-    if args.graph == "incidence":
-        graph = (
-            incidence_graph(instance)
-            if isinstance(instance, GroundProgram)
-            else incidence_graph_cnf(instance)
-        )
-    else:
-        graph = (
-            primal_graph(instance)
-            if isinstance(instance, GroundProgram)
-            else primal_graph_cnf(instance)
-        )
-    base = args.resolved_seed
-    widths = []
-    best = None
-    for s in range(base, base + args.seeds):
-        order = elimination_ordering(graph, args.heuristic, s)
-        td = td_from_ordering(graph, order)
+    graph = instance_graph(instance, args.graph)
+    tried = []
+    for s, w, td in seeded_decompositions(
+        graph, args.heuristic, args.resolved_seed, args.seeds
+    ):
         if args.oracle_check:
             violation = validate_td(graph, td)
             if violation is not None:
                 raise AssertionError(f"invalid decomposition: {violation}")
-        w = td.width()
-        widths.append({"seed": s, "width": w})
-        if best is None or w < best[1]:
-            best = (s, w)
+        tried.append((s, w))
+    best_seed, best_width = lowest_width(tried)
     return {
         "graph": args.graph,
-        "widths": widths,
-        "best_seed": best[0],
-        "best_width": best[1],
+        "widths": [{"seed": s, "width": w} for s, w in tried],
+        "best_seed": best_seed,
+        "best_width": best_width,
     }
 
 
@@ -207,10 +182,6 @@ def _run_command(args, instance, trace):
         lines.append(f"best seed={stats['best_seed']} width={stats['best_width']}")
         return stats, lines, stats["best_width"], stats["best_seed"], EXIT_OK
 
-    if isinstance(instance, GroundProgram):
-        graph = primal_graph(instance)
-    else:
-        graph = primal_graph_cnf(instance)
     defer = ()
     if cmd == "pcount":
         proj = _project_atoms(instance, args.project)
@@ -219,38 +190,38 @@ def _run_command(args, instance, trace):
         proj = _project_vars(instance, args.project_vars)
         defer = {v - 1 for v in proj}
     decomp = decompose(
-        graph, args.heuristic, args.resolved_seed, args.seeds, defer=defer
+        instance_graph(instance), args.heuristic, args.resolved_seed, args.seeds, defer=defer
     )
     opts = {"decomp": decomp, "trace": trace}
+    code = EXIT_OK
+    check = None  # under --oracle-check: (agrees, dp value shown, oracle value shown)
 
     if cmd == "count":
-        value = aspdp.count_answer_sets(instance, **opts)
+        result = aspdp.count_answer_sets(instance, **opts)
+        lines = [str(result)]
         if args.oracle_check:
             expected = len(oracle.brute_answer_sets(instance))
-            _oracle_note(value == expected, value, expected)
-            if value != expected:
-                return value, [str(value)], decomp.width, decomp.seed, EXIT_INPUT
-        return value, [str(value)], decomp.width, decomp.seed, EXIT_OK
+            check = (result == expected, result, expected)
 
-    if cmd == "solve":
+    elif cmd == "solve":
         consistent = aspdp.is_consistent(instance, **opts)
         if args.oracle_check:
             expected = bool(oracle.brute_answer_sets(instance))
-            _oracle_note(consistent == expected, consistent, expected)
+            check = (consistent == expected, consistent, expected)
         text = "CONSISTENT" if consistent else "INCONSISTENT"
+        result, lines = text.lower(), [text]
         code = EXIT_CONSISTENT if consistent else EXIT_INCONSISTENT
-        return text.lower(), [text], decomp.width, decomp.seed, code
 
-    if cmd == "enumerate":
+    elif cmd == "enumerate":
         names = instance.atom_names()
         sets = list(aspdp.enumerate_answer_sets(instance, limit=args.limit, **opts))
         if args.oracle_check and args.limit is None:
             expected = sorted(oracle.brute_answer_sets(instance), key=sorted)
-            _oracle_note(sets == expected, len(sets), len(expected))
-        rendered = [[names[a] for a in sorted(s)] for s in sets]
-        return rendered, [" ".join(row) for row in rendered], decomp.width, decomp.seed, EXIT_OK
+            check = (sets == expected, len(sets), len(expected))
+        result = [[names[a] for a in sorted(s)] for s in sets]
+        lines = [" ".join(row) for row in result]
 
-    if cmd == "optcount":
+    elif cmd == "optcount":
         cost, count = aspdp.count_optimal(instance, **opts)
         if args.oracle_check:
             answer_sets = oracle.brute_answer_sets(instance)
@@ -261,39 +232,45 @@ def _run_command(args, instance, trace):
                 costs = [minimize.cost_of(s) if minimize else 0 for s in answer_sets]
                 best = min(costs)
                 expected = (best, costs.count(best))
-            _oracle_note((cost, count) == expected, (cost, count), expected)
+            check = ((cost, count) == expected, (cost, count), expected)
+        result = {"cost": cost, "count": count}
         lines = ["INCONSISTENT"] if cost is None else [f"{cost} {count}"]
-        return {"cost": cost, "count": count}, lines, decomp.width, decomp.seed, EXIT_OK
 
-    if cmd == "pcount":
-        value = projected_count(instance, proj, **opts)
+    elif cmd in ("pcount", "pmc"):
+        result = projected_count(instance, proj, **opts)
+        lines = [str(result)]
         if args.oracle_check:
             expected = oracle.brute_projected_count(instance, proj)
-            _oracle_note(value == expected, value, expected)
-        return value, [str(value)], decomp.width, decomp.seed, EXIT_OK
+            check = (result == expected, result, expected)
 
-    if cmd == "mc":
-        value = satdp.count_models(instance, **opts)
+    elif cmd == "mc":
+        result = satdp.count_models(instance, **opts)
+        lines = [str(result)]
         if args.oracle_check:
             expected = oracle.brute_count_models(instance)
-            _oracle_note(value == expected, value, expected)
-        return value, [str(value)], decomp.width, decomp.seed, EXIT_OK
+            check = (result == expected, result, expected)
 
-    if cmd == "wmc":
+    elif cmd == "wmc":
         value = satdp.weighted_count(instance, **opts)
+        result, lines = str(value), [str(value)]
         if args.oracle_check:
             expected = oracle.brute_weighted_count(instance)
-            _oracle_note(value == expected, value, expected)
-        return str(value), [str(value)], decomp.width, decomp.seed, EXIT_OK
+            check = (value == expected, value, expected)
 
-    if cmd == "pmc":
-        value = projected_count(instance, proj, **opts)
-        if args.oracle_check:
-            expected = oracle.brute_projected_count(instance, proj)
-            _oracle_note(value == expected, value, expected)
-        return value, [str(value)], decomp.width, decomp.seed, EXIT_OK
+    else:
+        raise _UsageError(f"unknown command {cmd!r}")
 
-    raise _UsageError(f"unknown command {cmd!r}")
+    if check is not None:
+        agrees, dp_value, oracle_value = check
+        if agrees:
+            print(f"oracle-check: ok ({oracle_value})", file=sys.stderr)
+        else:
+            print(
+                f"oracle-check: mismatch dp={dp_value} oracle={oracle_value}",
+                file=sys.stderr,
+            )
+            code = EXIT_MISMATCH
+    return result, lines, decomp.width, decomp.seed, code
 
 
 def run(argv=None) -> int:

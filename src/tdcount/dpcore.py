@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BagMismatchError, HandlerFailureError
+from .model import Rule
 from .treedecomp import NiceTreeDecomposition, NodeKind
 
 
@@ -268,6 +269,25 @@ def place_checks(ntd: NiceTreeDecomposition, atom_sets: list[frozenset[int]]) ->
         assert atoms <= set(child_bag), "constraint atoms must share the child bag"
         plan.setdefault(node_id, []).append(idx)
     return plan
+
+
+def plan_constraints(ntd: NiceTreeDecomposition, constraints: list[Rule]) -> dict[int, list[Rule]]:
+    """Place each constraint, a rule `head <- body_pos, not body_neg`,
+    where `place_checks` puts its atom set."""
+    placed = place_checks(ntd, [c.atoms for c in constraints])
+    return {node: [constraints[i] for i in idxs] for node, idxs in placed.items()}
+
+
+def constraint_masks(constraints: list[Rule], bag: tuple[int, ...]) -> list[tuple[int, int, int]]:
+    """(head, body_pos, body_neg) bitmasks over the sorted bag.  An
+    assignment A violates (head, pos, neg) when pos & A == pos,
+    neg & A == 0 and head & A == 0."""
+    pos_of = {a: i for i, a in enumerate(bag)}
+
+    def mask(atoms):
+        return sum(1 << pos_of[a] for a in atoms)
+
+    return [(mask(c.head), mask(c.body_pos), mask(c.body_neg)) for c in constraints]
 
 
 def require_same_bag(node, left_bag, right_bag) -> None:

@@ -45,6 +45,10 @@ class ProjectionOutOfRangeError(TdcountError):
     """Projection set mentions an unknown atom or variable."""
 
 
+class InvariantError(TdcountError):
+    """An internal consistency check failed: a bug, not bad input."""
+
+
 class BagMismatchError(TdcountError):
     """Join handler received tables whose bags differ."""
 

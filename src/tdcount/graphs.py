@@ -86,6 +86,13 @@ def incidence_graph_cnf(formula: CnfFormula) -> Graph:
     return g
 
 
+def instance_graph(instance: GroundProgram | CnfFormula, kind: str = "primal") -> Graph:
+    """The primal or incidence graph of a ground program or CNF formula."""
+    if isinstance(instance, GroundProgram):
+        return primal_graph(instance) if kind == "primal" else incidence_graph(instance)
+    return primal_graph_cnf(instance) if kind == "primal" else incidence_graph_cnf(instance)
+
+
 def write_gr(graph: Graph) -> str:
     """PACE .gr text (1-based vertices)."""
     lines = [f"p tw {graph.num_vertices} {graph.num_edges}"]

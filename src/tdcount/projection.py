@@ -19,12 +19,14 @@ per-child origin unions would count phantom combinations.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import combinations
 
 from .dpcore import Mode, Row, TableStore, purge, solution_rows
 from .errors import ProjectionOutOfRangeError
+from .graphs import instance_graph
 from .model import CnfFormula, GroundProgram
-from .treedecomp import NodeKind
+from .treedecomp import NodeKind, decompose
 
 ProjTable = dict
 
@@ -184,29 +186,10 @@ def build_proj_table(pass_: ProjectionPass, node_id: int) -> ProjTable:
     return pass_.tables[node_id]
 
 
-def _deferred_decomp(graph, vertices, options) -> None:
-    """Build a decomposition that eliminates the projected vertices
-    last, unless the caller supplied one.  Forgets then follow the
-    elimination order along every branch, so below the first projected
-    forget each row admits a single projection and the
-    inclusion-exclusion recursions bottom out early."""
-    from .treedecomp import decompose
-
-    if options.get("decomp") is None:
-        options["decomp"] = decompose(
-            graph,
-            options.pop("heuristic", "min-fill"),
-            options.pop("seed", 0),
-            options.pop("seeds", 1),
-            defer=vertices,
-        )
-
-
 def projected_count(instance, projection, **options) -> int:
     """Number of distinct projections of answer sets (programs, atom
     ids) or models (CNF, 1-based variables) onto `projection`."""
     from . import aspdp, satdp
-    from .graphs import primal_graph, primal_graph_cnf
 
     if isinstance(instance, GroundProgram):
         proj = set(projection)
@@ -216,8 +199,7 @@ def projected_count(instance, projection, **options) -> int:
         if instance.is_trivially_inconsistent():
             return 0
         vertices = proj
-        _deferred_decomp(primal_graph(instance), vertices, options)
-        store, _ = aspdp.build_store(instance, Mode.COUNT, **options)
+        build = partial(aspdp.build_store, instance, Mode.COUNT)
     elif isinstance(instance, CnfFormula):
         proj = set(projection)
         bad = [v for v in proj if not 1 <= v <= instance.num_vars]
@@ -226,9 +208,21 @@ def projected_count(instance, projection, **options) -> int:
         if instance.has_empty_clause():
             return 0
         vertices = {v - 1 for v in proj}
-        _deferred_decomp(primal_graph_cnf(instance), vertices, options)
-        store, _ = satdp.build_store(instance, weighted=False, **options)
+        build = partial(satdp.build_store, instance, weighted=False)
     else:
         raise TypeError(f"cannot project a {type(instance).__name__}")
+    if options.get("decomp") is None:
+        # Eliminating the projected vertices last makes forgets follow the
+        # elimination order along every branch, so below the first
+        # projected forget each row admits a single projection and the
+        # inclusion-exclusion recursions bottom out early.
+        options["decomp"] = decompose(
+            instance_graph(instance),
+            options.pop("heuristic", "min-fill"),
+            options.pop("seed", 0),
+            options.pop("seeds", 1),
+            defer=vertices,
+        )
+    store, _ = build(**options)
     purged = purge(store)
     return ProjectionPass(purged, vertices).root_value()

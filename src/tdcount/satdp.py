@@ -17,39 +17,34 @@ from .dpcore import (
     Mode,
     Row,
     TableStore,
+    constraint_masks,
     insert_bit,
-    place_checks,
+    plan_constraints,
     remove_bit,
     require_same_bag,
     root_aggregate,
     traverse,
 )
-from .graphs import primal_graph_cnf
-from .model import CnfFormula
+from .graphs import instance_graph
+from .model import CnfFormula, Rule
 from .treedecomp import DecompResult, NiceTreeDecomposition, decompose
 
 _NO_WITNESSES = frozenset()
 
 
-def plan_clause_checks(formula: CnfFormula, ntd: NiceTreeDecomposition) -> dict[int, list[int]]:
-    atom_sets = [frozenset(abs(lit) - 1 for lit in c) for c in formula.clauses]
-    return place_checks(ntd, atom_sets)
-
-
-def _clause_masks(formula: CnfFormula, clause_ids: list[int], bag: tuple[int, ...]):
-    pos_of = {v: i for i, v in enumerate(bag)}
-    out = []
-    for ci in clause_ids:
-        pos = 0
-        neg = 0
-        for lit in formula.clauses[ci]:
-            p = pos_of[abs(lit) - 1]
-            if lit > 0:
-                pos |= 1 << p
-            else:
-                neg |= 1 << p
-        out.append((pos, neg))
-    return out
+def plan_clause_checks(formula: CnfFormula, ntd: NiceTreeDecomposition) -> dict[int, list[Rule]]:
+    """A clause is the constraint that all of its literals are false: no
+    head, the variables of its negative literals as the positive body,
+    those of its positive literals as the negative body (0-based)."""
+    constraints = [
+        Rule(
+            frozenset(),
+            frozenset(-lit - 1 for lit in c if lit < 0),
+            frozenset(lit - 1 for lit in c if lit > 0),
+        )
+        for c in formula.clauses
+    ]
+    return plan_constraints(ntd, constraints)
 
 
 def make_sat_handlers(
@@ -83,12 +78,14 @@ def make_sat_handlers(
         v = node.vertex
         child_bag = ntd.nodes[node.children[0]].bag
         p = child_bag.index(v)
-        due = _clause_masks(formula, plan.get(node_id, []), child_bag)
-        full = (1 << len(child_bag)) - 1
+        due = constraint_masks(plan.get(node_id, []), child_bag)
         table = DpTable(node_id)
         for row in child:
             A = row.assignment
-            if any(pos & A == 0 and neg & (A ^ full) == 0 for pos, neg in due):
+            if any(
+                pos & A == pos and neg & A == 0 and head & A == 0
+                for head, pos, neg in due
+            ):
                 continue
             weight = row.weight
             if weighted:
@@ -142,7 +139,7 @@ def build_store(
     decomp: DecompResult | None = None,
 ) -> tuple[TableStore, DecompResult]:
     if decomp is None:
-        decomp = decompose(primal_graph_cnf(formula), heuristic, seed, seeds)
+        decomp = decompose(instance_graph(formula), heuristic, seed, seeds)
     plan = plan_clause_checks(formula, decomp.ntd)
     handlers = make_sat_handlers(formula, decomp.ntd, plan, weighted)
     mode = Mode.WEIGHTED if weighted else Mode.COUNT

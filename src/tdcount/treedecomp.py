@@ -7,6 +7,7 @@ import enum
 import random
 from dataclasses import dataclass, field
 
+from .errors import InvariantError, ParseError
 from .graphs import Graph
 
 
@@ -70,12 +71,15 @@ class NiceTreeDecomposition:
 
     def __post_init__(self) -> None:
         for i, node in enumerate(self.nodes):
-            assert all(c < i for c in node.children), "nodes must be post-ordered"
-        assert self.nodes[-1].bag == (), "root bag must be empty"
+            if not all(c < i for c in node.children):
+                raise ValueError(f"nodes must be post-ordered (node {i})")
+        if not self.nodes or self.nodes[-1].bag != ():
+            raise ValueError("root bag must be empty")
         if not self.forget_node_of:
             for i, node in enumerate(self.nodes):
                 if node.kind is NodeKind.FORGET:
-                    assert node.vertex not in self.forget_node_of
+                    if node.vertex in self.forget_node_of:
+                        raise ValueError(f"vertex {node.vertex} is forgotten twice")
                     self.forget_node_of[node.vertex] = i
 
     @property
@@ -104,13 +108,11 @@ def _min_fill_score(adj, v):
     return missing // 2  # each non-adjacent pair was counted from both ends
 
 
-def elimination_ordering(
-    graph: Graph, heuristic: str = "min-fill", seed: int = 0, defer=()
-) -> list[int]:
-    """Greedy ordering under min-fill or min-degree scoring.  Ties are
-    broken uniformly at random from a generator seeded with `seed`, so
-    repeated calls with identical arguments agree.  Vertices in `defer`
-    are eliminated only once every other vertex is gone."""
+def _greedy(adj, heuristic: str, seed: int, defer):
+    """Yield a greedy ordering while the caller eliminates each yielded
+    vertex from `adj`: the lowest score among the live vertices outside
+    `defer` (among all live ones once only deferred ones remain), ties
+    broken by a generator seeded with `seed`."""
     if heuristic == "min-fill":
         score = _min_fill_score
     elif heuristic == "min-degree":
@@ -119,9 +121,7 @@ def elimination_ordering(
         raise ValueError(f"unknown heuristic {heuristic!r}")
     deferred = frozenset(defer)
     rng = random.Random(seed)
-    adj = [set(ns) for ns in graph.neighbors]
-    alive = sorted(range(graph.num_vertices))
-    order = []
+    alive = list(range(len(adj)))
     while alive:
         pool = [v for v in alive if v not in deferred] or alive
         best_score = None
@@ -134,8 +134,23 @@ def elimination_ordering(
             elif s == best_score:
                 ties.append(v)
         v = ties[0] if len(ties) == 1 else rng.choice(ties)
+        alive.remove(v)
+        yield v
+
+
+def _eliminate(graph: Graph, vertices) -> tuple[list[int], TreeDecomposition]:
+    """The one elimination pass: remove the vertices in the order
+    `vertices(adj)` yields them, making each one's remaining neighbors a
+    clique of the fill-in graph `adj`.  Returns the ordering and the
+    bucket decomposition built along it (see `td_from_ordering`); nodes
+    with an empty bag remainder attach to the last node."""
+    adj = [set(ns) for ns in graph.neighbors]
+    order = []
+    bags = []
+    for v in vertices(adj):
         order.append(v)
         ns = adj[v]
+        bags.append(frozenset(ns | {v}))
         for u in ns:
             adj[u].discard(v)
         ns = sorted(ns)
@@ -143,44 +158,35 @@ def elimination_ordering(
             for w in ns[i + 1 :]:
                 adj[u].add(w)
                 adj[w].add(u)
-        alive.remove(v)
-    return order
+    n = len(order)
+    if n == 0:
+        return order, TreeDecomposition([frozenset()], [[]], 0, 0)
+    pos = {v: i for i, v in enumerate(order)}
+    root = n - 1
+    children: list[list[int]] = [[] for _ in range(n)]
+    for i in range(root):
+        rest = [pos[u] for u in bags[i] if u != order[i]]
+        children[min(rest) if rest else root].append(i)
+    return order, TreeDecomposition(bags, children, root, n)
+
+
+def elimination_ordering(
+    graph: Graph, heuristic: str = "min-fill", seed: int = 0, defer=()
+) -> list[int]:
+    """Greedy ordering under min-fill or min-degree scoring.  Ties are
+    broken uniformly at random from a generator seeded with `seed`, so
+    repeated calls with identical arguments agree.  Vertices in `defer`
+    are eliminated only once every other vertex is gone."""
+    return _eliminate(graph, lambda adj: _greedy(adj, heuristic, seed, defer))[0]
 
 
 def td_from_ordering(graph: Graph, ordering: list[int]) -> TreeDecomposition:
     """Bucket elimination: the bag of v is v plus its later neighbors in
     the fill-in graph; each node attaches to the earliest-eliminated
     vertex of its bag remainder."""
-    n = graph.num_vertices
-    if sorted(ordering) != list(range(n)):
+    if sorted(ordering) != list(range(graph.num_vertices)):
         raise ValueError("ordering must be a permutation of the vertices")
-    if n == 0:
-        return TreeDecomposition([frozenset()], [[]], 0, 0)
-    pos = {v: i for i, v in enumerate(ordering)}
-    adj = [set(ns) for ns in graph.neighbors]
-    bags: list[frozenset[int]] = [frozenset()] * n
-    parent = [None] * n  # node index of the parent, by ordering index
-    for i, v in enumerate(ordering):
-        ns = adj[v]
-        bags[i] = frozenset(ns | {v})
-        if ns:
-            u = min(ns, key=lambda x: pos[x])
-            parent[i] = pos[u]
-        for u in ns:
-            adj[u].discard(v)
-        ns = sorted(ns)
-        for a_i, u in enumerate(ns):
-            for w in ns[a_i + 1 :]:
-                adj[u].add(w)
-                adj[w].add(u)
-    root = n - 1
-    children: list[list[int]] = [[] for _ in range(n)]
-    for i in range(n):
-        if i == root:
-            continue
-        p = parent[i] if parent[i] is not None else root
-        children[p].append(i)
-    return TreeDecomposition(bags, children, root, n)
+    return _eliminate(graph, lambda adj: ordering)[1]
 
 
 def validate_td(graph: Graph, td: TreeDecomposition) -> Violation | None:
@@ -263,15 +269,17 @@ def make_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
 
     cur = built[td.root]
     cur = chain_to(cur, set(td.bags[td.root]), set())
-    assert cur == len(nodes) - 1
+    if cur != len(nodes) - 1:
+        raise InvariantError("the root must be the last nice node")
 
     ntd = NiceTreeDecomposition(nodes, td.num_graph_vertices)
-    assert ntd.width() == td.width()
+    if ntd.width() != td.width():
+        raise InvariantError("nice form changed the width")
     covered = set()
     for node in nodes:
         covered.update(node.bag)
-    forgotten = set(ntd.forget_node_of)
-    assert forgotten == covered, "each covered vertex is forgotten exactly once"
+    if set(ntd.forget_node_of) != covered:
+        raise InvariantError("each covered vertex must be forgotten exactly once")
     return ntd
 
 
@@ -284,6 +292,22 @@ class DecompResult:
     heuristic: str
 
 
+def seeded_decompositions(graph: Graph, heuristic: str, seed: int, tries: int, defer=()):
+    """Yield (seed, width, decomposition) for `tries` consecutive seeds
+    from `seed`, one elimination pass each."""
+    if tries < 1:
+        raise ValueError("tries must be positive")
+    for s in range(seed, seed + tries):
+        td = _eliminate(graph, lambda adj: _greedy(adj, heuristic, s, defer))[1]
+        yield s, td.width(), td
+
+
+def lowest_width(tried):
+    """The first (seed, width, ...) entry of least width; entries come in
+    seed order, so ties go to the lowest seed."""
+    return min(tried, key=lambda entry: entry[1])
+
+
 def decompose(
     graph: Graph,
     heuristic: str = "min-fill",
@@ -293,16 +317,7 @@ def decompose(
 ) -> DecompResult:
     """Run `tries` seeded orderings and keep the best: lowest width,
     breaking ties toward the lowest seed."""
-    if tries < 1:
-        raise ValueError("tries must be positive")
-    best = None
-    for s in range(seed, seed + tries):
-        order = elimination_ordering(graph, heuristic, s, defer)
-        td = td_from_ordering(graph, order)
-        w = td.width()
-        if best is None or w < best[0]:
-            best = (w, s, td)
-    w, s, td = best
+    s, w, td = lowest_width(seeded_decompositions(graph, heuristic, seed, tries, defer))
     return DecompResult(make_nice(td), td, w, s, heuristic)
 
 
@@ -323,8 +338,6 @@ def write_td(td: TreeDecomposition) -> str:
 
 def read_td(text: str) -> TreeDecomposition:
     """Parse a .td file; the tree is rooted at bag 1."""
-    from .errors import ParseError
-
     num_bags = None
     num_vertices = None
     bags: dict[int, frozenset[int]] = {}

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from tdcount import cli
+from tdcount import cli, oracle
 
 PROG = "a :- not b. b :- not a.\n"
 CNF = "p cnf 2 1\n1 -2 0\n"
@@ -228,3 +228,20 @@ def test_td_stats_incidence(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["result"]["graph"] == "incidence"
     assert len(payload["result"]["widths"]) == 5
+
+
+@pytest.mark.parametrize(
+    "command, name, text, oracle_name, wrong",
+    [
+        ("mc", "f.cnf", CNF, "brute_count_models", lambda formula: 99),
+        ("solve", "p.lp", PROG, "brute_answer_sets", lambda program: []),
+    ],
+    ids=["mc", "solve"],
+)
+def test_oracle_check_mismatch_exits_one(
+    tmp_path, capsys, monkeypatch, command, name, text, oracle_name, wrong
+):
+    monkeypatch.setattr(oracle, oracle_name, wrong)
+    code, _, err = run(capsys, command, write(tmp_path, name, text), "--oracle-check")
+    assert code == 1
+    assert "oracle-check: mismatch" in err

@@ -128,3 +128,22 @@ def test_root_value_is_cached_and_stable():
     store, _ = build_store(program, Mode.COUNT)
     pass_ = ProjectionPass(purge(store), {2})
     assert pass_.root_value() == pass_.root_value() == 2
+
+
+def test_given_decomposition_builds_no_graph(monkeypatch):
+    from tdcount import graphs
+    from tdcount.treedecomp import decompose
+
+    program = parse_ground_program("a :- not b. b :- not a. c :- a.")
+    formula = parse_dimacs("p cnf 3 2\n1 -2 0\n2 3 0\n")
+    program_decomp = decompose(graphs.primal_graph(program), defer={2})
+    formula_decomp = decompose(graphs.primal_graph_cnf(formula), defer={0, 2})
+
+    def no_graph(*args, **kwargs):
+        raise AssertionError("a graph was built")
+
+    for name in ("primal_graph", "primal_graph_cnf", "incidence_graph", "incidence_graph_cnf"):
+        monkeypatch.setattr(graphs, name, no_graph)
+    monkeypatch.setattr(graphs.Graph, "__init__", no_graph)
+    assert projected_count(program, {2}, decomp=program_decomp) == 2
+    assert projected_count(formula, {1, 3}, decomp=formula_decomp) == 3

@@ -1,6 +1,10 @@
 """Elimination orderings, decomposition construction, validation,
 nice-form conversion, and .td round trips."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from tdcount.graphs import Graph
@@ -226,3 +230,30 @@ def test_read_td_requires_solution_line():
 def test_read_td_rejects_disconnected_tree():
     with pytest.raises(ParseError):
         read_td("s td 3 2 3\nb 1 1\nb 2 2\nb 3 3\n1 2\n")
+
+
+
+NOT_POST_ORDERED = """
+from tdcount.treedecomp import NiceNode, NiceTreeDecomposition, NodeKind
+nodes = [
+    NiceNode(NodeKind.FORGET, (), 0, (1,)),
+    NiceNode(NodeKind.INTRODUCE, (0,), 0, (2,)),
+    NiceNode(NodeKind.LEAF, (), None, ()),
+]
+NiceTreeDecomposition(nodes, 1)
+"""
+
+
+def test_non_post_ordered_nice_decomposition_is_rejected():
+    with pytest.raises(ValueError, match="post-ordered"):
+        exec(NOT_POST_ORDERED)
+
+
+def test_post_order_check_holds_under_python_O():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", NOT_POST_ORDERED],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert out.returncode == 1
+    assert "ValueError: nodes must be post-ordered" in out.stderr
