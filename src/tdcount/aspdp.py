@@ -150,8 +150,7 @@ def make_asp_handlers(
                         combined,
                         lrow.count * rrow.count,
                         cost,
-                        origins=((lrow,), (rrow,)),
-                        join_pairs=((lrow, rrow),),
+                        origins=((lrow, rrow),),
                     )
                 )
         return table
@@ -203,7 +202,7 @@ def count_optimal(program: GroundProgram, **options) -> tuple[int | None, int]:
 
 
 def _materialize(store: TableStore) -> list[frozenset[int]]:
-    """Walk origin pointers of the purged store top-down, collecting the
+    """Walk the derivations of the purged store top-down, collecting the
     set of true atoms per derivation.  Join rows recombine only the row
     pairs that actually joined."""
     ntd = store.ntd
@@ -227,13 +226,13 @@ def _materialize(store: TableStore) -> list[frozenset[int]]:
         elif node.kind is NodeKind.FORGET:
             child = node.children[0]
             gathered: set[frozenset[int]] = set()
-            for ref in row.origins[0]:
+            for (ref,) in row.origins:
                 gathered.update(sets_of(child, ref))
             result = sorted(gathered, key=sorted)
         else:
             lchild, rchild = node.children
             gathered = set()
-            for lrow, rrow in row.join_pairs:
+            for lrow, rrow in row.origins:
                 for s1 in sets_of(lchild, lrow):
                     for s2 in sets_of(rchild, rrow):
                         gathered.add(s1 | s2)

@@ -3,9 +3,11 @@
 A post-order traversal hands each node to a type-specific handler and
 stores the resulting table.  Rows carry exact integer counts, optional
 integer costs, optional rational weights, witness states for stability
-checking, and per-child origin pointers so that later passes (purge,
-enumeration, projection) can walk the derivation structure instead of
-materializing solutions.
+checking, and the row's derivations, each with one row per child of the
+node, so that later passes (purge, enumeration, projection) can walk the
+derivation structure instead of materializing solutions.  Above the
+leaves, a row's count is the sum over its derivations of the product of
+their rows' counts.
 """
 
 from __future__ import annotations
@@ -35,20 +37,20 @@ class Row:
     count           number of distinct decided-atom extensions, >= 1
     cost            accumulated minimize weight of the decided part
     weight          accumulated rational weight (weighted counting only)
-    origins         per child, tuple of rows this row was derived from
-    join_pairs      at join nodes, the exact (left, right) row pairs
+    origins         derivations, each a tuple with one row per child:
+                    () at a leaf, ((child,), ...) at an introduce or
+                    forget node, ((left, right), ...) at a join node
     """
 
-    __slots__ = ("assignment", "witnesses", "count", "cost", "weight", "origins", "join_pairs")
+    __slots__ = ("assignment", "witnesses", "count", "cost", "weight", "origins")
 
-    def __init__(self, assignment, witnesses, count, cost=0, weight=None, origins=(), join_pairs=None):
+    def __init__(self, assignment, witnesses, count, cost=0, weight=None, origins=()):
         self.assignment = assignment
         self.witnesses = witnesses
         self.count = count
         self.cost = cost
         self.weight = weight
         self.origins = origins
-        self.join_pairs = join_pairs
 
     def key(self):
         return (self.assignment, self.witnesses, self.cost)
@@ -66,7 +68,9 @@ class Row:
 
 class DpTable:
     """Rows keyed uniquely by (assignment, witnesses, cost); merging sums
-    counts and weights and unions origin pointers."""
+    counts and weights and concatenates derivations.  A handler derives
+    at most one row per key from each child row (unary nodes) or each
+    joined pair, so no derivation is merged twice."""
 
     def __init__(self, node_id: int):
         self.node_id = node_id
@@ -82,18 +86,7 @@ class DpTable:
         existing.count += row.count
         if existing.weight is not None:
             existing.weight += row.weight
-        merged = []
-        for mine, theirs in zip(existing.origins, row.origins):
-            seen = set(map(id, mine))
-            merged.append(
-                mine + tuple(r for r in theirs if id(r) not in seen)
-            )
-        existing.origins = tuple(merged)
-        if existing.join_pairs is not None:
-            seen = {(id(a), id(b)) for a, b in existing.join_pairs}
-            existing.join_pairs += tuple(
-                p for p in row.join_pairs if (id(p[0]), id(p[1])) not in seen
-            )
+        existing.origins += row.origins
 
     def __len__(self):
         return len(self.rows)
@@ -208,7 +201,7 @@ def solution_rows(table: DpTable) -> list[Row]:
 
 def purge(store: TableStore) -> TableStore:
     """Drop every row not reachable from a root solution row along
-    origin pointers.  Root aggregates are unchanged by construction."""
+    derivations.  Root aggregates are unchanged by construction."""
     ntd = store.ntd
     marked: list[set[int]] = [set() for _ in ntd.nodes]
     root = ntd.root
@@ -222,8 +215,8 @@ def purge(store: TableStore) -> TableStore:
         for row in table:
             if id(row) not in marked[i]:
                 continue
-            for child, refs in zip(node.children, row.origins):
-                for ref in refs:
+            for derivation in row.origins:
+                for child, ref in zip(node.children, derivation):
                     marked[child].add(id(ref))
     out = TableStore(ntd, store.mode)
     for i, table in enumerate(store.tables):

@@ -9,12 +9,12 @@ projection-restricted bag assignment and cross-bucket intersections are
 zero.
 
 Unions are cheap: at an introduce or forget node the union over a row
-set equals the union over the combined child origins (split on the two
+set equals the union over the child rows it derives from (split on the two
 values of an introduced projected atom, which separates the projections
 outright), so `pmc` walks down without inclusion-exclusion.
 Intersections are not: `ipmc` expands over row subsets, and join nodes
-recombine exactly the row pairs that joined, because a product of
-per-child origin unions would count phantom combinations.
+recombine exactly the row pairs that joined (a join row's derivations),
+because a product of per-child unions would count phantom combinations.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ class ProjectionPass:
             buckets: dict[int, set] = {}
             for row in rows:
                 pairs = buckets.setdefault(self.bucket_of(node_id, row), set())
-                pairs.update(row.join_pairs)
+                pairs.update(row.origins)
             value = sum(
                 self._pairs_union(node_id, frozenset(pairs))
                 for pairs in buckets.values()
@@ -99,13 +99,13 @@ class ProjectionPass:
                     o
                     for row in rows
                     if (row.assignment >> pos) & 1 == bit
-                    for o in row.origins[0]
+                    for (o,) in row.origins
                 )
                 value += self.pmc(node.children[0], origins)
         else:
             # introducing an unprojected atom or forgetting any atom
             # keeps the union of projections the union over origins
-            origins = frozenset(o for row in rows for o in row.origins[0])
+            origins = frozenset(o for row in rows for (o,) in row.origins)
             value = self.pmc(node.children[0], origins)
         self._pmc_cache[key] = value
         return value
@@ -130,7 +130,7 @@ class ProjectionPass:
         elif node.kind is NodeKind.JOIN:
             value = 0
             for subset, sign in _subsets(sigma):
-                pairs = frozenset(p for row in subset for p in row.join_pairs)
+                pairs = frozenset(p for row in subset for p in row.origins)
                 value += sign * self._pairs_union(node_id, pairs)
         elif node.kind is NodeKind.INTRODUCE:
             # an introduce row extends exactly one child row, and rows
@@ -138,14 +138,14 @@ class ProjectionPass:
             # intersection passes through unchanged
             origins = set()
             for row in sigma:
-                assert len(row.origins[0]) == 1
+                assert len(row.origins) == 1
                 origins.add(row.origins[0][0])
             value = self.ipmc(node.children[0], frozenset(origins))
         else:
             child = node.children[0]
             value = 0
             for subset, sign in _subsets(sigma):
-                origins = frozenset(r for row in subset for r in row.origins[0])
+                origins = frozenset(r for row in subset for (r,) in row.origins)
                 value += sign * self.pmc(child, origins)
         table[sigma] = value
         return value

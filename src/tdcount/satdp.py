@@ -120,8 +120,7 @@ def make_sat_handlers(
                     _NO_WITNESSES,
                     lrow.count * rrow.count,
                     weight=lrow.weight * rrow.weight if weighted else None,
-                    origins=((lrow,), (rrow,)),
-                    join_pairs=((lrow, rrow),),
+                    origins=((lrow, rrow),),
                 )
             )
         return table

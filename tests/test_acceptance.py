@@ -146,8 +146,8 @@ def assert_reachable_from_root(store):
         node = ntd.nodes[i]
         for row in store.tables[i]:
             assert id(row) in marked[i], f"unreachable row at node {i}"
-            for child, refs in zip(node.children, row.origins):
-                for ref in refs:
+            for derivation in row.origins:
+                for child, ref in zip(node.children, derivation):
                     marked[child].add(id(ref))
 
 

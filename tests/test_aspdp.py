@@ -90,10 +90,12 @@ def test_join_matches_assignments_and_ors_strictness():
     assert root_aggregate(store, Mode.COUNT) == 1
 
 
-def test_join_pairs_recorded():
+def test_join_derivations_recorded():
     store = run_on(join_ntd(), "a.")
+    assert len(store.tables[4]) > 0
     for row in store.tables[4]:
-        for lrow, rrow in row.join_pairs:
+        assert row.origins
+        for lrow, rrow in row.origins:
             assert lrow.assignment == rrow.assignment == row.assignment
 
 
