@@ -26,6 +26,7 @@ from .dpcore import (
     solution_rows,
     traverse,
 )
+from .errors import InvariantError
 from .graphs import instance_graph
 from .model import GroundProgram, MinimizeStatement, Rule
 from .treedecomp import DecompResult, NiceTreeDecomposition, NodeKind, decompose
@@ -33,9 +34,9 @@ from .treedecomp import DecompResult, NiceTreeDecomposition, NodeKind, decompose
 
 def plan_rule_checks(program: GroundProgram, ntd: NiceTreeDecomposition) -> dict[int, list[Rule]]:
     """Each rule is checked once, at the forget node of its earliest
-    forgotten atom; always-violated atomless rules are resolved at parse
-    time and never reach the planner."""
-    return plan_constraints(ntd, [r for r in program.rules if r.atoms])
+    forgotten atom.  An atomless rule is always violated and raises
+    ValueError; the public entry points answer such programs first."""
+    return plan_constraints(ntd, program.rules)
 
 
 def make_asp_handlers(
@@ -114,7 +115,8 @@ def make_asp_handlers(
                 for b, s in row.witnesses
                 if not any(pos & b == pos and head & b == 0 for head, pos in live)
             )
-            assert (remove_bit(A, p), False) in kept, "self-witness lost at forget"
+            if (remove_bit(A, p), False) not in kept:
+                raise InvariantError("self-witness lost at forget")
             cost = row.cost + (nw if A >> p & 1 == 0 else 0)
             table.add(
                 Row(remove_bit(A, p), kept, row.count, cost, origins=((row,),))
@@ -237,7 +239,8 @@ def _materialize(store: TableStore) -> list[frozenset[int]]:
                     for s2 in sets_of(rchild, rrow):
                         gathered.add(s1 | s2)
             result = sorted(gathered, key=sorted)
-        assert len(result) == row.count, "materialized sets must match the count"
+        if len(result) != row.count:
+            raise InvariantError("materialized sets must match the count")
         memo[id(row)] = result
         return result
 

@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BagMismatchError, HandlerFailureError
+from .errors import BagMismatchError, HandlerFailureError, InvariantError
 from .model import Rule
 from .treedecomp import NiceTreeDecomposition, NodeKind
 
@@ -133,13 +133,15 @@ def _check_table(node, table: DpTable, mode: Mode) -> None:
     witness_cap = 1 << (bag_size + 1)
     witness_free = True
     for row in table:
-        assert len(row.witnesses) <= witness_cap, "witness-set bound exceeded"
+        if len(row.witnesses) > witness_cap:
+            raise InvariantError("witness-set bound exceeded")
         if row.witnesses:
             witness_free = False
             # the non-strict self-witness must survive every step
-            assert (row.assignment, False) in row.witnesses, "self-witness lost"
-    if witness_free and mode is not Mode.OPTCOUNT:
-        assert len(table) <= (1 << bag_size), "row bound exceeded for witness-free tables"
+            if (row.assignment, False) not in row.witnesses:
+                raise InvariantError("self-witness lost")
+    if witness_free and mode is not Mode.OPTCOUNT and len(table) > (1 << bag_size):
+        raise InvariantError("row bound exceeded for witness-free tables")
 
 
 def _prune_dominated(table: DpTable) -> DpTable:
@@ -232,7 +234,8 @@ def root_aggregate(store: TableStore, mode: Mode):
     """Aggregate the root table: a count, a (cost, count) pair, a
     consistency flag, or a rational weight depending on the mode."""
     ntd = store.ntd
-    assert ntd.nodes[ntd.root].bag == (), "root bag must be empty"
+    if ntd.nodes[ntd.root].bag != ():
+        raise InvariantError("root bag must be empty")
     sols = solution_rows(store.root_table)
     if mode is Mode.COUNT:
         return sum(r.count for r in sols)
@@ -252,14 +255,18 @@ def place_checks(ntd: NiceTreeDecomposition, atom_sets: list[frozenset[int]]) ->
     """Map each constraint (given by its atom set) to the forget node of
     its earliest-forgotten atom.  The decomposition guarantees that all
     atoms of the constraint sit in that node's child bag, which is
-    asserted here at plan time."""
+    checked here at plan time.  A constraint with no atoms is always
+    violated and has no forget node, so it raises ValueError: callers
+    answer such instances before building tables."""
     plan: dict[int, list[int]] = {}
     for idx, atoms in enumerate(atom_sets):
-        assert atoms, "constraints with no atoms are resolved before planning"
+        if not atoms:
+            raise ValueError(f"constraint {idx} has no atoms and is always violated")
         node_id = min(ntd.forget_node_of[a] for a in atoms)
         node = ntd.nodes[node_id]
         child_bag = ntd.nodes[node.children[0]].bag
-        assert atoms <= set(child_bag), "constraint atoms must share the child bag"
+        if not atoms <= set(child_bag):
+            raise InvariantError("constraint atoms must share the child bag")
         plan.setdefault(node_id, []).append(idx)
     return plan
 

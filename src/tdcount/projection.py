@@ -23,7 +23,7 @@ from functools import partial
 from itertools import combinations
 
 from .dpcore import Mode, Row, TableStore, purge, solution_rows
-from .errors import ProjectionOutOfRangeError
+from .errors import InvariantError, ProjectionOutOfRangeError
 from .graphs import instance_graph
 from .model import CnfFormula, GroundProgram
 from .treedecomp import NodeKind, decompose
@@ -117,10 +117,10 @@ class ProjectionPass:
         cached = table.get(sigma)
         if cached is not None:
             return cached
-        assert sigma, "ipmc of the empty set is undefined"
-        assert (
-            len({self.bucket_of(node_id, r) for r in sigma}) == 1
-        ), "ipmc keys agree on the projected bag assignment"
+        if not sigma:
+            raise InvariantError("ipmc of the empty set is undefined")
+        if len({self.bucket_of(node_id, r) for r in sigma}) != 1:
+            raise InvariantError("ipmc keys agree on the projected bag assignment")
         if not self._pforget_below[node_id]:
             table[sigma] = 1
             return 1
@@ -138,7 +138,8 @@ class ProjectionPass:
             # intersection passes through unchanged
             origins = set()
             for row in sigma:
-                assert len(row.origins) == 1
+                if len(row.origins) != 1:
+                    raise InvariantError("an introduce row has exactly one derivation")
                 origins.add(row.origins[0][0])
             value = self.ipmc(node.children[0], frozenset(origins))
         else:

@@ -8,6 +8,9 @@ single PASS line with the measured numbers.
   (e) identical results across heuristic/seed pipelines
   (f) table growth bounds and the counting regime contrast
   (g) byte-identical JSON output across repeated runs
+  (h) every row's count is the sum over its derivations of the product
+      of their rows' counts, on all 1000 corpus instances in every mode
+      (the mode (d) builds is checked there, on the store it purges)
 """
 
 import io
@@ -151,10 +154,30 @@ def assert_reachable_from_root(store):
                     marked[child].add(id(ref))
 
 
+def assert_counts_sum_over_derivations(store):
+    rows = 0
+    for node, table in zip(store.ntd.nodes, store.tables):
+        for row in table:
+            if not node.children:
+                assert row.origins == () and row.count == 1
+                continue
+            total = 0
+            for derivation in row.origins:
+                assert len(derivation) == len(node.children)
+                product = 1
+                for ref in derivation:
+                    product *= ref.count
+                total += product
+            assert row.count == total, f"{row!r} at node {node}"
+            rows += 1
+    return rows
+
+
 def test_purge_invariance(asp_corpus, cnf_corpus):
     checked = 0
     for program in asp_corpus:
         store, _ = aspdp.build_store(program, Mode.COUNT)
+        assert_counts_sum_over_derivations(store)
         before = root_aggregate(store, Mode.COUNT)
         purged = purge(store)
         assert root_aggregate(purged, Mode.COUNT) == before
@@ -164,12 +187,27 @@ def test_purge_invariance(asp_corpus, cnf_corpus):
         weighted = formula.weights is not None
         mode = Mode.WEIGHTED if weighted else Mode.COUNT
         store, _ = satdp.build_store(formula, weighted=weighted)
+        assert_counts_sum_over_derivations(store)
         before = root_aggregate(store, mode)
         purged = purge(store)
         assert root_aggregate(purged, mode) == before
         assert_reachable_from_root(purged)
         checked += 1
     print(f"ACCEPTANCE purge-invariance: PASS ({checked} instances)")
+
+
+def test_counts_sum_over_derivations(asp_corpus, cnf_corpus):
+    # test_purge_invariance checks COUNT mode and each formula's own
+    # weighting; this covers the other modes and weightings
+    rows = 0
+    for program in asp_corpus:
+        for mode in (Mode.OPTCOUNT, Mode.DECISION):
+            store, _ = aspdp.build_store(program, mode)
+            rows += assert_counts_sum_over_derivations(store)
+    for formula in cnf_corpus:
+        store, _ = satdp.build_store(formula, weighted=formula.weights is None)
+        rows += assert_counts_sum_over_derivations(store)
+    print(f"ACCEPTANCE counts-sum-over-derivations: PASS ({rows} non-leaf rows)")
 
 
 def test_pipeline_invariance(asp_corpus, cnf_corpus):

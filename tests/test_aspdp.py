@@ -1,6 +1,10 @@
 """The answer-set engine: handler semantics on hand-built decompositions,
 frozen small examples, and randomized agreement with the oracle."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from tdcount.aspdp import (
@@ -213,3 +217,27 @@ def test_store_reports_decomposition():
     assert decomp.width == 1
     assert decomp.seed == 0
     assert len(store.tables) == len(decomp.ntd.nodes)
+
+
+ATOMLESS_CONSTRAINT = """
+from tdcount.aspdp import build_store
+from tdcount.parsers import parse_ground_program
+build_store(parse_ground_program("a. :- ."))
+"""
+
+
+def test_build_store_rejects_atomless_constraint():
+    # the public entry points answer 0 before building any table
+    assert count_answer_sets(parse_ground_program("a. :- .")) == 0
+    with pytest.raises(ValueError, match="constraint 1 has no atoms"):
+        exec(ATOMLESS_CONSTRAINT)
+
+
+def test_atomless_constraint_check_holds_under_python_O():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", ATOMLESS_CONSTRAINT],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert out.returncode == 1
+    assert "ValueError: constraint 1 has no atoms" in out.stderr

@@ -1,6 +1,11 @@
 """Model counting and weighted model counting for CNF."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+
+import pytest
 
 from tdcount.dpcore import Mode, purge, root_aggregate
 from tdcount.oracle import brute_count_models, brute_weighted_count
@@ -79,3 +84,27 @@ def test_weighted_matches_oracle():
     for seed in range(150):
         f = corpus.random_cnf(seed, weighted=True)
         assert weighted_count(f) == brute_weighted_count(f), seed
+
+
+EMPTY_CLAUSE = """
+from tdcount.parsers import parse_dimacs
+from tdcount.satdp import build_store
+build_store(parse_dimacs("p cnf 2 2\\n1 2 0\\n0\\n"))
+"""
+
+
+def test_build_store_rejects_empty_clause():
+    # the public entry points answer 0 before building any table
+    assert count_models(parse_dimacs("p cnf 2 2\n1 2 0\n0\n")) == 0
+    with pytest.raises(ValueError, match="constraint 1 has no atoms"):
+        exec(EMPTY_CLAUSE)
+
+
+def test_empty_clause_check_holds_under_python_O():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", EMPTY_CLAUSE],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert out.returncode == 1
+    assert "ValueError: constraint 1 has no atoms" in out.stderr
