@@ -204,49 +204,44 @@ def count_optimal(program: GroundProgram, **options) -> tuple[int | None, int]:
 
 
 def _materialize(store: TableStore) -> list[frozenset[int]]:
-    """Walk the derivations of the purged store top-down, collecting the
-    set of true atoms per derivation.  Join rows recombine only the row
-    pairs that actually joined."""
+    """Build each purged row's list of true-atom sets from its
+    derivations' child lists, node by node in the stored post-order, and
+    drop a child's lists once its parent is built.  Join rows recombine
+    only the row pairs that actually joined."""
     ntd = store.ntd
-    memo: dict[int, list[frozenset[int]]] = {}
-
-    def sets_of(node_id: int, row: Row) -> list[frozenset[int]]:
-        got = memo.get(id(row))
-        if got is not None:
-            return got
-        node = ntd.nodes[node_id]
-        if node.kind is NodeKind.LEAF:
-            result = [frozenset()]
-        elif node.kind is NodeKind.INTRODUCE:
-            child = node.children[0]
-            p = node.bag.index(node.vertex)
-            base = sets_of(child, row.origins[0][0])
-            if row.assignment >> p & 1:
-                result = [s | {node.vertex} for s in base]
+    sets: list[dict[int, list[frozenset[int]]] | None] = [None] * len(ntd.nodes)
+    for i, node in enumerate(ntd.nodes):
+        built: dict[int, list[frozenset[int]]] = {}
+        for row in store.tables[i]:
+            if node.kind is NodeKind.LEAF:
+                result = [frozenset()]
+            elif node.kind is NodeKind.INTRODUCE:
+                result = sets[node.children[0]][id(row.origins[0][0])]
+                if row.assignment >> node.bag.index(node.vertex) & 1:
+                    result = [s | {node.vertex} for s in result]
+            elif node.kind is NodeKind.FORGET:
+                child = sets[node.children[0]]
+                gathered: set[frozenset[int]] = set()
+                for (ref,) in row.origins:
+                    gathered.update(child[id(ref)])
+                result = list(gathered)
             else:
-                result = list(base)
-        elif node.kind is NodeKind.FORGET:
-            child = node.children[0]
-            gathered: set[frozenset[int]] = set()
-            for (ref,) in row.origins:
-                gathered.update(sets_of(child, ref))
-            result = sorted(gathered, key=sorted)
-        else:
-            lchild, rchild = node.children
-            gathered = set()
-            for lrow, rrow in row.origins:
-                for s1 in sets_of(lchild, lrow):
-                    for s2 in sets_of(rchild, rrow):
-                        gathered.add(s1 | s2)
-            result = sorted(gathered, key=sorted)
-        if len(result) != row.count:
-            raise InvariantError("materialized sets must match the count")
-        memo[id(row)] = result
-        return result
-
+                left, right = (sets[c] for c in node.children)
+                gathered = set()
+                for lrow, rrow in row.origins:
+                    for s1 in left[id(lrow)]:
+                        gathered.update(s1 | s2 for s2 in right[id(rrow)])
+                result = list(gathered)
+            if len(result) != row.count:
+                raise InvariantError("materialized sets must match the count")
+            built[id(row)] = result
+        sets[i] = built
+        for c in node.children:
+            sets[c] = None
+    root = sets[ntd.root]
     out: set[frozenset[int]] = set()
     for row in solution_rows(store.root_table):
-        out.update(sets_of(ntd.root, row))
+        out.update(root[id(row)])
     return sorted(out, key=sorted)
 
 

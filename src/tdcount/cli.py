@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 1 parse or usage problems or an --oracle-check
-mismatch (any command), 2 unsupported rule types or brute-force size
-guards; `solve` exits 10 when consistent and 20 when inconsistent.
+mismatch (any command), 2 unsupported rule types, brute-force size
+guards or an instance too deep for the recursive projection pass of
+`pcount`/`pmc`; `solve` exits 10 when consistent and 20 when inconsistent.
 """
 
 from __future__ import annotations
@@ -237,7 +238,10 @@ def _run_command(args, instance, trace):
         lines = ["INCONSISTENT"] if cost is None else [f"{cost} {count}"]
 
     elif cmd in ("pcount", "pmc"):
-        result = projected_count(instance, proj, **opts)
+        try:
+            result = projected_count(instance, proj, **opts)
+        except RecursionError:
+            raise TooLargeError("instance too deep for the projection pass") from None
         lines = [str(result)]
         if args.oracle_check:
             expected = oracle.brute_projected_count(instance, proj)

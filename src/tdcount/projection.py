@@ -11,10 +11,13 @@ zero.
 Unions are cheap: at an introduce or forget node the union over a row
 set equals the union over the child rows it derives from (split on the two
 values of an introduced projected atom, which separates the projections
-outright), so `pmc` walks down without inclusion-exclusion.
-Intersections are not: `ipmc` expands over row subsets, and join nodes
-recombine exactly the row pairs that joined (a join row's derivations),
+outright), so `pmc` walks down without inclusion-exclusion; at a join it
+expands over the row pairs that joined (a join row's derivations),
 because a product of per-child unions would count phantom combinations.
+Intersections take one rule,
+ipmc(node, σ) = Σ_{∅≠S⊆σ} (-1)^{|S|+1} · pmc(node, S), short-cut to 1 at
+a leaf or with no projected forget below, and passed to the child rows
+at an introduce node.
 """
 
 from __future__ import annotations
@@ -35,11 +38,16 @@ def _row_order(row: Row):
     return (row.assignment, tuple(sorted(row.witnesses)), row.cost)
 
 
-def _subsets(rows):
-    ordered = sorted(rows, key=_row_order)
+def _pair_order(pair):
+    return (_row_order(pair[0]), _row_order(pair[1]))
+
+
+def _subsets(items, key):
+    """Non-empty subsets of `items` in `key` order, each with its sign."""
+    ordered = sorted(items, key=key)
     for size in range(1, len(ordered) + 1):
         for combo in combinations(ordered, size):
-            yield frozenset(combo), -1 if size % 2 == 0 else 1
+            yield combo, 1 if size % 2 else -1
 
 
 class ProjectionPass:
@@ -127,11 +135,6 @@ class ProjectionPass:
         node = self.ntd.nodes[node_id]
         if node.kind is NodeKind.LEAF:
             value = 1
-        elif node.kind is NodeKind.JOIN:
-            value = 0
-            for subset, sign in _subsets(sigma):
-                pairs = frozenset(p for row in subset for p in row.origins)
-                value += sign * self._pairs_union(node_id, pairs)
         elif node.kind is NodeKind.INTRODUCE:
             # an introduce row extends exactly one child row, and rows
             # of one bucket agree on the introduced atom, so the
@@ -143,11 +146,9 @@ class ProjectionPass:
                 origins.add(row.origins[0][0])
             value = self.ipmc(node.children[0], frozenset(origins))
         else:
-            child = node.children[0]
             value = 0
-            for subset, sign in _subsets(sigma):
-                origins = frozenset(r for row in subset for (r,) in row.origins)
-                value += sign * self.pmc(child, origins)
+            for combo, sign in _subsets(sigma, _row_order):
+                value += sign * self.pmc(node_id, frozenset(combo))
         table[sigma] = value
         return value
 
@@ -158,14 +159,11 @@ class ProjectionPass:
         if cached is not None:
             return cached
         lchild, rchild = self.ntd.nodes[node_id].children
-        ordered = sorted(pairs, key=lambda p: (_row_order(p[0]), _row_order(p[1])))
         total = 0
-        for size in range(1, len(ordered) + 1):
-            sign = -1 if size % 2 == 0 else 1
-            for combo in combinations(ordered, size):
-                lefts = frozenset(p[0] for p in combo)
-                rights = frozenset(p[1] for p in combo)
-                total += sign * self.ipmc(lchild, lefts) * self.ipmc(rchild, rights)
+        for combo, sign in _subsets(pairs, _pair_order):
+            lefts = frozenset(p[0] for p in combo)
+            rights = frozenset(p[1] for p in combo)
+            total += sign * self.ipmc(lchild, lefts) * self.ipmc(rchild, rights)
         self._pairs_cache[key] = total
         return total
 

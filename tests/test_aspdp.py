@@ -17,9 +17,17 @@ from tdcount.aspdp import (
     plan_rule_checks,
 )
 from tdcount.dpcore import Mode, root_aggregate, traverse
+from tdcount.graphs import primal_graph
 from tdcount.oracle import brute_answer_sets
 from tdcount.parsers import parse_ground_program
-from tdcount.treedecomp import NiceNode, NiceTreeDecomposition, NodeKind
+from tdcount.treedecomp import (
+    DecompResult,
+    NiceNode,
+    NiceTreeDecomposition,
+    NodeKind,
+    make_nice,
+    td_from_ordering,
+)
 
 import corpus
 
@@ -143,6 +151,18 @@ def test_enumerate_respects_limit():
 
 def test_enumerate_empty_program_yields_empty_set():
     assert list(enumerate_answer_sets(parse_ground_program(""))) == [frozenset()]
+
+
+def test_enumerate_deep_implication_chain():
+    # a 10,000-atom chain nests about 20,000 nice nodes, twenty times the
+    # default recursion limit; the given ordering spares min-fill's time
+    n = 10_000
+    program = parse_ground_program(
+        "a0.\n" + "".join(f"a{i + 1} :- a{i}.\n" for i in range(n - 1))
+    )
+    td = td_from_ordering(primal_graph(program), list(range(n)))
+    decomp = DecompResult(make_nice(td), td, td.width(), 0, "min-fill")
+    assert list(enumerate_answer_sets(program, decomp=decomp)) == [frozenset(range(n))]
 
 
 def test_optcount_frozen_examples():

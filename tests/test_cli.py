@@ -1,6 +1,9 @@
 """Command-line behavior: outputs, exit codes, formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -121,6 +124,26 @@ def test_pmc_rejects_bad_variables(tmp_path, capsys):
     path = write(tmp_path, "f.cnf", CNF)
     assert run(capsys, "pmc", path, "--project-vars", "7")[0] == 1
     assert run(capsys, "pmc", path, "--project-vars", "x")[0] == 1
+
+
+def test_pmc_too_deep_for_projection_exits_two(tmp_path):
+    # the projection pass recurses once per node of a path, so a
+    # 1500-variable path projected onto every variable exceeds the
+    # default recursion limit; the CLI reports it in one line
+    n = 1500
+    clauses = "".join(f"{i} {i + 1} 0\n" for i in range(1, n))
+    path = write(tmp_path, "path.cnf", f"p cnf {n} {n - 1}\n{clauses}")
+    project = ",".join(str(v) for v in range(1, n + 1))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-m", "tdcount", "pmc", path, "--project-vars", project],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert "Traceback" not in out.stderr
+    assert len(out.stderr.splitlines()) == 1
+    assert out.stderr.startswith("error: instance too deep for the projection pass")
 
 
 def test_format_sniffing(tmp_path, capsys):
