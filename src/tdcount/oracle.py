@@ -7,6 +7,7 @@ against these functions, never the other way around.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import TooLargeError
@@ -113,15 +114,24 @@ def brute_count_models(formula: CnfFormula) -> int:
 
 
 def brute_weighted_count(formula: CnfFormula) -> Fraction:
-    """Sum over models of the product of satisfied-literal weights."""
-    total = Fraction(0)
-    for mask in _brute_models(formula):
-        w = Fraction(1)
-        for v in range(1, formula.num_vars + 1):
-            lit = v if mask >> (v - 1) & 1 else -v
-            w *= formula.literal_weight(lit)
+    """Sum over models of the product of satisfied-literal weights.  Each
+    variable's two weights are written over their common denominator, so
+    the sum is taken over integer numerators and divided once at the end."""
+    models = _brute_models(formula)
+    numerators = []
+    denominator = 1
+    for v in range(1, formula.num_vars + 1):
+        pos, neg = formula.literal_weight(v), formula.literal_weight(-v)
+        d = math.lcm(pos.denominator, neg.denominator)
+        numerators.append((v - 1, int(pos * d), int(neg * d)))
+        denominator *= d
+    total = 0
+    for mask in models:
+        w = 1
+        for bit, pos, neg in numerators:
+            w *= pos if mask >> bit & 1 else neg
         total += w
-    return total
+    return Fraction(total, denominator)
 
 
 def brute_treewidth(graph: Graph) -> int:

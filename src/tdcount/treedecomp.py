@@ -111,8 +111,15 @@ def _min_fill_score(adj, v):
 def _greedy(adj, heuristic: str, seed: int, defer):
     """Yield a greedy ordering while the caller eliminates each yielded
     vertex from `adj`: the lowest score among the live vertices outside
-    `defer` (among all live ones once only deferred ones remain), ties
-    broken by a generator seeded with `seed`."""
+    `defer` (among all live ones once only deferred ones remain).  Ties
+    are a uniform draw, from a generator seeded with `seed`, from the
+    tied vertices in ascending order; a single lowest vertex is taken
+    without a draw, so it leaves the generator's state alone.
+
+    Each live vertex keeps its score, indexed by (deferred, score).  Only
+    the vertices whose score eliminating v can change are re-scored once
+    the caller has eliminated v: N(v) under min-degree, N(v) ∪ N(N(v))
+    minus v under min-fill (fill-in edges join two vertices of N(v))."""
     if heuristic == "min-fill":
         score = _min_fill_score
     elif heuristic == "min-degree":
@@ -121,21 +128,37 @@ def _greedy(adj, heuristic: str, seed: int, defer):
         raise ValueError(f"unknown heuristic {heuristic!r}")
     deferred = frozenset(defer)
     rng = random.Random(seed)
-    alive = list(range(len(adj)))
-    while alive:
-        pool = [v for v in alive if v not in deferred] or alive
-        best_score = None
-        ties = []
-        for v in pool:
-            s = score(adj, v)
-            if best_score is None or s < best_score:
-                best_score = s
-                ties = [v]
-            elif s == best_score:
-                ties.append(v)
+    key = {}  # live vertex -> (deferred, score); False sorts first
+    index: dict[tuple[bool, int], set[int]] = {}  # key -> live vertices
+
+    def place(u, k):
+        key[u] = k
+        index.setdefault(k, set()).add(u)
+
+    def unplace(u):
+        k = key.pop(u)
+        bucket = index[k]
+        bucket.discard(u)
+        if not bucket:
+            del index[k]
+
+    for v in range(len(adj)):
+        place(v, (v in deferred, score(adj, v)))
+    while index:
+        ties = sorted(index[min(index)])
         v = ties[0] if len(ties) == 1 else rng.choice(ties)
-        alive.remove(v)
+        unplace(v)
+        touched = set(adj[v])
+        if heuristic == "min-fill":
+            for u in adj[v]:
+                touched |= adj[u]
+            touched.discard(v)
         yield v
+        for u in touched:
+            k = (u in deferred, score(adj, u))
+            if k != key[u]:
+                unplace(u)
+                place(u, k)
 
 
 def _eliminate(graph: Graph, vertices) -> tuple[list[int], TreeDecomposition]:
@@ -174,9 +197,13 @@ def elimination_ordering(
     graph: Graph, heuristic: str = "min-fill", seed: int = 0, defer=()
 ) -> list[int]:
     """Greedy ordering under min-fill or min-degree scoring.  Ties are
-    broken uniformly at random from a generator seeded with `seed`, so
-    repeated calls with identical arguments agree.  Vertices in `defer`
-    are eliminated only once every other vertex is gone."""
+    broken by a uniform draw, from a generator seeded with `seed`, from
+    the tied vertices in ascending order, and a single lowest vertex is
+    taken without a draw, so repeated calls with identical arguments
+    agree.  Vertices in `defer` are eliminated only once every other
+    vertex is gone.  After each elimination only the vertices whose score
+    it can change are re-scored: the eliminated vertex's neighbors, plus
+    their neighbors under min-fill."""
     return _eliminate(graph, lambda adj: _greedy(adj, heuristic, seed, defer))[0]
 
 

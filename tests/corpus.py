@@ -116,3 +116,15 @@ def grid_graph(rows: int, cols: int) -> Graph:
             if r + 1 < rows:
                 g.add_edge(v, v + cols)
     return g
+
+
+def banded_cnf(seed: int, n: int) -> CnfFormula:
+    """Random 3-CNF with 2.5·n clauses, each over 3 of 8 consecutive
+    variables, so its primal width stays small as n grows."""
+    rng = random.Random(seed)
+    clauses = []
+    for _ in range(5 * n // 2):
+        start = rng.randint(1, n - 7)
+        chosen = rng.sample(range(start, start + 8), 3)
+        clauses.append(frozenset(v if rng.random() < 0.5 else -v for v in chosen))
+    return CnfFormula(n, clauses)

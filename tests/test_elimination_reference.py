@@ -194,3 +194,23 @@ def test_td_stats_widths_match_reference(tmp_path, capsys, kind):
             assert stats["widths"] == expected
             width, best_seed, _ = reference_decompose(graph, heuristic, 3, 5, ())
             assert (stats["best_width"], stats["best_seed"]) == (width, best_seed)
+
+
+def test_orderings_match_reference_on_larger_graphs():
+    """Banded CNFs and a grid are large enough for big tie buckets and
+    for fill-in that changes the scores of N(N(v))."""
+    graphs = [primal_graph_cnf(corpus.banded_cnf(n, n)) for n in (200, 400)]
+    graphs.append(corpus.grid_graph(5, 20))
+    for index, graph in enumerate(graphs):
+        n = graph.num_vertices
+        for defer in ((), range(n // 2, n // 2 + 20), range(0, n, 7)):
+            for heuristic in HEURISTICS:
+                expected = {s: reference_ordering(graph, heuristic, s, defer) for s in range(3)}
+                for seed, order in expected.items():
+                    assert elimination_ordering(graph, heuristic, seed, defer) == order, (
+                        index, heuristic, seed, defer)
+                tds = {s: reference_td(graph, order) for s, order in expected.items()}
+                best_seed = min(tds, key=lambda s: tds[s].width())
+                result = decompose(graph, heuristic, 0, 3, defer)
+                assert (result.width, result.seed) == (tds[best_seed].width(), best_seed)
+                assert same_td(result.td, tds[best_seed])

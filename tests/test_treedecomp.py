@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-from tdcount.graphs import Graph
+from tdcount import treedecomp
+from tdcount.graphs import Graph, primal_graph_cnf
 from tdcount.errors import ParseError
 from tdcount.oracle import brute_treewidth
 from tdcount.treedecomp import (
@@ -101,6 +102,28 @@ def test_ordering_is_deterministic_per_seed():
         b = elimination_ordering(g, heuristic, seed=5)
         assert a == b
         assert sorted(a) == list(range(g.num_vertices))
+
+
+@pytest.mark.parametrize("heuristic", ["min-fill", "min-degree"])
+def test_ordering_scores_each_vertex_a_bounded_number_of_times(monkeypatch, heuristic):
+    """The ordering re-scores only the vertices an elimination touches:
+    on a banded graph that is a constant number per vertex, where a full
+    rescan after every elimination would make about n²/2 evaluations."""
+    calls = 0
+
+    def counting(score):
+        def wrapper(adj, v):
+            nonlocal calls
+            calls += 1
+            return score(adj, v)
+        return wrapper
+
+    monkeypatch.setattr(treedecomp, "_min_fill_score", counting(treedecomp._min_fill_score))
+    monkeypatch.setattr(treedecomp, "_min_degree_score", counting(treedecomp._min_degree_score))
+    n = 2000
+    graph = primal_graph_cnf(corpus.banded_cnf(1, n))
+    assert sorted(elimination_ordering(graph, heuristic)) == list(range(n))
+    assert calls <= 40 * n
 
 
 def test_min_degree_star_orders_leaves_first():
