@@ -1,0 +1,94 @@
+"""Golden digests of the CLI's `--trace` records and `--json` output.
+
+Each case runs one command on one corpus instance and hashes the trace
+file together with the JSON payload (its `elapsed_ms` removed) and the
+exit code.  The digests in `golden_digests.json` pin the table pass's
+observable behaviour: row counts and witness-set sizes per node, widths,
+seeds and answers.  Regenerate them only for a deliberate behaviour
+change, with `python tests/test_golden.py > tests/golden_digests.json`.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+from tdcount import cli
+from tdcount.model import render_program
+
+import corpus
+
+DIGESTS = Path(__file__).with_name("golden_digests.json")
+PROGRAM_COMMANDS = ("count", "optcount", "solve")
+CNF_COMMANDS = ("mc", "wmc")
+
+
+def _program_seeds():
+    """The first 12 corpus seeds whose program has a minimize statement
+    and the first 8 whose program has none."""
+    with_min, without = [], []
+    seed = 0
+    while len(with_min) < 12 or len(without) < 8:
+        program = corpus.random_program(seed, max_atoms=10, max_rules=15)
+        bucket = with_min if program.minimize is not None else without
+        if len(bucket) < (12 if bucket is with_min else 8):
+            bucket.append(seed)
+        seed += 1
+    return sorted(with_min + without)
+
+
+def instances():
+    """(name, file suffix, text, commands) for every golden instance."""
+    out = []
+    for seed in _program_seeds():
+        program = corpus.random_program(seed, max_atoms=10, max_rules=15)
+        out.append((f"program-{seed}", ".lp", render_program(program), PROGRAM_COMMANDS))
+    for seed in range(17):
+        formula = corpus.random_cnf(seed, max_vars=15, max_clauses=25, weighted=True)
+        out.append((f"cnf-{seed}", ".cnf", corpus.dimacs_text(formula), CNF_COMMANDS))
+    for seed in (1, 2, 3):
+        formula = corpus.banded_cnf(seed, 40)
+        out.append((f"banded-{seed}", ".cnf", corpus.dimacs_text(formula), CNF_COMMANDS))
+    return out
+
+
+def digest(command: str, suffix: str, text: str) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"instance{suffix}"
+        path.write_text(text)
+        trace = Path(tmp) / "trace.jsonl"
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.run([command, str(path), "--json", "--trace", str(trace)])
+        payload = json.loads(out.getvalue())
+        payload.pop("elapsed_ms")
+        h = hashlib.sha256()
+        h.update(trace.read_bytes())
+        h.update(b"\0" + json.dumps(payload, sort_keys=True).encode())
+        h.update(b"\0" + str(code).encode())
+        return h.hexdigest()
+
+
+def all_digests() -> dict[str, str]:
+    return {
+        f"{command}:{name}": digest(command, suffix, text)
+        for name, suffix, text, commands in instances()
+        for command in commands
+    }
+
+
+def test_trace_and_json_match_golden_digests():
+    expected = json.loads(DIGESTS.read_text())
+    actual = all_digests()
+    assert len(actual) == 100
+    assert sorted(actual) == sorted(expected)
+    differing = [key for key in sorted(actual) if actual[key] != expected[key]]
+    assert differing == []
+
+
+if __name__ == "__main__":
+    json.dump(all_digests(), sys.stdout, indent=1, sort_keys=True)
+    sys.stdout.write("\n")
