@@ -5,10 +5,17 @@ Each row pairs a candidate bag assignment with a set of witness states.
 A witness (B, strict) tracks a sub-interpretation that still satisfies
 every checked rule of the reduct; `strict` records that it is already
 properly smaller than the candidate on some decided atom.  A root row
-describes answer sets exactly when no strict witness survived.
+describes answer sets exactly when no strict witness survived.  Minimize
+costs, both signs, are charged when their atom is forgotten.
+
+`make_handlers` is the package's one handler set: `satdp` runs it on a
+CNF's clauses with no witness states.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from itertools import islice
 
 from .dpcore import (
     DpTable,
@@ -28,7 +35,7 @@ from .dpcore import (
 )
 from .errors import InvariantError
 from .graphs import instance_graph
-from .model import GroundProgram, MinimizeStatement, Rule
+from .model import GroundProgram, Rule
 from .treedecomp import DecompResult, NiceTreeDecomposition, NodeKind, decompose
 
 
@@ -39,58 +46,55 @@ def plan_rule_checks(program: GroundProgram, ntd: NiceTreeDecomposition) -> dict
     return plan_constraints(ntd, program.rules)
 
 
-def make_asp_handlers(
+def make_handlers(
     ntd: NiceTreeDecomposition,
     plan: dict[int, list[Rule]],
-    minimize: MinimizeStatement | None = None,
+    *,
+    witnesses: bool = True,
+    costs=None,
+    weights=None,
 ) -> Handlers:
-    """Handlers for counting; pass a minimize statement to also accrue
-    costs (positive literals at Introduce, negative ones at Forget)."""
+    """The one handler set, for programs and CNFs alike.
 
-    def pos_weight(atom):
-        return minimize.positive_weight(atom) if minimize else 0
-
-    def neg_weight(atom):
-        return minimize.negative_weight(atom) if minimize else 0
+    `plan` maps forget nodes to the rules checked there.  A CNF is a
+    program of constraints only, whose models need no stability check:
+    with `witnesses=False` the leaf starts from an empty witness set and
+    every handler skips the witness work.  `costs` and `weights` map an
+    atom to its charges (if false, if true): minimize costs are added and
+    literal weights multiplied when the atom is forgotten, which happens
+    exactly once, so joins combine them without correction.  Rows whose
+    weight drops to 0 contribute nothing and are dropped."""
 
     def leaf(node_id, node):
         table = DpTable(node_id)
-        table.add(Row(0, frozenset({(0, False)}), 1))
+        start = frozenset({(0, False)}) if witnesses else frozenset()
+        table.add(Row(0, start, 1, weight=Fraction(1) if weights else None))
         return table
 
     def introduce(node_id, node, child):
-        a = node.vertex
-        p = node.bag.index(a)
-        pw = pos_weight(a)
+        p = node.bag.index(node.vertex)
         table = DpTable(node_id)
         for row in child:
-            # candidate sets a false: witnesses must stay below it
-            w_false = frozenset(
-                (insert_bit(b, p, 0), s) for b, s in row.witnesses
-            )
-            table.add(
-                Row(
-                    insert_bit(row.assignment, p, 0),
-                    w_false,
-                    row.count,
-                    row.cost,
-                    origins=((row,),),
+            w_false = w_true = ws = row.witnesses
+            if ws:
+                # candidate sets the atom false: witnesses stay below it
+                w_false = frozenset((insert_bit(b, p, 0), s) for b, s in ws)
+                # candidate sets it true: each witness forks; choosing
+                # false makes the witness strictly smaller from here on
+                w_true = frozenset((insert_bit(b, p, 1), s) for b, s in ws) | frozenset(
+                    (insert_bit(b, p, 0), True) for b, _ in ws
                 )
-            )
-            # candidate sets a true: each witness forks; choosing false
-            # makes the witness strictly smaller from here on
-            w_true = frozenset(
-                (insert_bit(b, p, 1), s) for b, s in row.witnesses
-            ) | frozenset((insert_bit(b, p, 0), True) for b, _ in row.witnesses)
-            table.add(
-                Row(
-                    insert_bit(row.assignment, p, 1),
-                    w_true,
-                    row.count,
-                    row.cost + pw,
-                    origins=((row,),),
+            for bit, w in ((0, w_false), (1, w_true)):
+                table.add(
+                    Row(
+                        insert_bit(row.assignment, p, bit),
+                        w,
+                        row.count,
+                        row.cost,
+                        row.weight,
+                        origins=((row,),),
+                    )
                 )
-            )
         return table
 
     def forget(node_id, node, child):
@@ -98,7 +102,8 @@ def make_asp_handlers(
         child_bag = ntd.nodes[node.children[0]].bag
         p = child_bag.index(a)
         due = constraint_masks(plan.get(node_id, []), child_bag)
-        nw = neg_weight(a)
+        charge = costs(a) if costs else (0, 0)
+        factor = weights(a) if weights else None
         table = DpTable(node_id)
         for row in child:
             A = row.assignment
@@ -108,18 +113,32 @@ def make_asp_handlers(
                 for head, pos, neg in due
             ):
                 continue
-            # witnesses violating a due rule of the reduct w.r.t. A die
-            live = [(head, pos) for head, pos, neg in due if neg & A == 0]
-            kept = frozenset(
-                (remove_bit(b, p), s)
-                for b, s in row.witnesses
-                if not any(pos & b == pos and head & b == 0 for head, pos in live)
-            )
-            if (remove_bit(A, p), False) not in kept:
-                raise InvariantError("self-witness lost at forget")
-            cost = row.cost + (nw if A >> p & 1 == 0 else 0)
+            kept = row.witnesses
+            if kept:
+                # witnesses violating a due rule of the reduct w.r.t. A die
+                live = [(head, pos) for head, pos, neg in due if neg & A == 0]
+                kept = frozenset(
+                    (remove_bit(b, p), s)
+                    for b, s in kept
+                    if not any(pos & b == pos and head & b == 0 for head, pos in live)
+                )
+                if (remove_bit(A, p), False) not in kept:
+                    raise InvariantError("self-witness lost at forget")
+            bit = A >> p & 1
+            weight = row.weight
+            if factor:
+                weight = weight * factor[bit]
+                if weight == 0:
+                    continue
             table.add(
-                Row(remove_bit(A, p), kept, row.count, cost, origins=((row,),))
+                Row(
+                    remove_bit(A, p),
+                    kept,
+                    row.count,
+                    row.cost + charge[bit],
+                    weight,
+                    origins=((row,),),
+                )
             )
         return table
 
@@ -127,31 +146,29 @@ def make_asp_handlers(
         left_bag = ntd.nodes[node.children[0]].bag
         right_bag = ntd.nodes[node.children[1]].bag
         require_same_bag(node, left_bag, right_bag)
-        dup = [pos_weight(a) for a in node.bag] if minimize else None
         by_assignment: dict[int, list[Row]] = {}
         for row in right:
             by_assignment.setdefault(row.assignment, []).append(row)
         table = DpTable(node_id)
         for lrow in left:
             for rrow in by_assignment.get(lrow.assignment, ()):
-                flags: dict[int, set[bool]] = {}
-                for b, s in rrow.witnesses:
-                    flags.setdefault(b, set()).add(s)
-                combined = frozenset(
-                    (b, s1 or s2)
-                    for b, s1 in lrow.witnesses
-                    for s2 in flags.get(b, ())
-                )
-                cost = lrow.cost + rrow.cost
-                if dup is not None:
-                    A = lrow.assignment
-                    cost -= sum(w for i, w in enumerate(dup) if A >> i & 1)
+                combined = lrow.witnesses
+                if combined:
+                    flags: dict[int, set[bool]] = {}
+                    for b, s in rrow.witnesses:
+                        flags.setdefault(b, set()).add(s)
+                    combined = frozenset(
+                        (b, s1 or s2)
+                        for b, s1 in combined
+                        for s2 in flags.get(b, ())
+                    )
                 table.add(
                     Row(
                         lrow.assignment,
                         combined,
                         lrow.count * rrow.count,
-                        cost,
+                        lrow.cost + rrow.cost,
+                        lrow.weight * rrow.weight if weights else None,
                         origins=((lrow, rrow),),
                     )
                 )
@@ -174,7 +191,7 @@ def build_store(
         decomp = decompose(instance_graph(program), heuristic, seed, seeds)
     plan = plan_rule_checks(program, decomp.ntd)
     minimize = program.minimize if mode is Mode.OPTCOUNT else None
-    handlers = make_asp_handlers(decomp.ntd, plan, minimize)
+    handlers = make_handlers(decomp.ntd, plan, costs=minimize.charges if minimize else None)
     store = traverse(decomp.ntd, handlers, mode, trace)
     return store, decomp
 
@@ -253,10 +270,4 @@ def enumerate_answer_sets(program: GroundProgram, limit: int | None = None, **op
     if program.is_trivially_inconsistent():
         return
     store, _ = build_store(program, Mode.COUNT, **options)
-    purged = purge(store)
-    produced = 0
-    for answer in _materialize(purged):
-        yield answer
-        produced += 1
-        if limit is not None and produced >= limit:
-            return
+    yield from islice(_materialize(purge(store)), limit)

@@ -1,9 +1,11 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 1 parse or usage problems or an --oracle-check
-mismatch (any command), 2 unsupported rule types, brute-force size
-guards or an instance too deep for the recursive projection pass of
-`pcount`/`pmc`; `solve` exits 10 when consistent and 20 when inconsistent.
+mismatch (any command, `td-stats` included), 2 unsupported rule types,
+brute-force size guards, an instance too deep for the recursive
+projection pass of `pcount`/`pmc`, or running out of memory (also inside
+the table pass); `solve` exits 10 when consistent and 20 when
+inconsistent.  Each error is one `error:` line on stderr.
 """
 
 from __future__ import annotations
@@ -15,7 +17,13 @@ import sys
 import time
 
 from . import aspdp, oracle, satdp
-from .errors import ParseError, ProjectionOutOfRangeError, TooLargeError, UnsupportedRuleError
+from .errors import (
+    HandlerFailureError,
+    ParseError,
+    ProjectionOutOfRangeError,
+    TooLargeError,
+    UnsupportedRuleError,
+)
 from .graphs import instance_graph
 from .model import CnfFormula, GroundProgram
 from .parsers import parse_dimacs, parse_ground_program, parse_smodels
@@ -153,16 +161,19 @@ def _project_vars(formula: CnfFormula, raw: str) -> set[int]:
     return out
 
 
-def _td_stats(args, instance) -> dict:
+def _td_stats(args, instance) -> tuple[dict, int]:
+    """Width statistics, and exit 1 if --oracle-check finds a bad decomposition."""
     graph = instance_graph(instance, args.graph)
     tried = []
+    code = EXIT_OK
     for s, w, td in seeded_decompositions(
         graph, args.heuristic, args.resolved_seed, args.seeds
     ):
         if args.oracle_check:
             violation = validate_td(graph, td)
             if violation is not None:
-                raise AssertionError(f"invalid decomposition: {violation}")
+                print(f"oracle-check: mismatch seed={s} {violation}", file=sys.stderr)
+                code = EXIT_MISMATCH
         tried.append((s, w))
     best_seed, best_width = lowest_width(tried)
     return {
@@ -170,7 +181,7 @@ def _td_stats(args, instance) -> dict:
         "widths": [{"seed": s, "width": w} for s, w in tried],
         "best_seed": best_seed,
         "best_width": best_width,
-    }
+    }, code
 
 
 def _run_command(args, instance, trace):
@@ -178,10 +189,10 @@ def _run_command(args, instance, trace):
     cmd = args.command
 
     if cmd == "td-stats":
-        stats = _td_stats(args, instance)
+        stats, code = _td_stats(args, instance)
         lines = [f"seed={w['seed']} width={w['width']}" for w in stats["widths"]]
         lines.append(f"best seed={stats['best_seed']} width={stats['best_width']}")
-        return stats, lines, stats["best_width"], stats["best_seed"], EXIT_OK
+        return stats, lines, stats["best_width"], stats["best_seed"], code
 
     defer = ()
     if cmd == "pcount":
@@ -309,6 +320,14 @@ def run(argv=None) -> int:
     except (ParseError, ProjectionOutOfRangeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except HandlerFailureError as exc:
+        if not isinstance(exc.__cause__, MemoryError):
+            raise
+        print(f"error: out of memory ({exc})", file=sys.stderr)
+        return EXIT_UNSUPPORTED
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_UNSUPPORTED
     finally:
         if trace is not None:
             trace.close()

@@ -3,7 +3,7 @@
 A post-order traversal hands each node to a type-specific handler and
 stores the resulting table.  Rows carry exact integer counts, optional
 integer costs, optional rational weights, witness states for stability
-checking, and the row's derivations, each with one row per child of the
+checking (none for CNF), and the row's derivations, each with one row per child of the
 node, so that later passes (purge, enumeration, projection) can walk the
 derivation structure instead of materializing solutions.  Above the
 leaves, a row's count is the sum over its derivations of the product of
@@ -35,8 +35,9 @@ class Row:
     assignment      bitmask over the sorted bag
     witnesses       frozenset of (bitmask, strict) counter-witness states
     count           number of distinct decided-atom extensions, >= 1
-    cost            accumulated minimize weight of the decided part
-    weight          accumulated rational weight (weighted counting only)
+    cost            minimize cost of the forgotten atoms below
+    weight          product of the forgotten variables' literal weights
+                    (weighted counting only, else None)
     origins         derivations, each a tuple with one row per child:
                     () at a leaf, ((child,), ...) at an introduce or
                     forget node, ((left, right), ...) at a join node
@@ -54,9 +55,6 @@ class Row:
 
     def key(self):
         return (self.assignment, self.witnesses, self.cost)
-
-    def has_strict_witness(self) -> bool:
-        return any(strict for _, strict in self.witnesses)
 
     def __repr__(self):  # compact, deterministic; used by store fingerprints
         ws = sorted(self.witnesses)
@@ -198,7 +196,8 @@ def traverse(
 
 
 def solution_rows(table: DpTable) -> list[Row]:
-    return [r for r in table if not r.has_strict_witness()]
+    """Rows with no strict witness left: they describe solutions."""
+    return [r for r in table if not any(strict for _, strict in r.witnesses)]
 
 
 def purge(store: TableStore) -> TableStore:

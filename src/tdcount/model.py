@@ -55,11 +55,9 @@ class MinimizeStatement:
                 total += w
         return total
 
-    def positive_weight(self, atom: int) -> int:
-        return self.weights.get((atom, True), 0)
-
-    def negative_weight(self, atom: int) -> int:
-        return self.weights.get((atom, False), 0)
+    def charges(self, atom: int) -> tuple[int, int]:
+        """The atom's cost when false and when true."""
+        return self.weights.get((atom, False), 0), self.weights.get((atom, True), 0)
 
 
 @dataclass
@@ -166,3 +164,7 @@ class CnfFormula:
         if self.weights is None:
             return Fraction(1)
         return self.weights.get(lit, Fraction(1))
+
+    def charges(self, v: int) -> tuple[Fraction, Fraction]:
+        """The weights of 0-based variable v's literals: false, true."""
+        return self.literal_weight(-v - 1), self.literal_weight(v + 1)

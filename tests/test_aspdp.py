@@ -13,7 +13,7 @@ from tdcount.aspdp import (
     count_optimal,
     enumerate_answer_sets,
     is_consistent,
-    make_asp_handlers,
+    make_handlers,
     plan_rule_checks,
 )
 from tdcount.dpcore import Mode, root_aggregate, traverse
@@ -59,7 +59,7 @@ def run_on(ntd, text, mode=Mode.COUNT):
     program = parse_ground_program(text)
     plan = plan_rule_checks(program, ntd)
     minimize = program.minimize if mode is Mode.OPTCOUNT else None
-    handlers = make_asp_handlers(ntd, plan, minimize)
+    handlers = make_handlers(ntd, plan, costs=minimize.charges if minimize else None)
     return traverse(ntd, handlers, mode)
 
 

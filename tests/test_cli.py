@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-from tdcount import cli, oracle
+from tdcount import cli, dpcore, oracle
+from tdcount.treedecomp import Violation, ViolationKind
 
 PROG = "a :- not b. b :- not a.\n"
 CNF = "p cnf 2 1\n1 -2 0\n"
@@ -268,3 +269,36 @@ def test_oracle_check_mismatch_exits_one(
     code, _, err = run(capsys, command, write(tmp_path, name, text), "--oracle-check")
     assert code == 1
     assert "oracle-check: mismatch" in err
+
+
+def test_td_stats_oracle_check_mismatch_exits_one(tmp_path, capsys, monkeypatch):
+    violation = Violation(ViolationKind.EDGE_NOT_COVERED, (0, 1))
+    monkeypatch.setattr(cli, "validate_td", lambda graph, td: violation)
+    path = write(tmp_path, "p.lp", PROG)
+    code, out, err = run(capsys, "td-stats", path, "--seeds", "2", "--oracle-check")
+    assert code == 1
+    assert out.splitlines()[-1] == "best seed=0 width=1"
+    lines = err.splitlines()
+    assert len(lines) == 2
+    assert all(line.startswith("oracle-check: mismatch seed=") for line in lines)
+    assert "edge-not-covered" in lines[0]
+
+
+def _raise_memory_error(*args, **kwargs):
+    raise MemoryError
+
+
+@pytest.mark.parametrize("target", ["table pass", "decompose"])
+def test_memory_error_is_one_line_exit_two(tmp_path, capsys, monkeypatch, target):
+    # inside the table pass the MemoryError arrives as the cause of a
+    # HandlerFailureError; elsewhere it arrives bare
+    if target == "table pass":
+        monkeypatch.setattr(dpcore, "_check_table", _raise_memory_error)
+    else:
+        monkeypatch.setattr(cli, "decompose", _raise_memory_error)
+    path = write(tmp_path, "p.lp", PROG)
+    code, out, err = run(capsys, "count", path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: out of memory")
+    assert len(err.splitlines()) == 1

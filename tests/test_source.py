@@ -22,3 +22,17 @@ def test_package_has_no_assert_statements():
             if isinstance(node, ast.Assert)
         ]
     assert found == []
+
+
+def test_package_raises_no_assertion_error():
+    # a failed check in the package raises a TdcountError subclass or a
+    # standard error the CLI maps to an exit code, never AssertionError
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id == "AssertionError":
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []
