@@ -6,7 +6,6 @@ from .aspdp import (
     count_optimal,
     enumerate_answer_sets,
     is_consistent,
-    plan_rule_checks,
 )
 from .errors import (
     BagMismatchError,

@@ -8,8 +8,10 @@ properly smaller than the candidate on some decided atom.  A root row
 describes answer sets exactly when no strict witness survived.  Minimize
 costs, both signs, are charged when their atom is forgotten.
 
-`make_handlers` is the package's one handler set: `satdp` runs it on a
-CNF's clauses with no witness states.
+One planner (`dpcore.plan_checks`), one handler set (`make_handlers`),
+one `build_store` and one `answer` serve programs and CNFs alike: a
+CNF's `rules` are its clauses as constraints, run without witness
+states.
 """
 
 from __future__ import annotations
@@ -23,9 +25,10 @@ from .dpcore import (
     Mode,
     Row,
     TableStore,
+    aggregate,
     constraint_masks,
     insert_bit,
-    plan_constraints,
+    plan_checks,
     purge,
     remove_bit,
     require_same_bag,
@@ -35,15 +38,8 @@ from .dpcore import (
 )
 from .errors import InvariantError
 from .graphs import instance_graph
-from .model import GroundProgram, Rule
+from .model import CnfFormula, GroundProgram, Rule
 from .treedecomp import DecompResult, NiceTreeDecomposition, NodeKind, decompose
-
-
-def plan_rule_checks(program: GroundProgram, ntd: NiceTreeDecomposition) -> dict[int, list[Rule]]:
-    """Each rule is checked once, at the forget node of its earliest
-    forgotten atom.  An atomless rule is always violated and raises
-    ValueError; the public entry points answer such programs first."""
-    return plan_constraints(ntd, program.rules)
 
 
 def make_handlers(
@@ -178,7 +174,7 @@ def make_handlers(
 
 
 def build_store(
-    program: GroundProgram,
+    instance: GroundProgram | CnfFormula,
     mode: Mode = Mode.COUNT,
     heuristic: str = "min-fill",
     seed: int = 0,
@@ -186,38 +182,46 @@ def build_store(
     trace=None,
     decomp: DecompResult | None = None,
 ) -> tuple[TableStore, DecompResult]:
-    """Run the counting pass; caller picks the aggregate."""
+    """Run the table pass; caller picks the aggregate.  Only program rows
+    carry witness states.  OPTCOUNT charges minimize costs and WEIGHTED
+    literal weights."""
     if decomp is None:
-        decomp = decompose(instance_graph(program), heuristic, seed, seeds)
-    plan = plan_rule_checks(program, decomp.ntd)
-    minimize = program.minimize if mode is Mode.OPTCOUNT else None
-    handlers = make_handlers(decomp.ntd, plan, costs=minimize.charges if minimize else None)
+        decomp = decompose(instance_graph(instance), heuristic, seed, seeds)
+    program = isinstance(instance, GroundProgram)
+    minimize = instance.minimize if program and mode is Mode.OPTCOUNT else None
+    handlers = make_handlers(
+        decomp.ntd,
+        plan_checks(decomp.ntd, instance.rules),
+        witnesses=program,
+        costs=minimize.charges if minimize else None,
+        weights=instance.charges if mode is Mode.WEIGHTED else None,
+    )
     store = traverse(decomp.ntd, handlers, mode, trace)
     return store, decomp
 
 
+def answer(instance: GroundProgram | CnfFormula, mode: Mode, **options):
+    """The mode's answer for a program or CNF.  An atomless rule (`:- .`,
+    an empty clause) is never satisfied: then no table is built."""
+    if any(rule.is_always_violated() for rule in instance.rules):
+        return aggregate([], mode)
+    store, _ = build_store(instance, mode, **options)
+    return root_aggregate(store, mode)
+
+
 def count_answer_sets(program: GroundProgram, **options) -> int:
-    if program.is_trivially_inconsistent():
-        return 0
-    store, _ = build_store(program, Mode.COUNT, **options)
-    return root_aggregate(store, Mode.COUNT)
+    return answer(program, Mode.COUNT, **options)
 
 
 def is_consistent(program: GroundProgram, **options) -> bool:
-    if program.is_trivially_inconsistent():
-        return False
-    store, _ = build_store(program, Mode.DECISION, **options)
-    return root_aggregate(store, Mode.DECISION)
+    return answer(program, Mode.DECISION, **options)
 
 
 def count_optimal(program: GroundProgram, **options) -> tuple[int | None, int]:
     """(cost of an optimal answer set, number of optimal answer sets);
     (None, 0) when inconsistent.  A missing minimize statement behaves
     as an empty one."""
-    if program.is_trivially_inconsistent():
-        return (None, 0)
-    store, _ = build_store(program, Mode.OPTCOUNT, **options)
-    return root_aggregate(store, Mode.OPTCOUNT)
+    return answer(program, Mode.OPTCOUNT, **options)
 
 
 def _materialize(store: TableStore) -> list[frozenset[int]]:

@@ -27,7 +27,7 @@ from .errors import (
 from .graphs import instance_graph
 from .model import CnfFormula, GroundProgram
 from .parsers import parse_dimacs, parse_ground_program, parse_smodels
-from .projection import projected_count
+from .projection import projected_count, projection_vertices
 from .treedecomp import decompose, lowest_width, seeded_decompositions, validate_td
 
 PROGRAM_COMMANDS = {"count", "solve", "enumerate", "optcount", "pcount"}
@@ -176,6 +176,8 @@ def _td_stats(args, instance) -> tuple[dict, int]:
                 code = EXIT_MISMATCH
         tried.append((s, w))
     best_seed, best_width = lowest_width(tried)
+    if args.oracle_check and code == EXIT_OK:
+        print(f"oracle-check: ok ({len(tried)} decompositions)", file=sys.stderr)
     return {
         "graph": args.graph,
         "widths": [{"seed": s, "width": w} for s, w in tried],
@@ -194,13 +196,12 @@ def _run_command(args, instance, trace):
         lines.append(f"best seed={stats['best_seed']} width={stats['best_width']}")
         return stats, lines, stats["best_width"], stats["best_seed"], code
 
-    defer = ()
+    proj = None
     if cmd == "pcount":
         proj = _project_atoms(instance, args.project)
-        defer = proj
     elif cmd == "pmc":
         proj = _project_vars(instance, args.project_vars)
-        defer = {v - 1 for v in proj}
+    defer = () if proj is None else projection_vertices(instance, proj)
     decomp = decompose(
         instance_graph(instance), args.heuristic, args.resolved_seed, args.seeds, defer=defer
     )
@@ -258,18 +259,14 @@ def _run_command(args, instance, trace):
             expected = oracle.brute_projected_count(instance, proj)
             check = (result == expected, result, expected)
 
-    elif cmd == "mc":
-        result = satdp.count_models(instance, **opts)
-        lines = [str(result)]
+    elif cmd in ("mc", "wmc"):
+        weighted = cmd == "wmc"
+        value = (satdp.weighted_count if weighted else satdp.count_models)(instance, **opts)
+        # JSON gives a weight as its string, a count as a number
+        result, lines = str(value) if weighted else value, [str(value)]
         if args.oracle_check:
-            expected = oracle.brute_count_models(instance)
-            check = (result == expected, result, expected)
-
-    elif cmd == "wmc":
-        value = satdp.weighted_count(instance, **opts)
-        result, lines = str(value), [str(value)]
-        if args.oracle_check:
-            expected = oracle.brute_weighted_count(instance)
+            brute = oracle.brute_weighted_count if weighted else oracle.brute_count_models
+            expected = brute(instance)
             check = (value == expected, value, expected)
 
     else:

@@ -1,13 +1,14 @@
 """Generic table-passing engine over nice tree decompositions.
 
-A post-order traversal hands each node to a type-specific handler and
-stores the resulting table.  Rows carry exact integer counts, optional
-integer costs, optional rational weights, witness states for stability
-checking (none for CNF), and the row's derivations, each with one row per child of the
-node, so that later passes (purge, enumeration, projection) can walk the
-derivation structure instead of materializing solutions.  Above the
-leaves, a row's count is the sum over its derivations of the product of
-their rows' counts.
+`plan_checks` places each rule, program rule or clause constraint alike,
+at one forget node.  A post-order traversal hands each node to a handler
+and stores the resulting table.  Rows carry exact integer counts,
+optional integer costs and rational weights, witness states for
+stability checking (none for CNF), and the row's derivations, each with
+one row per child, so that later passes (purge, enumeration, projection)
+walk the derivation structure instead of materializing solutions.  Above
+the leaves, a row's count is the sum over its derivations of the product
+of their rows' counts.  `aggregate` maps solution rows to the answer.
 """
 
 from __future__ import annotations
@@ -230,12 +231,16 @@ def purge(store: TableStore) -> TableStore:
 
 
 def root_aggregate(store: TableStore, mode: Mode):
-    """Aggregate the root table: a count, a (cost, count) pair, a
-    consistency flag, or a rational weight depending on the mode."""
+    """Aggregate the root table's solution rows."""
     ntd = store.ntd
     if ntd.nodes[ntd.root].bag != ():
         raise InvariantError("root bag must be empty")
-    sols = solution_rows(store.root_table)
+    return aggregate(solution_rows(store.root_table), mode)
+
+
+def aggregate(sols: list[Row], mode: Mode):
+    """The mode's answer from solution rows: a count, a consistency flag,
+    a (cost, count) pair or a weight; no rows give an inconsistent answer."""
     if mode is Mode.COUNT:
         return sum(r.count for r in sols)
     if mode is Mode.DECISION:
@@ -250,15 +255,15 @@ def root_aggregate(store: TableStore, mode: Mode):
     raise ValueError(f"unknown mode {mode}")
 
 
-def place_checks(ntd: NiceTreeDecomposition, atom_sets: list[frozenset[int]]) -> dict[int, list[int]]:
-    """Map each constraint (given by its atom set) to the forget node of
-    its earliest-forgotten atom.  The decomposition guarantees that all
-    atoms of the constraint sit in that node's child bag, which is
-    checked here at plan time.  A constraint with no atoms is always
-    violated and has no forget node, so it raises ValueError: callers
-    answer such instances before building tables."""
-    plan: dict[int, list[int]] = {}
-    for idx, atoms in enumerate(atom_sets):
+def plan_checks(ntd: NiceTreeDecomposition, rules: list[Rule]) -> dict[int, list[Rule]]:
+    """Map each forget node to the rules (program rules or clause
+    constraints) checked there: each rule once, at the forget node of its
+    earliest-forgotten atom, whose child bag holds all of the rule's atoms
+    (checked here).  An atomless rule is always violated and has no forget
+    node, so it raises ValueError: callers answer such instances first."""
+    plan: dict[int, list[Rule]] = {}
+    for idx, rule in enumerate(rules):
+        atoms = rule.atoms
         if not atoms:
             raise ValueError(f"constraint {idx} has no atoms and is always violated")
         node_id = min(ntd.forget_node_of[a] for a in atoms)
@@ -266,15 +271,8 @@ def place_checks(ntd: NiceTreeDecomposition, atom_sets: list[frozenset[int]]) ->
         child_bag = ntd.nodes[node.children[0]].bag
         if not atoms <= set(child_bag):
             raise InvariantError("constraint atoms must share the child bag")
-        plan.setdefault(node_id, []).append(idx)
+        plan.setdefault(node_id, []).append(rule)
     return plan
-
-
-def plan_constraints(ntd: NiceTreeDecomposition, constraints: list[Rule]) -> dict[int, list[Rule]]:
-    """Place each constraint, a rule `head <- body_pos, not body_neg`,
-    where `place_checks` puts its atom set."""
-    placed = place_checks(ntd, [c.atoms for c in constraints])
-    return {node: [constraints[i] for i in idxs] for node, idxs in placed.items()}
 
 
 def constraint_masks(constraints: list[Rule], bag: tuple[int, ...]) -> list[tuple[int, int, int]]:

@@ -71,8 +71,8 @@ def primal_graph_cnf(formula: CnfFormula) -> Graph:
     """Variables (0-based: DIMACS var v is vertex v-1) with one clique
     per clause."""
     g = Graph(formula.num_vars)
-    for clause in formula.clauses:
-        g.add_clique(abs(lit) - 1 for lit in clause)
+    for rule in formula.rules:
+        g.add_clique(rule.atoms)
     return g
 
 
@@ -80,9 +80,9 @@ def incidence_graph_cnf(formula: CnfFormula) -> Graph:
     """Bipartite variable/clause graph, mirroring incidence_graph."""
     n = formula.num_vars
     g = Graph(n + formula.num_clauses)
-    for i, clause in enumerate(formula.clauses):
-        for lit in clause:
-            g.add_edge(abs(lit) - 1, n + i)
+    for i, rule in enumerate(formula.rules):
+        for a in rule.atoms:
+            g.add_edge(a, n + i)
     return g
 
 

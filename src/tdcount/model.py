@@ -133,19 +133,31 @@ def render_program(program: GroundProgram) -> str:
 
 @dataclass
 class CnfFormula:
+    """DIMACS clauses.  `rules`, built once here, holds each clause over
+    0-based variables as the headless rule violated when all its literals
+    are false."""
+
     num_vars: int
     clauses: list[frozenset[int]]
     weights: dict[int, Fraction] | None = None
+    rules: list[Rule] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.num_vars < 0:
             raise ValueError("negative variable count")
+        self.rules = []
         for clause in self.clauses:
+            body_pos, body_neg = [], []
             for lit in clause:
                 if lit == 0 or not 1 <= abs(lit) <= self.num_vars:
                     raise ValueError(f"literal {lit} out of range")
                 if -lit in clause:
                     raise ValueError(f"clause contains both {lit} and {-lit}")
+                if lit < 0:
+                    body_pos.append(-lit - 1)
+                else:
+                    body_neg.append(lit - 1)
+            self.rules.append(Rule(frozenset(), frozenset(body_pos), frozenset(body_neg)))
         if self.weights is not None:
             for lit, w in self.weights.items():
                 if lit == 0 or not 1 <= abs(lit) <= self.num_vars:

@@ -22,9 +22,9 @@ at an introduce node.
 
 from __future__ import annotations
 
-from functools import partial
 from itertools import combinations
 
+from . import aspdp
 from .dpcore import Mode, Row, TableStore, purge, solution_rows
 from .errors import InvariantError, ProjectionOutOfRangeError
 from .graphs import instance_graph
@@ -185,31 +185,29 @@ def build_proj_table(pass_: ProjectionPass, node_id: int) -> ProjTable:
     return pass_.tables[node_id]
 
 
-def projected_count(instance, projection, **options) -> int:
-    """Number of distinct projections of answer sets (programs, atom
-    ids) or models (CNF, 1-based variables) onto `projection`."""
-    from . import aspdp, satdp
-
+def projection_vertices(instance, projection) -> set[int]:
+    """The graph vertices of a projection onto atom ids (programs) or
+    1-based variables (CNF), after checking that each is in range."""
+    proj = set(projection)
     if isinstance(instance, GroundProgram):
-        proj = set(projection)
         bad = [a for a in proj if not 0 <= a < instance.num_atoms]
         if bad:
             raise ProjectionOutOfRangeError(f"unknown atom id {bad[0]}")
-        if instance.is_trivially_inconsistent():
-            return 0
-        vertices = proj
-        build = partial(aspdp.build_store, instance, Mode.COUNT)
-    elif isinstance(instance, CnfFormula):
-        proj = set(projection)
+        return proj
+    if isinstance(instance, CnfFormula):
         bad = [v for v in proj if not 1 <= v <= instance.num_vars]
         if bad:
             raise ProjectionOutOfRangeError(f"variable {bad[0]} out of range")
-        if instance.has_empty_clause():
-            return 0
-        vertices = {v - 1 for v in proj}
-        build = partial(satdp.build_store, instance, weighted=False)
-    else:
-        raise TypeError(f"cannot project a {type(instance).__name__}")
+        return {v - 1 for v in proj}
+    raise TypeError(f"cannot project a {type(instance).__name__}")
+
+
+def projected_count(instance, projection, **options) -> int:
+    """Number of distinct projections of answer sets (programs, atom
+    ids) or models (CNF, 1-based variables) onto `projection`."""
+    vertices = projection_vertices(instance, projection)
+    if any(rule.is_always_violated() for rule in instance.rules):
+        return 0
     if options.get("decomp") is None:
         # Eliminating the projected vertices last makes forgets follow the
         # elimination order along every branch, so below the first
@@ -222,6 +220,5 @@ def projected_count(instance, projection, **options) -> int:
             options.pop("seeds", 1),
             defer=vertices,
         )
-    store, _ = build(**options)
-    purged = purge(store)
-    return ProjectionPass(purged, vertices).root_value()
+    store, _ = aspdp.build_store(instance, Mode.COUNT, **options)
+    return ProjectionPass(purge(store), vertices).root_value()

@@ -4,9 +4,11 @@ frozen small examples, and randomized agreement with the oracle."""
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
+from tdcount import aspdp
 from tdcount.aspdp import (
     build_store,
     count_answer_sets,
@@ -14,12 +16,14 @@ from tdcount.aspdp import (
     enumerate_answer_sets,
     is_consistent,
     make_handlers,
-    plan_rule_checks,
 )
-from tdcount.dpcore import Mode, root_aggregate, traverse
+from tdcount.dpcore import Mode, plan_checks, root_aggregate, traverse
 from tdcount.graphs import primal_graph
+from tdcount.model import GroundProgram
 from tdcount.oracle import brute_answer_sets
-from tdcount.parsers import parse_ground_program
+from tdcount.parsers import parse_dimacs, parse_ground_program
+from tdcount.projection import projected_count
+from tdcount.satdp import count_models, weighted_count
 from tdcount.treedecomp import (
     DecompResult,
     NiceNode,
@@ -57,7 +61,7 @@ def join_ntd():
 
 def run_on(ntd, text, mode=Mode.COUNT):
     program = parse_ground_program(text)
-    plan = plan_rule_checks(program, ntd)
+    plan = plan_checks(ntd, program.rules)
     minimize = program.minimize if mode is Mode.OPTCOUNT else None
     handlers = make_handlers(ntd, plan, costs=minimize.charges if minimize else None)
     return traverse(ntd, handlers, mode)
@@ -261,3 +265,32 @@ def test_atomless_constraint_check_holds_under_python_O():
     )
     assert out.returncode == 1
     assert "ValueError: constraint 1 has no atoms" in out.stderr
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [parse_ground_program("a :- not b. b :- not a. :- ."), parse_dimacs("p cnf 2 2\n1 2 0\n0\n")],
+    ids=["program", "cnf"],
+)
+def test_atomless_rule_answers_without_a_table(monkeypatch, instance):
+    def no_table(*args, **kwargs):
+        raise AssertionError("a table pass ran")
+
+    monkeypatch.setattr(aspdp, "traverse", no_table)
+    expected = {
+        Mode.COUNT: 0,
+        Mode.DECISION: False,
+        Mode.OPTCOUNT: (None, 0),
+        Mode.WEIGHTED: Fraction(0),
+    }
+    for mode, value in expected.items():
+        got = aspdp.answer(instance, mode)
+        assert got == value and type(got) is type(value), mode
+    assert projected_count(instance, {1}) == 0
+    if isinstance(instance, GroundProgram):
+        assert count_answer_sets(instance) == 0
+        assert is_consistent(instance) is False
+        assert count_optimal(instance) == (None, 0)
+    else:
+        assert count_models(instance) == 0
+        assert weighted_count(instance) == Fraction(0)

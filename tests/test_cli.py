@@ -284,6 +284,15 @@ def test_td_stats_oracle_check_mismatch_exits_one(tmp_path, capsys, monkeypatch)
     assert "edge-not-covered" in lines[0]
 
 
+def test_td_stats_oracle_check_reports_ok(tmp_path, capsys):
+    path = write(tmp_path, "p.lp", PROG)
+    plain = run(capsys, "td-stats", path, "--seeds", "3")
+    code, out, err = run(capsys, "td-stats", path, "--seeds", "3", "--oracle-check")
+    assert code == plain[0] == 0
+    assert out == plain[1]
+    assert err == "oracle-check: ok (3 decompositions)\n"
+
+
 def _raise_memory_error(*args, **kwargs):
     raise MemoryError
 

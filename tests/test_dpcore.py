@@ -12,7 +12,7 @@ from tdcount.dpcore import (
     Mode,
     Row,
     insert_bit,
-    place_checks,
+    plan_checks,
     purge,
     remove_bit,
     require_same_bag,
@@ -166,11 +166,12 @@ def test_trace_records_every_node():
         assert r["rows"] == len(table)
 
 
-def test_place_checks_targets_earliest_forget():
+def test_plan_checks_targets_earliest_forget():
     program = parse_ground_program("a :- b, c.")
     decomp = decompose(primal_graph(program))
-    plan = place_checks(decomp.ntd, [frozenset(r.atoms) for r in program.rules])
+    plan = plan_checks(decomp.ntd, program.rules)
     (node_id,) = plan
+    assert plan[node_id] == program.rules
     node = decomp.ntd.nodes[node_id]
     child_bag = decomp.ntd.nodes[node.children[0]].bag
     assert {0, 1, 2} <= set(child_bag)

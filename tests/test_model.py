@@ -262,3 +262,17 @@ def test_dimacs_literal_out_of_range():
 def test_dimacs_empty_clause_allowed():
     f = parse_dimacs("p cnf 1 1\n0\n")
     assert f.has_empty_clause()
+
+
+def test_cnf_rules_are_clause_constraints():
+    # a clause is violated when all its literals are false: its negative
+    # literals' variables form the positive body, its positive ones the
+    # negative body, all 0-based
+    f = parse_dimacs("p cnf 3 3\n1 -2 0\n-3 0\n0\n")
+    assert f.rules == [
+        Rule(frozenset(), frozenset({1}), frozenset({0})),
+        Rule(frozenset(), frozenset({2}), frozenset()),
+        Rule(frozenset(), frozenset(), frozenset()),
+    ]
+    assert f.rules[2].is_always_violated()
+    assert "rules" not in repr(f)

@@ -1,14 +1,17 @@
 """Answers on instances far beyond the brute-force oracles' 20 variables:
-closed-form families and a metamorphic relation between the CNF and the
-program engines."""
+closed-form families, a metamorphic relation between CNFs and programs,
+and answers that must not change when ids are permuted."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from tdcount.aspdp import count_answer_sets
-from tdcount.model import Atom, CnfFormula, GroundProgram, Rule
+from tdcount.aspdp import count_answer_sets, count_optimal
+from tdcount.model import Atom, CnfFormula, GroundProgram, MinimizeStatement, Rule
+from tdcount.oracle import brute_answer_sets
+from tdcount.parsers import parse_ground_program
+from tdcount.projection import projected_count
 from tdcount.satdp import count_models, weighted_count
 
 import corpus
@@ -124,3 +127,141 @@ def test_cnf_as_program_counts_models_on_banded_cnfs(seed, n):
     expected = count_models(formula)
     assert expected > 2 ** (n // 2)  # far past any enumeration
     assert count_answer_sets(cnf_as_program(formula)) == expected
+
+
+K = 300
+
+
+def even_loops(k: int) -> GroundProgram:
+    """k copies of `a :- not b. b :- not a.`: 2^k answer sets."""
+    return parse_ground_program(
+        "".join(f"a{i} :- not b{i}. b{i} :- not a{i}.\n" for i in range(k))
+    )
+
+
+def loop_gadgets(k: int) -> GroundProgram:
+    """k copies of an even loop c/d whose c forces p | r, with p and q on
+    an unfounded positive loop: {d}, {c, r} and {c, p, q}, so 3^k answer
+    sets."""
+    return parse_ground_program(
+        "".join(
+            f"p{i} :- q{i}. q{i} :- p{i}. c{i} :- not d{i}. d{i} :- not c{i}. "
+            f"p{i} | r{i} :- c{i}.\n"
+            for i in range(k)
+        )
+    )
+
+
+def test_loop_families_match_the_oracle_when_small():
+    for k in (1, 2, 3):
+        assert len(brute_answer_sets(even_loops(k))) == 2**k
+        assert len(brute_answer_sets(loop_gadgets(k))) == 3**k
+
+
+@pytest.mark.parametrize("heuristic", HEURISTICS)
+def test_even_loops_count_powers_of_two(heuristic):
+    assert count_answer_sets(even_loops(K), heuristic=heuristic) == 2**K
+
+
+@pytest.mark.parametrize("heuristic", HEURISTICS)
+def test_disjunctive_positive_loop_gadgets_count_powers_of_three(heuristic):
+    assert count_answer_sets(loop_gadgets(K), heuristic=heuristic) == 3**K
+
+
+@pytest.mark.parametrize("heuristic", HEURISTICS)
+def test_projection_onto_every_second_loop(heuristic):
+    program = even_loops(K)
+    ids = {atom.name: atom.id for atom in program.atoms}
+    projection = {ids[f"a{i}"] for i in range(0, K, 2)}
+    assert projected_count(program, projection, heuristic=heuristic) == 2 ** (K // 2)
+
+
+@pytest.mark.parametrize("heuristic", HEURISTICS)
+def test_disjoint_union_squares_the_model_count(heuristic):
+    formula = corpus.banded_cnf(1, 200)
+    n = formula.num_vars
+    shifted = [frozenset(lit + n if lit > 0 else lit - n for lit in c) for c in formula.clauses]
+    union = CnfFormula(2 * n, formula.clauses + shifted)
+    assert count_models(union, heuristic=heuristic) == count_models(formula) ** 2
+
+
+def permute_cnf(formula: CnfFormula, rng: random.Random):
+    """Renumber the variables and shuffle the clauses, carrying the
+    weights along; returns the formula and the variable renaming."""
+    n = formula.num_vars
+    targets = list(range(1, n + 1))
+    rng.shuffle(targets)
+    rename = dict(zip(range(1, n + 1), targets))
+
+    def lit(l):
+        return rename[l] if l > 0 else -rename[-l]
+
+    clauses = [frozenset(map(lit, c)) for c in formula.clauses]
+    rng.shuffle(clauses)
+    weights = {lit(l): w for l, w in formula.weights.items()}
+    return CnfFormula(n, clauses, weights), rename
+
+
+@pytest.mark.parametrize("heuristic", HEURISTICS)
+def test_cnf_answers_survive_renumbering_and_clause_shuffles(heuristic):
+    rng = random.Random(5)
+    n = 200
+    weights = {}
+    for v in range(1, n + 1):
+        weights[v] = Fraction(rng.randint(1, 5), rng.randint(1, 4))
+        weights[-v] = Fraction(rng.randint(1, 5), rng.randint(1, 4))
+    formula = CnfFormula(n, corpus.banded_cnf(3, n).clauses, weights)
+    projection = set(rng.sample(range(1, 30), 6))
+    expected = (
+        count_models(formula, heuristic=heuristic),
+        weighted_count(formula, heuristic=heuristic),
+        projected_count(formula, projection, heuristic=heuristic),
+    )
+    for seed in (1, 2):
+        permuted, rename = permute_cnf(formula, random.Random(seed))
+        got = (
+            count_models(permuted, heuristic=heuristic),
+            weighted_count(permuted, heuristic=heuristic),
+            projected_count(permuted, {rename[v] for v in projection}, heuristic=heuristic),
+        )
+        assert got == expected, seed
+
+
+def permute_program(program: GroundProgram, rng: random.Random):
+    """Renumber the atoms (names travel with them) and shuffle the rules,
+    carrying #minimize along; returns the program and the renaming."""
+    rename = list(range(program.num_atoms))
+    rng.shuffle(rename)
+    atoms = sorted((Atom(rename[a.id], a.name) for a in program.atoms), key=lambda a: a.id)
+
+    def move(ids):
+        return frozenset(rename[a] for a in ids)
+
+    rules = [Rule(move(r.head), move(r.body_pos), move(r.body_neg)) for r in program.rules]
+    rng.shuffle(rules)
+    minimize = None
+    if program.minimize is not None:
+        minimize = MinimizeStatement(
+            {(rename[a], sign): w for (a, sign), w in program.minimize.weights.items()}
+        )
+    return GroundProgram(atoms, rules, minimize), rename
+
+
+def program_answers(program: GroundProgram, projection, heuristic: str):
+    return (
+        count_answer_sets(program, heuristic=heuristic),
+        count_optimal(program, heuristic=heuristic),
+        projected_count(program, projection, heuristic=heuristic),
+    )
+
+
+@pytest.mark.parametrize("heuristic", HEURISTICS)
+def test_program_answers_survive_atom_permutations(heuristic):
+    for seed in range(30):
+        program = corpus.random_program(seed)
+        rng = random.Random(seed)
+        projection = {a for a in range(program.num_atoms) if rng.random() < 0.5}
+        expected = program_answers(program, projection, heuristic)
+        permuted, rename = permute_program(program, rng)
+        got = program_answers(permuted, {rename[a] for a in projection}, heuristic)
+        assert got == expected, seed
