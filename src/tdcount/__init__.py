@@ -37,7 +37,7 @@ from .oracle import (
     brute_weighted_count,
 )
 from .parsers import parse_dimacs, parse_ground_program, parse_smodels
-from .projection import ProjectionPass, build_proj_table, projected_count
+from .projection import ProjectionPass, projected_count
 from .satdp import count_models, weighted_count
 from .treedecomp import (
     NiceTreeDecomposition,

@@ -110,13 +110,13 @@ def _sniff_format(path: str, text: str) -> str:
     ):
         if lowered.endswith(ext):
             return fmt
+    # a DIMACS header cannot be an ASP rule; a `c` line may be either
     for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "p" or parts[0] == "w" or (parts[0] == "c" and "." not in line):
+        parts = raw.split()
+        if parts[:2] == ["p", "cnf"]:
             return "dimacs"
+        if not parts or parts[0] == "c":
+            continue
         if all(p.lstrip("-").isdigit() for p in parts):
             return "smodels"
         return "asp"
@@ -291,7 +291,7 @@ def run(argv=None) -> int:
     trace = None
     try:
         args = parser.parse_args(argv)
-        if args.command in PROGRAM_COMMANDS and args.graph == "incidence":
+        if args.command != "td-stats" and args.graph == "incidence":
             raise _UsageError("--graph incidence is only available for td-stats")
         if args.seeds < 1:
             raise _UsageError("--seeds must be positive")

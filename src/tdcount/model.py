@@ -9,8 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-KEYWORDS = frozenset({"not"})
-
 
 @dataclass(frozen=True)
 class Atom:

@@ -1,4 +1,5 @@
-"""Projected counting: a third pass over the purged tables.
+"""Projected counting: a pass from the root's solution rows down their
+derivations, so it reads only rows some solution uses and needs no purge.
 
 For a set of rows O at a node, `pmc` is the number of distinct
 projections of extensions compatible with at least one row of O, and
@@ -25,28 +26,18 @@ from __future__ import annotations
 from itertools import combinations
 
 from . import aspdp
-from .dpcore import Mode, Row, TableStore, purge, solution_rows
+from .dpcore import Mode, Row, TableStore, solution_rows
 from .errors import InvariantError, ProjectionOutOfRangeError
 from .graphs import instance_graph
 from .model import CnfFormula, GroundProgram
 from .treedecomp import NodeKind, decompose
 
-ProjTable = dict
 
-
-def _row_order(row: Row):
-    return (row.assignment, tuple(sorted(row.witnesses)), row.cost)
-
-
-def _pair_order(pair):
-    return (_row_order(pair[0]), _row_order(pair[1]))
-
-
-def _subsets(items, key):
-    """Non-empty subsets of `items` in `key` order, each with its sign."""
-    ordered = sorted(items, key=key)
-    for size in range(1, len(ordered) + 1):
-        for combo in combinations(ordered, size):
+def _subsets(items):
+    """Non-empty subsets of `items`, each with its sign; any order gives
+    the same exact sum and the same frozenset-keyed cache entries."""
+    for size in range(1, len(items) + 1):
+        for combo in combinations(items, size):
             yield combo, 1 if size % 2 else -1
 
 
@@ -55,7 +46,7 @@ class ProjectionPass:
         self.store = store
         self.ntd = store.ntd
         self.proj = frozenset(proj_vertices)
-        self.tables: list[ProjTable] = [{} for _ in self.ntd.nodes]
+        self.tables: list[dict[frozenset, int]] = [{} for _ in self.ntd.nodes]
         self._pmask = [
             sum(1 << i for i, v in enumerate(node.bag) if v in self.proj)
             for node in self.ntd.nodes
@@ -147,7 +138,7 @@ class ProjectionPass:
             value = self.ipmc(node.children[0], frozenset(origins))
         else:
             value = 0
-            for combo, sign in _subsets(sigma, _row_order):
+            for combo, sign in _subsets(sigma):
                 value += sign * self.pmc(node_id, frozenset(combo))
         table[sigma] = value
         return value
@@ -160,7 +151,7 @@ class ProjectionPass:
             return cached
         lchild, rchild = self.ntd.nodes[node_id].children
         total = 0
-        for combo, sign in _subsets(pairs, _pair_order):
+        for combo, sign in _subsets(pairs):
             lefts = frozenset(p[0] for p in combo)
             rights = frozenset(p[1] for p in combo)
             total += sign * self.ipmc(lchild, lefts) * self.ipmc(rchild, rights)
@@ -172,17 +163,6 @@ class ProjectionPass:
         if not sols:
             return 0
         return self.pmc(self.ntd.root, frozenset(sols))
-
-
-def build_proj_table(pass_: ProjectionPass, node_id: int) -> ProjTable:
-    """Fill the node's table with one entry per bucket of its purged
-    rows (recursive lookups extend the child tables on demand)."""
-    buckets: dict[int, list[Row]] = {}
-    for row in pass_.store.tables[node_id]:
-        buckets.setdefault(pass_.bucket_of(node_id, row), []).append(row)
-    for bucket in buckets.values():
-        pass_.ipmc(node_id, frozenset(bucket))
-    return pass_.tables[node_id]
 
 
 def projection_vertices(instance, projection) -> set[int]:
@@ -221,4 +201,4 @@ def projected_count(instance, projection, **options) -> int:
             defer=vertices,
         )
     store, _ = aspdp.build_store(instance, Mode.COUNT, **options)
-    return ProjectionPass(purge(store), vertices).root_value()
+    return ProjectionPass(store, vertices).root_value()

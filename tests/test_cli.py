@@ -155,6 +155,13 @@ def test_format_sniffing(tmp_path, capsys):
     assert (code, out) == (0, "1\n")
     forced = run(capsys, "count", by_content, "--format", "asp")
     assert forced[0] == 1
+    # a `c` line decides nothing, even with a dot; `p cnf` is the header
+    commented = write(tmp_path, "commented", "c made by gen 1.0\np cnf 1 1\n1 0\n")
+    assert run(capsys, "mc", commented)[:2] == (0, "1\n")
+    # rules whose first atom is `w` or `p` are ASP
+    for text in ("w :- a. a.", "p :- a. a."):
+        program = write(tmp_path, "rules", text)
+        assert run(capsys, "count", program)[:2] == (0, "1\n"), text
 
 
 def test_command_and_format_must_agree(tmp_path, capsys):
@@ -199,7 +206,11 @@ def test_missing_file(capsys):
 
 def test_usage_errors(tmp_path, capsys):
     prog = write(tmp_path, "p.lp", PROG)
+    cnf = write(tmp_path, "f.cnf", CNF)
     assert run(capsys, "count", prog, "--graph", "incidence")[0] == 1
+    only_td_stats = "error: --graph incidence is only available for td-stats\n"
+    assert run(capsys, "mc", cnf, "--graph", "incidence") == (1, "", only_td_stats)
+    assert run(capsys, "pmc", cnf, "--graph", "incidence", "--project-vars", "1")[0] == 1
     assert run(capsys, "count", prog, "--seeds", "0")[0] == 1
 
 

@@ -1,4 +1,5 @@
-"""Projected counting via inclusion-exclusion over purged tables."""
+"""Projected counting via inclusion-exclusion down the derivations of
+the root's solution rows."""
 
 import random
 
@@ -10,7 +11,7 @@ from tdcount.errors import ProjectionOutOfRangeError
 from tdcount.graphs import instance_graph
 from tdcount.oracle import brute_projected_count
 from tdcount.parsers import parse_dimacs, parse_ground_program
-from tdcount.projection import ProjectionPass, build_proj_table, projected_count
+from tdcount.projection import ProjectionPass, projected_count, projection_vertices
 from tdcount.satdp import count_models
 from tdcount.treedecomp import NodeKind, decompose
 
@@ -136,13 +137,38 @@ def test_projection_agrees_across_heuristics():
 def test_leaf_table_entries_are_one():
     program = parse_ground_program("a :- not b. b :- not a.")
     store, decomp = build_store(program, Mode.COUNT)
-    purged = purge(store)
-    pass_ = ProjectionPass(purged, {0})
+    pass_ = ProjectionPass(store, {0})
     for i, node in enumerate(decomp.ntd.nodes):
         if node.kind is NodeKind.LEAF:
-            table = build_proj_table(pass_, i)
-            assert all(v == 1 for v in table.values())
-            assert len(table) == 1
+            assert len(store.tables[i]) == 1
+            for row in store.tables[i]:
+                assert pass_.ipmc(i, frozenset({row})) == 1
+
+
+def test_projection_pass_reads_only_rows_purge_keeps():
+    # the pass walks from the root's solution rows down derivations,
+    # which is the marking purge does, so on the store as built it
+    # fills the same caches with the same values as on the purged store
+    rng = random.Random(408)
+    for seed in range(40):
+        program = corpus.random_program(seed)
+        formula = corpus.random_cnf(seed, weighted=False)
+        for instance, ids in (
+            (program, range(program.num_atoms)),
+            (formula, range(1, formula.num_vars + 1)),
+        ):
+            proj = set(rng.sample(ids, rng.randint(0, len(ids))))
+            vertices = projection_vertices(instance, proj)
+            graph = instance_graph(instance)
+            for defer in (vertices, ()):
+                decomp = decompose(graph, defer=defer)
+                store, _ = build_store(instance, Mode.COUNT, decomp=decomp)
+                built = ProjectionPass(store, vertices)
+                purged = ProjectionPass(purge(store), vertices)
+                assert built.root_value() == purged.root_value(), (seed, sorted(proj))
+                assert built.tables == purged.tables
+                assert built._pmc_cache == purged._pmc_cache
+                assert built._pairs_cache == purged._pairs_cache
 
 
 def test_root_value_is_cached_and_stable():
@@ -169,3 +195,19 @@ def test_given_decomposition_builds_no_graph(monkeypatch):
     monkeypatch.setattr(graphs.Graph, "__init__", no_graph)
     assert projected_count(program, {2}, decomp=program_decomp) == 2
     assert projected_count(formula, {1, 3}, decomp=formula_decomp) == 3
+
+
+def test_projected_count_runs_no_purge(monkeypatch):
+    from tdcount import aspdp, dpcore, projection
+
+    program = parse_ground_program("a :- not b. b :- not a. c :- a.")
+    formula = parse_dimacs("p cnf 3 2\n1 -2 0\n2 3 0\n")
+
+    def no_purge(*args, **kwargs):
+        raise AssertionError("the store was purged")
+
+    for module in (dpcore, aspdp):
+        monkeypatch.setattr(module, "purge", no_purge)
+    monkeypatch.setattr(projection, "purge", no_purge, raising=False)
+    assert projected_count(program, {2}) == 2
+    assert projected_count(formula, {1, 3}) == 3

@@ -6,6 +6,7 @@ from pathlib import Path
 import tdcount
 
 PACKAGE = Path(tdcount.__file__).parent
+REPO = Path(__file__).resolve().parents[1]
 
 
 def test_package_has_no_assert_statements():
@@ -36,3 +37,49 @@ def test_package_raises_no_assertion_error():
                 if isinstance(exc, ast.Name) and exc.id == "AssertionError":
                     found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def _top_level_names(tree) -> set[str]:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def _references(tree) -> set[str]:
+    """Names a module reads: loaded names, attributes, and strings that
+    could name an attribute (monkeypatch targets)."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return found
+
+
+def test_package_has_no_dead_module_level_names():
+    # a definition is read beyond itself and its `__init__` re-export
+    # (imports are not reads), in the package, its tests or the benchmark
+    defined = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for name in _top_level_names(tree):
+            defined.setdefault(name, []).append(path.name)
+    read = set()
+    for folder in ("src", "tests", "perfbench"):
+        for path in sorted((REPO / folder).rglob("*.py")):
+            read |= _references(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+    dead = sorted(
+        f"{module}:{name}"
+        for name, modules in defined.items()
+        if name not in read and name != "__version__"
+        for module in modules
+    )
+    assert dead == []
