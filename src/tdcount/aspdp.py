@@ -20,7 +20,6 @@ from fractions import Fraction
 from itertools import islice
 
 from .dpcore import (
-    DpTable,
     Handlers,
     Mode,
     Row,
@@ -50,7 +49,8 @@ def make_handlers(
     costs=None,
     weights=None,
 ) -> Handlers:
-    """The one handler set, for programs and CNFs alike.
+    """The one handler set, for programs and CNFs alike.  Each handler
+    yields the rows its node derives; `dpcore.traverse` builds the table.
 
     `plan` maps forget nodes to the rules checked there.  A CNF is a
     program of constraints only, whose models need no stability check:
@@ -62,14 +62,11 @@ def make_handlers(
     weight drops to 0 contribute nothing and are dropped."""
 
     def leaf(node_id, node):
-        table = DpTable(node_id)
         start = frozenset({(0, False)}) if witnesses else frozenset()
-        table.add(Row(0, start, 1, weight=Fraction(1) if weights else None))
-        return table
+        yield Row(0, start, 1, weight=Fraction(1) if weights else None)
 
     def introduce(node_id, node, child):
         p = node.bag.index(node.vertex)
-        table = DpTable(node_id)
         for row in child:
             w_false = w_true = ws = row.witnesses
             if ws:
@@ -81,17 +78,14 @@ def make_handlers(
                     (insert_bit(b, p, 0), True) for b, _ in ws
                 )
             for bit, w in ((0, w_false), (1, w_true)):
-                table.add(
-                    Row(
-                        insert_bit(row.assignment, p, bit),
-                        w,
-                        row.count,
-                        row.cost,
-                        row.weight,
-                        origins=((row,),),
-                    )
+                yield Row(
+                    insert_bit(row.assignment, p, bit),
+                    w,
+                    row.count,
+                    row.cost,
+                    row.weight,
+                    origins=((row,),),
                 )
-        return table
 
     def forget(node_id, node, child):
         a = node.vertex
@@ -100,7 +94,6 @@ def make_handlers(
         due = constraint_masks(plan.get(node_id, []), child_bag)
         charge = costs(a) if costs else (0, 0)
         factor = weights(a) if weights else None
-        table = DpTable(node_id)
         for row in child:
             A = row.assignment
             # candidate must satisfy every due rule classically
@@ -126,17 +119,14 @@ def make_handlers(
                 weight = weight * factor[bit]
                 if weight == 0:
                     continue
-            table.add(
-                Row(
-                    remove_bit(A, p),
-                    kept,
-                    row.count,
-                    row.cost + charge[bit],
-                    weight,
-                    origins=((row,),),
-                )
+            yield Row(
+                remove_bit(A, p),
+                kept,
+                row.count,
+                row.cost + charge[bit],
+                weight,
+                origins=((row,),),
             )
-        return table
 
     def join(node_id, node, left, right):
         left_bag = ntd.nodes[node.children[0]].bag
@@ -145,7 +135,6 @@ def make_handlers(
         by_assignment: dict[int, list[Row]] = {}
         for row in right:
             by_assignment.setdefault(row.assignment, []).append(row)
-        table = DpTable(node_id)
         for lrow in left:
             for rrow in by_assignment.get(lrow.assignment, ()):
                 combined = lrow.witnesses
@@ -158,17 +147,14 @@ def make_handlers(
                         for b, s1 in combined
                         for s2 in flags.get(b, ())
                     )
-                table.add(
-                    Row(
-                        lrow.assignment,
-                        combined,
-                        lrow.count * rrow.count,
-                        lrow.cost + rrow.cost,
-                        lrow.weight * rrow.weight if weights else None,
-                        origins=((lrow, rrow),),
-                    )
+                yield Row(
+                    lrow.assignment,
+                    combined,
+                    lrow.count * rrow.count,
+                    lrow.cost + rrow.cost,
+                    lrow.weight * rrow.weight if weights else None,
+                    origins=((lrow, rrow),),
                 )
-        return table
 
     return Handlers(leaf, introduce, forget, join)
 
@@ -196,7 +182,7 @@ def build_store(
         costs=minimize.charges if minimize else None,
         weights=instance.charges if mode is Mode.WEIGHTED else None,
     )
-    store = traverse(decomp.ntd, handlers, mode, trace)
+    store = traverse(decomp.ntd, handlers, trace)
     return store, decomp
 
 

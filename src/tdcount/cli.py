@@ -288,7 +288,7 @@ def _run_command(args, instance, trace):
 def run(argv=None) -> int:
     parser = _build_parser()
     started = time.monotonic()
-    trace = None
+    trace = error = failed_at = None
     try:
         args = parser.parse_args(argv)
         if args.command != "td-stats" and args.graph == "incidence":
@@ -308,26 +308,26 @@ def run(argv=None) -> int:
         if args.trace:
             trace = open(args.trace, "w", encoding="utf-8")
         result, lines, width, seed, code = _run_command(args, instance, trace)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except (UnsupportedRuleError, TooLargeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except (ParseError, ProjectionOutOfRangeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        code, error = EXIT_UNSUPPORTED, str(exc)
+    except (_UsageError, ParseError, ProjectionOutOfRangeError, OSError) as exc:
+        code, error = EXIT_INPUT, str(exc)
     except HandlerFailureError as exc:
         if not isinstance(exc.__cause__, MemoryError):
             raise
-        print(f"error: out of memory ({exc})", file=sys.stderr)
-        return EXIT_UNSUPPORTED
+        code, error, failed_at = EXIT_UNSUPPORTED, "out of memory", str(exc)
     except MemoryError:
-        print("error: out of memory", file=sys.stderr)
-        return EXIT_UNSUPPORTED
+        code, error = EXIT_UNSUPPORTED, "out of memory"
     finally:
         if trace is not None:
             trace.close()
+    # the arms above only record the error: by now the exception and the
+    # frames holding the tables are gone, so there is memory to report it
+    if error is not None:
+        if failed_at is not None:
+            error = f"{error} ({failed_at})"
+        print(f"error: {error}", file=sys.stderr)
+        return code
     elapsed_ms = int((time.monotonic() - started) * 1000)
     if args.json:
         payload = {

@@ -1,14 +1,17 @@
 """Generic table-passing engine over nice tree decompositions.
 
 `plan_checks` places each rule, program rule or clause constraint alike,
-at one forget node.  A post-order traversal hands each node to a handler
-and stores the resulting table.  Rows carry exact integer counts,
-optional integer costs and rational weights, witness states for
-stability checking (none for CNF), and the row's derivations, each with
-one row per child, so that later passes (purge, enumeration, projection)
-walk the derivation structure instead of materializing solutions.  Above
-the leaves, a row's count is the sum over its derivations of the product
-of their rows' counts.  `aggregate` maps solution rows to the answer.
+at one forget node.  A post-order traversal hands each node to a handler,
+which yields rows, and builds the node's table from them.  Rows carry
+exact integer counts, optional integer costs and rational weights,
+witness states for stability checking (none for CNF), and the row's
+derivations, each with one row per child, so that later passes (purge,
+enumeration, projection) walk the derivation structure instead of
+materializing solutions.  A table keeps one row per (assignment,
+witnesses) key, of the cheapest cost seen: rows of equal cost merge, so
+above the leaves a row's count is the sum over its derivations of the
+product of their rows' counts.  Outside optimization every cost is 0 and
+merging is plain summing.  `aggregate` maps solution rows to the answer.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from fractions import Fraction
 
 from .errors import BagMismatchError, HandlerFailureError, InvariantError
 from .model import Rule
-from .treedecomp import NiceTreeDecomposition, NodeKind
+from .treedecomp import NiceTreeDecomposition
 
 
 class Mode(enum.Enum):
@@ -54,9 +57,6 @@ class Row:
         self.weight = weight
         self.origins = origins
 
-    def key(self):
-        return (self.assignment, self.witnesses, self.cost)
-
     def __repr__(self):  # compact, deterministic; used by store fingerprints
         ws = sorted(self.witnesses)
         base = f"Row(a={self.assignment:b}, w={ws}, n={self.count}, c={self.cost}"
@@ -66,26 +66,33 @@ class Row:
 
 
 class DpTable:
-    """Rows keyed uniquely by (assignment, witnesses, cost); merging sums
-    counts and weights and concatenates derivations.  A handler derives
-    at most one row per key from each child row (unary nodes) or each
-    joined pair, so no derivation is merged twice."""
+    """Rows keyed uniquely by (assignment, witnesses), keeping only the
+    cheapest rows of a key.  A cheaper row replaces the key's row and
+    moves to the end, a dearer row is dropped, and a row of equal cost
+    merges: counts and weights are summed and derivations concatenated.
+    Only cost-minimal rows can extend to optimal solutions, and outside
+    optimization every cost is 0.  A handler derives at most one row per
+    key from each child row (unary nodes) or each joined pair, so no
+    derivation is merged twice."""
 
-    def __init__(self, node_id: int):
-        self.node_id = node_id
+    def __init__(self):
         self.rows: dict[tuple, Row] = {}
 
     def add(self, row: Row) -> None:
         if row.count < 1:
             raise ValueError("row count must be positive")
-        existing = self.rows.get(row.key())
+        key = (row.assignment, row.witnesses)
+        existing = self.rows.get(key)
         if existing is None:
-            self.rows[row.key()] = row
-            return
-        existing.count += row.count
-        if existing.weight is not None:
-            existing.weight += row.weight
-        existing.origins += row.origins
+            self.rows[key] = row
+        elif row.cost < existing.cost:
+            del self.rows[key]
+            self.rows[key] = row
+        elif row.cost == existing.cost:
+            existing.count += row.count
+            if existing.weight is not None:
+                existing.weight += row.weight
+            existing.origins += row.origins
 
     def __len__(self):
         return len(self.rows)
@@ -102,6 +109,9 @@ class DpTable:
 
 @dataclass
 class Handlers:
+    """One row generator per node kind, each named by its `NodeKind`
+    value and called with the node id, the node and the child tables."""
+
     leaf: callable
     introduce: callable
     forget: callable
@@ -109,9 +119,8 @@ class Handlers:
 
 
 class TableStore:
-    def __init__(self, ntd: NiceTreeDecomposition, mode: Mode):
+    def __init__(self, ntd: NiceTreeDecomposition):
         self.ntd = ntd
-        self.mode = mode
         self.tables: list[DpTable | None] = [None] * len(ntd.nodes)
 
     @property
@@ -127,7 +136,7 @@ class TableStore:
         return "\n".join(parts)
 
 
-def _check_table(node, table: DpTable, mode: Mode) -> None:
+def _check_table(node, table: DpTable) -> None:
     bag_size = len(node.bag)
     witness_cap = 1 << (bag_size + 1)
     witness_free = True
@@ -139,48 +148,22 @@ def _check_table(node, table: DpTable, mode: Mode) -> None:
             # the non-strict self-witness must survive every step
             if (row.assignment, False) not in row.witnesses:
                 raise InvariantError("self-witness lost")
-    if witness_free and mode is not Mode.OPTCOUNT and len(table) > (1 << bag_size):
+    if witness_free and len(table) > (1 << bag_size):
         raise InvariantError("row bound exceeded for witness-free tables")
 
 
-def _prune_dominated(table: DpTable) -> DpTable:
-    """Optimization mode: per (assignment, witnesses), only cost-minimal
-    rows can extend to optimal solutions, so the rest are dropped."""
-    best: dict[tuple, int] = {}
-    for row in table:
-        k = (row.assignment, row.witnesses)
-        if k not in best or row.cost < best[k]:
-            best[k] = row.cost
-    pruned = DpTable(table.node_id)
-    for row in table:
-        if row.cost == best[(row.assignment, row.witnesses)]:
-            pruned.rows[row.key()] = row
-    return pruned
-
-
-def traverse(
-    ntd: NiceTreeDecomposition,
-    handlers: Handlers,
-    mode: Mode = Mode.COUNT,
-    trace=None,
-) -> TableStore:
-    """Fill a table for every node in post-order.  Handler exceptions are
-    wrapped in HandlerFailureError with the offending node attached."""
-    store = TableStore(ntd, mode)
+def traverse(ntd: NiceTreeDecomposition, handlers: Handlers, trace=None) -> TableStore:
+    """Fill a table for every node in post-order from the rows its
+    handler yields.  Handler exceptions are wrapped in
+    HandlerFailureError with the offending node attached."""
+    store = TableStore(ntd)
     for i, node in enumerate(ntd.nodes):
         try:
-            if node.kind is NodeKind.LEAF:
-                table = handlers.leaf(i, node)
-            elif node.kind is NodeKind.INTRODUCE:
-                table = handlers.introduce(i, node, store.tables[node.children[0]])
-            elif node.kind is NodeKind.FORGET:
-                table = handlers.forget(i, node, store.tables[node.children[0]])
-            else:
-                left, right = node.children
-                table = handlers.join(i, node, store.tables[left], store.tables[right])
-            if mode is Mode.OPTCOUNT:
-                table = _prune_dominated(table)
-            _check_table(node, table, mode)
+            table = DpTable()
+            handler = getattr(handlers, node.kind.value)
+            for row in handler(i, node, *(store.tables[c] for c in node.children)):
+                table.add(row)
+            _check_table(node, table)
         except Exception as exc:
             raise HandlerFailureError(i, node.kind.value) from exc
         store.tables[i] = table
@@ -220,13 +203,12 @@ def purge(store: TableStore) -> TableStore:
             for derivation in row.origins:
                 for child, ref in zip(node.children, derivation):
                     marked[child].add(id(ref))
-    out = TableStore(ntd, store.mode)
+    out = TableStore(ntd)
     for i, table in enumerate(store.tables):
-        kept = DpTable(i)
+        out.tables[i] = kept = DpTable()
         for row in table:
             if id(row) in marked[i]:
-                kept.rows[row.key()] = row
-        out.tables[i] = kept
+                kept.add(row)
     return out
 
 

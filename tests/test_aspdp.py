@@ -64,7 +64,7 @@ def run_on(ntd, text, mode=Mode.COUNT):
     plan = plan_checks(ntd, program.rules)
     minimize = program.minimize if mode is Mode.OPTCOUNT else None
     handlers = make_handlers(ntd, plan, costs=minimize.charges if minimize else None)
-    return traverse(ntd, handlers, mode)
+    return traverse(ntd, handlers)
 
 
 def rows_of(table):

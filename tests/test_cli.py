@@ -1,13 +1,15 @@
 """Command-line behavior: outputs, exit codes, formats, determinism."""
 
+import io
 import json
 import os
 import subprocess
 import sys
+import weakref
 
 import pytest
 
-from tdcount import cli, dpcore, oracle
+from tdcount import cli, dpcore, oracle, projection
 from tdcount.treedecomp import Violation, ViolationKind
 
 PROG = "a :- not b. b :- not a.\n"
@@ -322,3 +324,45 @@ def test_memory_error_is_one_line_exit_two(tmp_path, capsys, monkeypatch, target
     assert out == ""
     assert err.startswith("error: out of memory")
     assert len(err.splitlines()) == 1
+
+
+class _Hog:
+    """Stands for the tables a failing pass still holds."""
+
+
+class _StderrNeedingMemory(io.StringIO):
+    """Writing fails while a hog is alive, as allocating does once
+    memory has run out."""
+
+    def __init__(self, hogs):
+        super().__init__()
+        self.hogs = hogs
+
+    def write(self, text):
+        if any(ref() is not None for ref in self.hogs):
+            raise MemoryError
+        return super().write(text)
+
+
+@pytest.mark.parametrize("command", ["count", "pcount"])
+def test_out_of_memory_is_reported_after_its_frames_are_freed(tmp_path, monkeypatch, command):
+    # `count` runs out inside the table pass (a handler failure caused by
+    # MemoryError), `pcount` in the projection pass (a bare MemoryError)
+    hogs = []
+
+    def hog_then_fail(*args, **kwargs):
+        hog = _Hog()
+        hogs.append(weakref.ref(hog))
+        raise MemoryError
+
+    if command == "count":
+        monkeypatch.setattr(dpcore, "_check_table", hog_then_fail)
+    else:
+        monkeypatch.setattr(projection.ProjectionPass, "root_value", hog_then_fail)
+    stderr = _StderrNeedingMemory(hogs)
+    monkeypatch.setattr(sys, "stderr", stderr)
+    code = cli.run([command, write(tmp_path, "p.lp", PROG)])
+    assert code == 2
+    assert len(hogs) == 1
+    assert stderr.getvalue().startswith("error: out of memory")
+    assert len(stderr.getvalue().splitlines()) == 1

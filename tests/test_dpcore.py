@@ -2,6 +2,8 @@
 
 import io
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -46,7 +48,7 @@ def test_insert_and_remove_bit_are_inverse():
 
 
 def test_table_merges_equal_keys():
-    t = DpTable(0)
+    t = DpTable()
     a = Row(1, NO_WITNESSES, 2, origins=((),))
     b = Row(1, NO_WITNESSES, 3, origins=((),))
     t.add(a)
@@ -55,16 +57,78 @@ def test_table_merges_equal_keys():
     assert t.total_count() == 5
 
 
-def test_table_keeps_distinct_costs_apart():
-    t = DpTable(0)
-    t.add(Row(1, NO_WITNESSES, 1, cost=0))
-    t.add(Row(1, NO_WITNESSES, 1, cost=2))
-    assert len(t) == 2
+def test_table_keeps_the_cheapest_rows_of_a_key():
+    t = DpTable()
+    dear = Row(1, NO_WITNESSES, 1, cost=2)
+    other = Row(0, NO_WITNESSES, 1, cost=5)
+    cheap = Row(1, NO_WITNESSES, 3, cost=0)
+    for row in (dear, other, cheap, Row(1, NO_WITNESSES, 4, cost=1)):
+        t.add(row)
+    # the cheaper row replaced the dearer one and moved behind `other`;
+    # the dearer row that came last was dropped
+    assert list(t) == [other, cheap]
+    t.add(Row(1, NO_WITNESSES, 2, cost=0))
+    assert cheap.count == 5
+
+
+def reference_merge(rows):
+    """The merge rule in two passes, as a group-by then a filter: rows
+    (in `Row` argument order) are keyed by (assignment, witnesses, cost)
+    and summed, then each (assignment, witnesses) keeps only its
+    cheapest key, in first-seen order."""
+    merged = {}
+    for assignment, witnesses, count, cost, weight, origins in rows:
+        key = (assignment, witnesses, cost)
+        if key in merged:
+            n, wt, seen = merged[key]
+            merged[key] = (n + count, None if wt is None else wt + weight, seen + origins)
+        else:
+            merged[key] = (count, weight, origins)
+    best = {}
+    for assignment, witnesses, cost in merged:
+        k = (assignment, witnesses)
+        best[k] = min(cost, best.get(k, cost))
+    return [
+        (assignment, witnesses, count, cost, weight, origins)
+        for (assignment, witnesses, cost), (count, weight, origins) in merged.items()
+        if cost == best[assignment, witnesses]
+    ]
+
+
+def test_table_follows_the_reference_merge_rule():
+    rng = random.Random(7)
+    witness_sets = [NO_WITNESSES, frozenset({(0, False)}), frozenset({(0, False), (1, True)})]
+    replaced = 0
+    for _ in range(500):
+        weighted = rng.random() < 0.5
+        rows = [
+            (
+                rng.randrange(3),
+                rng.choice(witness_sets),
+                rng.randint(1, 4),
+                rng.randrange(4),
+                Fraction(rng.randint(1, 5), rng.randint(1, 3)) if weighted else None,
+                ((tag,),),
+            )
+            for tag in range(rng.randint(0, 25))
+        ]
+        table = DpTable()
+        for row in rows:
+            table.add(Row(*row))
+        got = [(r.assignment, r.witnesses, r.count, r.cost, r.weight, r.origins) for r in table]
+        assert got == reference_merge(rows)
+        cheapest = {}
+        for assignment, witnesses, _, cost, _, _ in rows:
+            k = (assignment, witnesses)
+            replaced += k in cheapest and cost < cheapest[k]
+            cheapest[k] = min(cost, cheapest.get(k, cost))
+    # cheaper rows often arrive after dearer rows of their key
+    assert replaced > 500
 
 
 def test_table_rejects_nonpositive_counts():
     with pytest.raises(ValueError):
-        DpTable(0).add(Row(0, NO_WITNESSES, 0))
+        DpTable().add(Row(0, NO_WITNESSES, 0))
 
 
 def test_traverse_visits_every_node_in_post_order():
@@ -96,7 +160,7 @@ def test_require_same_bag():
 
 
 def test_solution_rows_exclude_strict_witnesses():
-    t = DpTable(0)
+    t = DpTable()
     good = Row(0, frozenset({(0, False)}), 1)
     bad = Row(1, frozenset({(1, False), (0, True)}), 1)
     t.add(good)

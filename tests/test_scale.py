@@ -9,7 +9,11 @@ import pytest
 
 from tdcount.aspdp import count_answer_sets, count_optimal
 from tdcount.model import Atom, CnfFormula, GroundProgram, MinimizeStatement, Rule
-from tdcount.oracle import brute_answer_sets
+from tdcount.oracle import (
+    brute_answer_sets,
+    brute_projected_count,
+    brute_weighted_count,
+)
 from tdcount.parsers import parse_ground_program
 from tdcount.projection import projected_count
 from tdcount.satdp import count_models, weighted_count
@@ -183,6 +187,82 @@ def test_disjoint_union_squares_the_model_count(heuristic):
     shifted = [frozenset(lit + n if lit > 0 else lit - n for lit in c) for c in formula.clauses]
     union = CnfFormula(2 * n, formula.clauses + shifted)
     assert count_models(union, heuristic=heuristic) == count_models(formula) ** 2
+
+
+def minimize_gadgets(k: int) -> GroundProgram:
+    """k copies of the even loops a/b and c/d under
+    #minimize{1:a; 1:b; 2:c; 1:d}: each copy's cheapest answer sets hold
+    d and one of a, b, so the optimum is 2k with 2^k optimal answer sets.
+    Tables meet rows of several costs per key, cheaper after dearer."""
+    rules = "".join(
+        f"a{i} :- not b{i}. b{i} :- not a{i}. c{i} :- not d{i}. d{i} :- not c{i}.\n"
+        for i in range(k)
+    )
+    charges = "; ".join(f"1:a{i}; 1:b{i}; 2:c{i}; 1:d{i}" for i in range(k))
+    return parse_ground_program(rules + "#minimize{ " + charges + " }.\n")
+
+
+def test_minimize_gadgets_match_the_oracle_when_small():
+    for k in (1, 2, 3):
+        program = minimize_gadgets(k)
+        costs = [program.minimize.cost_of(s) for s in brute_answer_sets(program)]
+        assert (min(costs), costs.count(min(costs))) == (2 * k, 2**k)
+        assert count_optimal(program) == (2 * k, 2**k)
+
+
+@pytest.mark.parametrize("heuristic", HEURISTICS)
+def test_minimize_gadgets_count_optimal_answer_sets(heuristic):
+    assert count_optimal(minimize_gadgets(K), heuristic=heuristic) == (2 * K, 2**K)
+
+
+def weighted_banded_cnf(seed: int, n: int) -> CnfFormula:
+    """`corpus.banded_cnf` with seeded weights on every literal."""
+    rng = random.Random(seed)
+    weights = {}
+    for v in range(1, n + 1):
+        weights[v] = Fraction(rng.randint(1, 5), rng.randint(1, 4))
+        weights[-v] = Fraction(rng.randint(1, 5), rng.randint(1, 4))
+    return CnfFormula(n, corpus.banded_cnf(seed, n).clauses, weights)
+
+
+def disjoint_union(f: CnfFormula, g: CnfFormula) -> CnfFormula:
+    """f beside g, g's variables shifted past f's, weights carried along."""
+    n = f.num_vars
+
+    def shift(lit):
+        return lit + n if lit > 0 else lit - n
+
+    clauses = f.clauses + [frozenset(map(shift, c)) for c in g.clauses]
+    weights = {**f.weights, **{shift(lit): w for lit, w in g.weights.items()}}
+    return CnfFormula(n + g.num_vars, clauses, weights)
+
+
+def test_disjoint_unions_match_the_oracle_when_small():
+    for seed in (1, 2, 3):
+        f = weighted_banded_cnf(seed, 8)
+        # the same clauses under other weights, as the large test does
+        g = CnfFormula(8, f.clauses, weighted_banded_cnf(seed + 10, 8).weights)
+        union = disjoint_union(f, g)
+        product = brute_weighted_count(f) * brute_weighted_count(g)
+        assert brute_weighted_count(union) == weighted_count(union) == product
+        product = brute_projected_count(f, {1, 4}) * brute_projected_count(g, {2, 6, 7})
+        projection = {1, 4, 10, 14, 15}
+        assert brute_projected_count(union, projection) == projected_count(union, projection)
+        assert projected_count(union, projection) == product
+
+
+@pytest.mark.parametrize("heuristic", HEURISTICS)
+def test_disjoint_union_multiplies_weighted_and_projected_counts(heuristic):
+    n = 200
+    f = weighted_banded_cnf(1, n)
+    g = CnfFormula(n, f.clauses, weighted_banded_cnf(2, n).weights)
+    union = disjoint_union(f, g)
+    assert weighted_count(union, heuristic=heuristic) == weighted_count(f) * weighted_count(g)
+    # contiguous projections, which the clauses constrain (64 and 8 of 256)
+    left, right = set(range(40, 48)), set(range(100, 108))
+    projection = left | {v + n for v in right}
+    expected = projected_count(f, left) * projected_count(g, right)
+    assert projected_count(union, projection, heuristic=heuristic) == expected
 
 
 def permute_cnf(formula: CnfFormula, rng: random.Random):

@@ -83,3 +83,22 @@ def test_package_has_no_dead_module_level_names():
         for module in modules
     )
     assert dead == []
+
+
+def test_only_dpcore_builds_tables():
+    # handlers yield rows and `dpcore` alone decides which rows a table
+    # keeps, so no other module constructs a table or reaches its dict
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "dpcore.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == "DpTable":
+                    found.append(f"{path.name}:{node.lineno} DpTable(")
+            elif isinstance(node, ast.Attribute) and node.attr == "rows":
+                found.append(f"{path.name}:{node.lineno} .rows")
+    assert found == []
