@@ -1,17 +1,29 @@
 """Answer-set counting, optimization and enumeration over nice tree
 decompositions of the primal graph.
 
-Each row pairs a candidate bag assignment with a set of witness states.
-A witness (B, strict) tracks a sub-interpretation that still satisfies
-every checked rule of the reduct; `strict` records that it is already
-properly smaller than the candidate on some decided atom.  A root row
-describes answer sets exactly when no strict witness survived.  Minimize
-costs, both signs, are charged when their atom is forgotten.
+Each row pairs a candidate bag assignment with a check state, chosen
+once per instance (`check_state`):
+
+- A tight program (no positive dependency cycle) has as answer sets
+  exactly its supported models (Fages 1994; for disjunctive heads,
+  Ben-Eliyahu and Dechter 1994): every true atom is the only true head
+  atom of some rule whose body holds.  Its rows carry a support mask
+  over the bag.  A new atom starts unsupported; a forget node marks the
+  only true head atom of each due rule whose body holds, then drops the
+  row if the forgotten atom is true and unsupported; a join ORs masks.
+  Every rule that mentions an atom is checked at or below the atom's
+  forget node, so its support is complete when it is forgotten.
+- Any other program's rows carry a set of witness states.  A witness
+  (B, strict) tracks a sub-interpretation that still satisfies every
+  checked rule of the reduct; `strict` records that it is already
+  properly smaller than the candidate on some decided atom.  A root row
+  describes answer sets exactly when no strict witness survived.
+
+Minimize costs, both signs, are charged when their atom is forgotten.
 
 One planner (`dpcore.plan_checks`), one handler set (`make_handlers`),
 one `build_store` and one `answer` serve programs and CNFs alike: a
-CNF's `rules` are its clauses as constraints, run without witness
-states.
+CNF's `rules` are its clauses as constraints, run with an empty state.
 """
 
 from __future__ import annotations
@@ -41,46 +53,149 @@ from .model import CnfFormula, GroundProgram, Rule
 from .treedecomp import DecompResult, NiceTreeDecomposition, NodeKind, decompose
 
 
+class CheckState:
+    """How program rows check stability: the leaf's state and one state
+    step per node kind.  `introduce(state, p)` gives the states of the
+    candidates that set the new bag position p false and true;
+    `forget(due, p)` gives the step `(state, A) -> state | None` of a
+    forget node whose child bag position p goes, with `due` the masks of
+    the rules checked there, for a candidate A that satisfies every due
+    rule, returning None when the state rules A out; `join(left, right)`
+    combines the states of two rows of one assignment."""
+
+    __slots__ = ("start", "introduce", "forget", "join")
+
+    def __init__(self, start, introduce, forget, join):
+        self.start = start
+        self.introduce = introduce
+        self.forget = forget
+        self.join = join
+
+
+def _support_introduce(mask, p):
+    mask = insert_bit(mask, p, 0)
+    return mask, mask
+
+
+def _support_forget(due, p):
+    bit = 1 << p
+
+    def step(mask, A):
+        for head, pos, neg in due:
+            if pos & A == pos and neg & A == 0:
+                true_head = head & A
+                if not true_head & (true_head - 1):
+                    mask |= true_head  # the rule's only true head atom
+        if A & bit and not mask & bit:
+            return None  # a true atom leaves without support
+        return remove_bit(mask, p)
+
+    return step
+
+
+# tight programs: the support mask holds the bag atoms that are the
+# only true head atom of some checked rule whose body holds
+SUPPORT = CheckState(0, _support_introduce, _support_forget, int.__or__)
+
+
+def _witness_introduce(ws, p):
+    # candidate sets the atom false: witnesses stay below it
+    w_false = frozenset((insert_bit(b, p, 0), s) for b, s in ws)
+    # candidate sets it true: each witness forks; choosing false makes
+    # the witness strictly smaller from here on
+    w_true = frozenset((insert_bit(b, p, 1), s) for b, s in ws) | frozenset(
+        (insert_bit(b, p, 0), True) for b, _ in ws
+    )
+    return w_false, w_true
+
+
+def _witness_forget(due, p):
+    # witnesses violating a due rule of the reduct w.r.t. A die.  Per
+    # distinct witness b, memoised: the due rules whose positive body b
+    # holds and whose head b leaves false, and b without the forgotten
+    # atom.  `live`: the due rules the reduct w.r.t. A keeps
+    memo: dict[int, tuple[int, int]] = {}
+
+    def step(ws, A):
+        live = sum(1 << i for i, (_, _, neg) in enumerate(due) if neg & A == 0)
+        kept = []
+        for b, s in ws:
+            entry = memo.get(b)
+            if entry is None:
+                broken = sum(
+                    1 << i
+                    for i, (head, pos, _) in enumerate(due)
+                    if pos & b == pos and head & b == 0
+                )
+                entry = memo[b] = (broken, remove_bit(b, p))
+            if not entry[0] & live:
+                kept.append((entry[1], s))
+        kept = frozenset(kept)
+        if (remove_bit(A, p), False) not in kept:
+            raise InvariantError("self-witness lost at forget")
+        return kept
+
+    return step
+
+
+def _witness_join(left, right):
+    flags: dict[int, set[bool]] = {}
+    for b, s in right:
+        flags.setdefault(b, set()).add(s)
+    return frozenset((b, s1 or s2) for b, s1 in left for s2 in flags.get(b, ()))
+
+
+# other programs: each witness (B, strict) is a sub-interpretation that
+# still satisfies every checked rule of the reduct
+WITNESS = CheckState(
+    frozenset({(0, False)}), _witness_introduce, _witness_forget, _witness_join
+)
+
+
+def check_state(instance: GroundProgram | CnfFormula) -> CheckState | None:
+    """The check state of the instance's rows: support masks for a
+    tight program, whose answer sets are its supported models, witness
+    sets for any other program, and none for a CNF, whose models need
+    no stability check."""
+    if isinstance(instance, CnfFormula):
+        return None
+    return SUPPORT if instance.is_tight() else WITNESS
+
+
 def make_handlers(
     ntd: NiceTreeDecomposition,
     plan: dict[int, list[Rule]],
     *,
-    witnesses: bool = True,
+    check: CheckState | None = WITNESS,
     costs=None,
     weights=None,
 ) -> Handlers:
     """The one handler set, for programs and CNFs alike.  Each handler
     yields the rows its node derives; `dpcore.traverse` builds the table.
 
-    `plan` maps forget nodes to the rules checked there.  A CNF is a
-    program of constraints only, whose models need no stability check:
-    with `witnesses=False` the leaf starts from an empty witness set and
-    every handler skips the witness work.  `costs` and `weights` map an
-    atom to its charges (if false, if true): minimize costs are added and
-    literal weights multiplied when the atom is forgotten, which happens
-    exactly once, so joins combine them without correction.  Rows whose
-    weight drops to 0 contribute nothing and are dropped."""
+    `plan` maps forget nodes to the rules checked there, and `check`
+    gives each row's check state and its steps; with None every row
+    keeps an empty state and only the rules are checked.  `costs` and
+    `weights` map an atom to its charges (if false, if true): minimize
+    costs are added and literal weights multiplied when the atom is
+    forgotten, which happens exactly once, so joins combine them without
+    correction.  Rows whose weight drops to 0 contribute nothing and are
+    dropped."""
 
     def leaf(node_id, node):
-        start = frozenset({(0, False)}) if witnesses else frozenset()
+        start = check.start if check else frozenset()
         yield Row(0, start, 1, weight=Fraction(1) if weights else None)
 
     def introduce(node_id, node, child):
         p = node.bag.index(node.vertex)
         for row in child:
-            w_false = w_true = ws = row.witnesses
-            if ws:
-                # candidate sets the atom false: witnesses stay below it
-                w_false = frozenset((insert_bit(b, p, 0), s) for b, s in ws)
-                # candidate sets it true: each witness forks; choosing
-                # false makes the witness strictly smaller from here on
-                w_true = frozenset((insert_bit(b, p, 1), s) for b, s in ws) | frozenset(
-                    (insert_bit(b, p, 0), True) for b, _ in ws
-                )
-            for bit, w in ((0, w_false), (1, w_true)):
+            s_false = s_true = row.state
+            if check:
+                s_false, s_true = check.introduce(s_false, p)
+            for bit, state in ((0, s_false), (1, s_true)):
                 yield Row(
                     insert_bit(row.assignment, p, bit),
-                    w,
+                    state,
                     row.count,
                     row.cost,
                     row.weight,
@@ -92,6 +207,7 @@ def make_handlers(
         child_bag = ntd.nodes[node.children[0]].bag
         p = child_bag.index(a)
         due = constraint_masks(plan.get(node_id, []), child_bag)
+        step = check.forget(due, p) if check else None
         charge = costs(a) if costs else (0, 0)
         factor = weights(a) if weights else None
         for row in child:
@@ -102,17 +218,11 @@ def make_handlers(
                 for head, pos, neg in due
             ):
                 continue
-            kept = row.witnesses
-            if kept:
-                # witnesses violating a due rule of the reduct w.r.t. A die
-                live = [(head, pos) for head, pos, neg in due if neg & A == 0]
-                kept = frozenset(
-                    (remove_bit(b, p), s)
-                    for b, s in kept
-                    if not any(pos & b == pos and head & b == 0 for head, pos in live)
-                )
-                if (remove_bit(A, p), False) not in kept:
-                    raise InvariantError("self-witness lost at forget")
+            state = row.state
+            if step:
+                state = step(state, A)
+                if state is None:
+                    continue
             bit = A >> p & 1
             weight = row.weight
             if factor:
@@ -121,7 +231,7 @@ def make_handlers(
                     continue
             yield Row(
                 remove_bit(A, p),
-                kept,
+                state,
                 row.count,
                 row.cost + charge[bit],
                 weight,
@@ -137,19 +247,12 @@ def make_handlers(
             by_assignment.setdefault(row.assignment, []).append(row)
         for lrow in left:
             for rrow in by_assignment.get(lrow.assignment, ()):
-                combined = lrow.witnesses
-                if combined:
-                    flags: dict[int, set[bool]] = {}
-                    for b, s in rrow.witnesses:
-                        flags.setdefault(b, set()).add(s)
-                    combined = frozenset(
-                        (b, s1 or s2)
-                        for b, s1 in combined
-                        for s2 in flags.get(b, ())
-                    )
+                state = lrow.state
+                if check:
+                    state = check.join(state, rrow.state)
                 yield Row(
                     lrow.assignment,
-                    combined,
+                    state,
                     lrow.count * rrow.count,
                     lrow.cost + rrow.cost,
                     lrow.weight * rrow.weight if weights else None,
@@ -168,9 +271,9 @@ def build_store(
     trace=None,
     decomp: DecompResult | None = None,
 ) -> tuple[TableStore, DecompResult]:
-    """Run the table pass; caller picks the aggregate.  Only program rows
-    carry witness states.  OPTCOUNT charges minimize costs and WEIGHTED
-    literal weights."""
+    """Run the table pass; caller picks the aggregate.  The instance
+    picks the rows' check state (`check_state`).  OPTCOUNT charges
+    minimize costs and WEIGHTED literal weights."""
     if decomp is None:
         decomp = decompose(instance_graph(instance), heuristic, seed, seeds)
     program = isinstance(instance, GroundProgram)
@@ -178,7 +281,7 @@ def build_store(
     handlers = make_handlers(
         decomp.ntd,
         plan_checks(decomp.ntd, instance.rules),
-        witnesses=program,
+        check=check_state(instance),
         costs=minimize.charges if minimize else None,
         weights=instance.charges if mode is Mode.WEIGHTED else None,
     )

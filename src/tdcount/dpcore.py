@@ -3,12 +3,13 @@
 `plan_checks` places each rule, program rule or clause constraint alike,
 at one forget node.  A post-order traversal hands each node to a handler,
 which yields rows, and builds the node's table from them.  Rows carry
-exact integer counts, optional integer costs and rational weights,
-witness states for stability checking (none for CNF), and the row's
+exact integer counts, optional integer costs and rational weights, a
+check state for stability checking (a support mask for tight programs,
+witness sets for the others, an empty set for CNF), and the row's
 derivations, each with one row per child, so that later passes (purge,
 enumeration, projection) walk the derivation structure instead of
-materializing solutions.  A table keeps one row per (assignment,
-witnesses) key, of the cheapest cost seen: rows of equal cost merge, so
+materializing solutions.  A table keeps one row per (assignment, state)
+key, of the cheapest cost seen: rows of equal cost merge, so
 above the leaves a row's count is the sum over its derivations of the
 product of their rows' counts.  Outside optimization every cost is 0 and
 merging is plain summing.  `aggregate` maps solution rows to the answer.
@@ -37,7 +38,14 @@ class Row:
     """One table row.
 
     assignment      bitmask over the sorted bag
-    witnesses       frozenset of (bitmask, strict) counter-witness states
+    state           the check state, one of:
+                    - an int, the support mask of a tight program: the
+                      bag atoms already the only true head atom of a
+                      checked rule whose body holds, a subset of the
+                      assignment;
+                    - a frozenset of (bitmask, strict) counter-witness
+                      states, for other programs;
+                    - the empty frozenset, for CNF
     count           number of distinct decided-atom extensions, >= 1
     cost            minimize cost of the forgotten atoms below
     weight          product of the forgotten variables' literal weights
@@ -47,26 +55,29 @@ class Row:
                     forget node, ((left, right), ...) at a join node
     """
 
-    __slots__ = ("assignment", "witnesses", "count", "cost", "weight", "origins")
+    __slots__ = ("assignment", "state", "count", "cost", "weight", "origins")
 
-    def __init__(self, assignment, witnesses, count, cost=0, weight=None, origins=()):
+    def __init__(self, assignment, state, count, cost=0, weight=None, origins=()):
         self.assignment = assignment
-        self.witnesses = witnesses
+        self.state = state
         self.count = count
         self.cost = cost
         self.weight = weight
         self.origins = origins
 
     def __repr__(self):  # compact, deterministic; used by store fingerprints
-        ws = sorted(self.witnesses)
-        base = f"Row(a={self.assignment:b}, w={ws}, n={self.count}, c={self.cost}"
+        if isinstance(self.state, int):
+            state = f"s={self.state:b}"
+        else:
+            state = f"w={sorted(self.state)}"
+        base = f"Row(a={self.assignment:b}, {state}, n={self.count}, c={self.cost}"
         if self.weight is not None:
             base += f", wt={self.weight}"
         return base + ")"
 
 
 class DpTable:
-    """Rows keyed uniquely by (assignment, witnesses), keeping only the
+    """Rows keyed uniquely by (assignment, state), keeping only the
     cheapest rows of a key.  A cheaper row replaces the key's row and
     moves to the end, a dearer row is dropped, and a row of equal cost
     merges: counts and weights are summed and derivations concatenated.
@@ -81,7 +92,7 @@ class DpTable:
     def add(self, row: Row) -> None:
         if row.count < 1:
             raise ValueError("row count must be positive")
-        key = (row.assignment, row.witnesses)
+        key = (row.assignment, row.state)
         existing = self.rows.get(key)
         if existing is None:
             self.rows[key] = row
@@ -104,7 +115,11 @@ class DpTable:
         return sum(r.count for r in self.rows.values())
 
     def max_witness_set(self) -> int:
-        return max((len(r.witnesses) for r in self.rows.values()), default=0)
+        """The largest witness set; 0 for support and CNF tables."""
+        return max(
+            (len(r.state) for r in self.rows.values() if not isinstance(r.state, int)),
+            default=0,
+        )
 
 
 @dataclass
@@ -137,16 +152,29 @@ class TableStore:
 
 
 def _check_table(node, table: DpTable) -> None:
+    """Each state kind's bound: a support mask lies inside its
+    assignment, so a support table has at most 3^|bag| rows; a witness
+    set has at most 2^(|bag|+1) states and keeps the self-witness; a
+    table without either has at most one row per assignment.  One pass
+    builds a table with one state kind, so its first row tells which."""
     bag_size = len(node.bag)
+    first = next(iter(table), None)
+    if first is not None and isinstance(first.state, int):
+        if len(table) > 3**bag_size:
+            raise InvariantError("row bound exceeded for support tables")
+        for row in table:
+            if row.state & ~row.assignment:
+                raise InvariantError("support mask outside the assignment")
+        return
     witness_cap = 1 << (bag_size + 1)
     witness_free = True
     for row in table:
-        if len(row.witnesses) > witness_cap:
+        if len(row.state) > witness_cap:
             raise InvariantError("witness-set bound exceeded")
-        if row.witnesses:
+        if row.state:
             witness_free = False
             # the non-strict self-witness must survive every step
-            if (row.assignment, False) not in row.witnesses:
+            if (row.assignment, False) not in row.state:
                 raise InvariantError("self-witness lost")
     if witness_free and len(table) > (1 << bag_size):
         raise InvariantError("row bound exceeded for witness-free tables")
@@ -180,8 +208,14 @@ def traverse(ntd: NiceTreeDecomposition, handlers: Handlers, trace=None) -> Tabl
 
 
 def solution_rows(table: DpTable) -> list[Row]:
-    """Rows with no strict witness left: they describe solutions."""
-    return [r for r in table if not any(strict for _, strict in r.witnesses)]
+    """Rows with no strict witness left: they describe solutions.  A
+    support row reaching the root is a solution: every true atom was
+    supported when it was forgotten."""
+    return [
+        r
+        for r in table
+        if isinstance(r.state, int) or not any(strict for _, strict in r.state)
+    ]
 
 
 def purge(store: TableStore) -> TableStore:

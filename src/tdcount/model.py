@@ -87,6 +87,29 @@ class GroundProgram:
     def is_trivially_inconsistent(self) -> bool:
         return any(r.is_always_violated() for r in self.rules)
 
+    def is_tight(self) -> bool:
+        """True when the positive dependency graph, with an edge from
+        each positive body atom of a rule to each of its head atoms, has
+        no cycle (`a :- a.` is a cycle).  Checked by repeatedly removing
+        atoms with no incoming edge, without recursion."""
+        successors: list[list[int]] = [[] for _ in self.atoms]
+        incoming = [0] * len(self.atoms)
+        for rule in self.rules:
+            for b in rule.body_pos:
+                successors[b].extend(rule.head)
+            for h in rule.head:
+                incoming[h] += len(rule.body_pos)
+        ready = [a for a, n in enumerate(incoming) if n == 0]
+        removed = 0
+        while ready:
+            a = ready.pop()
+            removed += 1
+            for h in successors[a]:
+                incoming[h] -= 1
+                if incoming[h] == 0:
+                    ready.append(h)
+        return removed == len(self.atoms)
+
     def atom_names(self) -> list[str]:
         """Printable, unique, grammar-safe name per atom."""
         used = {a.name for a in self.atoms if a.name is not None}

@@ -2,6 +2,7 @@
 frozen small examples, and randomized agreement with the oracle."""
 
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,6 +11,8 @@ import pytest
 
 from tdcount import aspdp
 from tdcount.aspdp import (
+    SUPPORT,
+    WITNESS,
     build_store,
     count_answer_sets,
     count_optimal,
@@ -29,6 +32,7 @@ from tdcount.treedecomp import (
     NiceNode,
     NiceTreeDecomposition,
     NodeKind,
+    decompose,
     make_nice,
     td_from_ordering,
 )
@@ -68,7 +72,7 @@ def run_on(ntd, text, mode=Mode.COUNT):
 
 
 def rows_of(table):
-    return sorted((r.assignment, tuple(sorted(r.witnesses)), r.count) for r in table)
+    return sorted((r.assignment, tuple(sorted(r.state)), r.count) for r in table)
 
 
 def test_fact_walkthrough():
@@ -167,6 +171,65 @@ def test_enumerate_deep_implication_chain():
     td = td_from_ordering(primal_graph(program), list(range(n)))
     decomp = DecompResult(make_nice(td), td, td.width(), 0, "min-fill")
     assert list(enumerate_answer_sets(program, decomp=decomp)) == [frozenset(range(n))]
+
+
+def test_disjunctive_support_needs_the_only_true_head_atom():
+    # {a, b} is a supported model only if a disjunction with two true
+    # head atoms supported a; it is not minimal, so {b} is the one answer
+    program = parse_ground_program("a | b.  b :- a.")
+    assert program.is_tight()
+    names = program.atom_names()
+    got = [frozenset(names[a] for a in s) for s in enumerate_answer_sets(program)]
+    assert got == [frozenset({"b"})]
+    assert count_answer_sets(program) == 1
+    assert count_optimal(parse_ground_program("a | b.  b :- a.  #minimize{ 1:b }.")) == (1, 1)
+
+
+def test_build_store_picks_the_check_state_from_the_instance():
+    tight, _ = build_store(parse_ground_program("a :- not b. b :- not a."))
+    looped, _ = build_store(parse_ground_program("a :- b. b :- a. a :- not c."))
+    cnf, _ = build_store(parse_dimacs("p cnf 2 1\n1 2 0\n"))
+    kinds = [
+        {type(row.state) for table in store.tables for row in table}
+        for store in (tight, looped, cnf)
+    ]
+    assert kinds == [{int}, {frozenset}, {frozenset}]
+    assert all(row.state == frozenset() for table in cnf.tables for row in table)
+    assert tight.root_table.max_witness_set() == 0
+
+
+def all_answers(program, decomp, proj, heuristic):
+    store, _ = build_store(program, Mode.COUNT, decomp=decomp)
+    return (
+        root_aggregate(store, Mode.COUNT),
+        root_aggregate(store, Mode.DECISION),
+        count_optimal(program, decomp=decomp),
+        list(enumerate_answer_sets(program, decomp=decomp)),
+        projected_count(program, proj, heuristic=heuristic),
+    )
+
+
+def test_support_masks_answer_as_witness_sets_on_tight_programs(monkeypatch):
+    """COUNT, DECISION, OPTCOUNT, enumeration and projected counts on
+    every tight corpus program among seeds 0-499, from stores built with
+    support masks and with witness sets, under both heuristics."""
+    rng = random.Random(5)
+    tight = 0
+    for seed in range(500):
+        program = corpus.random_program(seed)
+        if not program.is_tight():
+            continue
+        tight += 1
+        n = program.num_atoms
+        proj = set(rng.sample(range(n), rng.randint(0, n)))
+        for heuristic in ("min-fill", "min-degree"):
+            decomp = decompose(primal_graph(program), heuristic)
+            by_check = []
+            for check in (SUPPORT, WITNESS):
+                monkeypatch.setattr(aspdp, "check_state", lambda instance, check=check: check)
+                by_check.append(all_answers(program, decomp, proj, heuristic))
+            assert by_check[0] == by_check[1], (seed, heuristic, sorted(proj))
+    assert tight == 304
 
 
 def test_optcount_frozen_examples():

@@ -22,7 +22,7 @@ from tdcount.dpcore import (
     solution_rows,
     traverse,
 )
-from tdcount.errors import BagMismatchError, HandlerFailureError
+from tdcount.errors import BagMismatchError, HandlerFailureError, InvariantError
 from tdcount.graphs import primal_graph
 from tdcount.parsers import parse_ground_program
 from tdcount.treedecomp import decompose
@@ -115,7 +115,7 @@ def test_table_follows_the_reference_merge_rule():
         table = DpTable()
         for row in rows:
             table.add(Row(*row))
-        got = [(r.assignment, r.witnesses, r.count, r.cost, r.weight, r.origins) for r in table]
+        got = [(r.assignment, r.state, r.count, r.cost, r.weight, r.origins) for r in table]
         assert got == reference_merge(rows)
         cheapest = {}
         for assignment, witnesses, _, cost, _, _ in rows:
@@ -150,6 +150,26 @@ def test_traverse_wraps_handler_errors():
         traverse(decomp.ntd, handlers)
     assert info.value.node_id == 0
     assert info.value.kind == "leaf"
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [Row(0, 1, 1)],  # a supported atom that is false
+        [Row(a, 0, 1) for a in range(4)],  # more than 3^0 rows in an empty bag
+    ],
+    ids=["mask-outside-assignment", "row-bound"],
+)
+def test_support_tables_are_checked(rows):
+    decomp = decompose(primal_graph(parse_ground_program("a.")))
+
+    def leaf(*_args):
+        yield from rows
+
+    handlers = Handlers(leaf=leaf, introduce=None, forget=None, join=None)
+    with pytest.raises(HandlerFailureError) as info:
+        traverse(decomp.ntd, handlers)
+    assert isinstance(info.value.__cause__, InvariantError)
 
 
 def test_require_same_bag():

@@ -276,3 +276,32 @@ def test_cnf_rules_are_clause_constraints():
     ]
     assert f.rules[2].is_always_violated()
     assert "rules" not in repr(f)
+
+
+def chain_program(n: int, closed: bool) -> GroundProgram:
+    """a1 :- a0, ..., a(n-1) :- a(n-2), and a0 :- a(n-1) when closed."""
+    atoms = [Atom(i, f"a{i}") for i in range(n)]
+    rules = [Rule(frozenset({i + 1}), frozenset({i}), frozenset()) for i in range(n - 1)]
+    if closed:
+        rules.append(Rule(frozenset({0}), frozenset({n - 1}), frozenset()))
+    return GroundProgram(atoms, rules)
+
+
+def test_tightness_of_long_chains_and_cycles():
+    # 10^5 atoms: far past the recursion limit, checked without recursion
+    assert chain_program(100_000, closed=False).is_tight()
+    assert not chain_program(100_000, closed=True).is_tight()
+
+
+def test_tightness_frozen_examples():
+    cases = {
+        "a :- a.": False,
+        "a :- not a.": True,
+        "": True,
+        "a | b.  b :- a.": True,
+        "a | b :- c.  c :- a.": False,
+        "a :- b, not c.  b :- not d.  :- a, b.": True,
+        "a :- b.  b :- c.  c :- a.  d.": False,
+    }
+    for text, expected in cases.items():
+        assert parse_ground_program(text).is_tight() is expected, text

@@ -53,7 +53,7 @@ def test_tables_stay_within_the_bag_bound():
     for node, table in zip(decomp.ntd.nodes, store.tables):
         assert len(table) <= 1 << len(node.bag)
         for row in table:
-            assert row.witnesses == frozenset()
+            assert row.state == frozenset()
 
 
 def test_purge_preserves_model_count():

@@ -133,6 +133,17 @@ def test_cnf_as_program_counts_models_on_banded_cnfs(seed, n):
     assert count_answer_sets(cnf_as_program(formula)) == expected
 
 
+@pytest.mark.parametrize("heuristic", HEURISTICS)
+def test_cnf_as_program_counts_models_at_scale(heuristic):
+    # the even-loop encoding is tight, so its tables carry support masks
+    formula = corpus.banded_cnf(1, N)
+    program = cnf_as_program(formula)
+    assert program.is_tight()
+    expected = count_models(formula, heuristic=heuristic)
+    assert expected > 2 ** (N // 2)
+    assert count_answer_sets(program, heuristic=heuristic) == expected
+
+
 K = 300
 
 
