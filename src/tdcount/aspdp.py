@@ -24,26 +24,29 @@ Minimize costs, both signs, are charged when their atom is forgotten.
 One planner (`dpcore.plan_checks`), one handler set (`make_handlers`),
 one `build_store` and one `answer` serve programs and CNFs alike: a
 CNF's `rules` are its clauses as constraints, run with an empty state.
+`answer`, behind every count, decision, optimum and weight, runs the
+handlers on lean tables of bare values; `build_store`, for enumeration
+and projection, on `Row` tables that keep derivations.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import islice
 
 from .dpcore import (
     Handlers,
     Mode,
-    Row,
     TableStore,
     aggregate,
     constraint_masks,
     insert_bit,
+    lean_values,
     plan_checks,
     purge,
     remove_bit,
     require_same_bag,
     root_aggregate,
+    row_values,
     solution_rows,
     traverse,
 )
@@ -169,110 +172,96 @@ def make_handlers(
     check: CheckState | None = WITNESS,
     costs=None,
     weights=None,
+    counting: Mode | None = None,
 ) -> Handlers:
     """The one handler set, for programs and CNFs alike.  Each handler
-    yields the rows its node derives; `dpcore.traverse` builds the table.
+    yields its node's table entries, made by the pass's value kind from
+    a key and the child values; `dpcore.traverse` builds the table.
 
     `plan` maps forget nodes to the rules checked there, and `check`
-    gives each row's check state and its steps; with None every row
+    gives each key's check state and its steps; with None every key
     keeps an empty state and only the rules are checked.  `costs` and
-    `weights` map an atom to its charges (if false, if true): minimize
-    costs are added and literal weights multiplied when the atom is
-    forgotten, which happens exactly once, so joins combine them without
-    correction.  Rows whose weight drops to 0 contribute nothing and are
-    dropped."""
+    `weights` map an atom to its charges (if false, if true), charged
+    when the atom is forgotten, which happens exactly once, so joins
+    combine them without correction.  Entries whose weight drops to 0
+    contribute nothing and are dropped.  `counting`, the mode of a pass
+    that reads only the root aggregate, gives lean tables of bare values
+    (`dpcore.lean_values`); without it the tables hold `Row`s with their
+    derivations (`dpcore.row_values`)."""
+    if counting is None:
+        values = row_values(costs, weights)
+    else:
+        values = lean_values(counting, costs, weights)
 
     def leaf(node_id, node):
-        start = check.start if check else frozenset()
-        yield Row(0, start, 1, weight=Fraction(1) if weights else None)
+        yield values.leaf((0, check.start if check else frozenset()))
 
     def introduce(node_id, node, child):
         p = node.bag.index(node.vertex)
-        for row in child:
-            s_false = s_true = row.state
+        low, bit = (1 << p) - 1, 1 << p
+        carry = values.carry
+        for (A, state), value in child.items():
+            s_false = s_true = state
             if check:
-                s_false, s_true = check.introduce(s_false, p)
-            for bit, state in ((0, s_false), (1, s_true)):
-                yield Row(
-                    insert_bit(row.assignment, p, bit),
-                    state,
-                    row.count,
-                    row.cost,
-                    row.weight,
-                    origins=((row,),),
-                )
+                s_false, s_true = check.introduce(state, p)
+            A = (A >> p << (p + 1)) | (A & low)  # the new position set false
+            yield carry((A, s_false), value)
+            yield carry((A | bit, s_true), value)
 
     def forget(node_id, node, child):
         a = node.vertex
         child_bag = ntd.nodes[node.children[0]].bag
         p = child_bag.index(a)
+        low = (1 << p) - 1
         due = constraint_masks(plan.get(node_id, []), child_bag)
+        # A violates (head, pos, neg) exactly when A & (head|pos|neg) ==
+        # pos, unless pos meets head or neg and nothing violates it
+        clashes = [
+            (head | pos | neg, pos) for head, pos, neg in due if not (head | neg) & pos
+        ]
         step = check.forget(due, p) if check else None
-        charge = costs(a) if costs else (0, 0)
-        factor = weights(a) if weights else None
-        for row in child:
-            A = row.assignment
-            # candidate must satisfy every due rule classically
-            if any(
-                pos & A == pos and neg & A == 0 and head & A == 0
-                for head, pos, neg in due
-            ):
-                continue
-            state = row.state
-            if step:
-                state = step(state, A)
-                if state is None:
-                    continue
-            bit = A >> p & 1
-            weight = row.weight
-            if factor:
-                weight = weight * factor[bit]
-                if weight == 0:
-                    continue
-            yield Row(
-                remove_bit(A, p),
-                state,
-                row.count,
-                row.cost + charge[bit],
-                weight,
-                origins=((row,),),
-            )
+        charge = values.forget(a)
+        for (A, state), value in child.items():
+            for span, pos in clashes:
+                if A & span == pos:
+                    break  # the candidate violates a due rule classically
+            else:
+                if step:
+                    state = step(state, A)
+                    if state is None:
+                        continue
+                entry = charge(((A >> (p + 1) << p) | (A & low), state), value, A >> p & 1)
+                if entry is not None:
+                    yield entry
 
     def join(node_id, node, left, right):
         left_bag = ntd.nodes[node.children[0]].bag
         right_bag = ntd.nodes[node.children[1]].bag
         require_same_bag(node, left_bag, right_bag)
-        by_assignment: dict[int, list[Row]] = {}
-        for row in right:
-            by_assignment.setdefault(row.assignment, []).append(row)
-        for lrow in left:
-            for rrow in by_assignment.get(lrow.assignment, ()):
-                state = lrow.state
-                if check:
-                    state = check.join(state, rrow.state)
-                yield Row(
-                    lrow.assignment,
-                    state,
-                    lrow.count * rrow.count,
-                    lrow.cost + rrow.cost,
-                    lrow.weight * rrow.weight if weights else None,
-                    origins=((lrow, rrow),),
-                )
+        by_assignment: dict[int, list] = {}
+        for (A, state), value in right.items():
+            by_assignment.setdefault(A, []).append((state, value))
+        product = values.join
+        for (A, state), lvalue in left.items():
+            for rstate, rvalue in by_assignment.get(A, ()):
+                joined = check.join(state, rstate) if check else state
+                yield product((A, joined), lvalue, rvalue)
 
-    return Handlers(leaf, introduce, forget, join)
+    return Handlers(leaf, introduce, forget, join, values)
 
 
-def build_store(
+def _table_pass(
     instance: GroundProgram | CnfFormula,
-    mode: Mode = Mode.COUNT,
+    mode: Mode,
+    counting: bool,
     heuristic: str = "min-fill",
     seed: int = 0,
     seeds: int = 1,
     trace=None,
     decomp: DecompResult | None = None,
 ) -> tuple[TableStore, DecompResult]:
-    """Run the table pass; caller picks the aggregate.  The instance
-    picks the rows' check state (`check_state`).  OPTCOUNT charges
+    """Run the table pass; `counting` picks lean tables.  The instance
+    picks the keys' check state (`check_state`).  OPTCOUNT charges
     minimize costs and WEIGHTED literal weights."""
     if decomp is None:
         decomp = decompose(instance_graph(instance), heuristic, seed, seeds)
@@ -284,17 +273,28 @@ def build_store(
         check=check_state(instance),
         costs=minimize.charges if minimize else None,
         weights=instance.charges if mode is Mode.WEIGHTED else None,
+        counting=mode if counting else None,
     )
-    store = traverse(decomp.ntd, handlers, trace)
-    return store, decomp
+    return traverse(decomp.ntd, handlers, trace), decomp
+
+
+def build_store(
+    instance: GroundProgram | CnfFormula, mode: Mode = Mode.COUNT, **options
+) -> tuple[TableStore, DecompResult]:
+    """The `Row` store of every node, with derivations, for the callers
+    that read more than the root aggregate; caller picks the aggregate.
+    Options: heuristic, seed, seeds, trace, decomp."""
+    return _table_pass(instance, mode, False, **options)
 
 
 def answer(instance: GroundProgram | CnfFormula, mode: Mode, **options):
-    """The mode's answer for a program or CNF.  An atomless rule (`:- .`,
-    an empty clause) is never satisfied: then no table is built."""
+    """The mode's answer for a program or CNF, from a lean pass that
+    keeps no derivations and drops each child table once its parent is
+    built.  An atomless rule (`:- .`, an empty clause) is never
+    satisfied: then no table is built."""
     if any(rule.is_always_violated() for rule in instance.rules):
         return aggregate([], mode)
-    store, _ = build_store(instance, mode, **options)
+    store, _ = _table_pass(instance, mode, True, **options)
     return root_aggregate(store, mode)
 
 

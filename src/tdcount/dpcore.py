@@ -2,24 +2,36 @@
 
 `plan_checks` places each rule, program rule or clause constraint alike,
 at one forget node.  A post-order traversal hands each node to a handler,
-which yields rows, and builds the node's table from them.  Rows carry
-exact integer counts, optional integer costs and rational weights, a
-check state for stability checking (a support mask for tight programs,
-witness sets for the others, an empty set for CNF), and the row's
-derivations, each with one row per child, so that later passes (purge,
-enumeration, projection) walk the derivation structure instead of
-materializing solutions.  A table keeps one row per (assignment, state)
-key, of the cheapest cost seen: rows of equal cost merge, so
-above the leaves a row's count is the sum over its derivations of the
-product of their rows' counts.  Outside optimization every cost is 0 and
-merging is plain summing.  `aggregate` maps solution rows to the answer.
+which yields the node's table entries, and builds the node's table from
+them.  Every table is keyed by (assignment, state): a bag assignment and
+a check state for stability checking (a support mask for tight programs,
+witness sets for the others, an empty set for CNF).  What a key maps to
+is the pass's value kind (`Values`):
+
+- `row_values`: a `Row` with exact integer count, integer cost, rational
+  weight and the row's derivations, each with one row per child.  Only
+  this store keeps derivations, so that later passes (purge,
+  enumeration, projection) walk the derivation structure instead of
+  materializing solutions; every table is kept until the pass ends.
+- `lean_values`: a bare value for a pass that reads only the root
+  aggregate: a count, a (cost, count) pair, or a weight numerator over
+  the product of each forgotten variable's common weight denominator.
+  Each child table is dropped once its parent is built.
+
+A table keeps one value per key, of the cheapest cost seen: values of
+equal cost merge, so above the leaves a count is the sum over a key's
+derivations of the product of their counts.  Outside optimization every
+cost is 0 and merging is plain summing.  `root_aggregate` maps the root's
+solution keys to the answer.
 """
 
 from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass
+import math
+import operator
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import BagMismatchError, HandlerFailureError, InvariantError
@@ -35,7 +47,7 @@ class Mode(enum.Enum):
 
 
 class Row:
-    """One table row.
+    """One row of the `Row` store, the only store that keeps derivations.
 
     assignment      bitmask over the sorted bag
     state           the check state, one of:
@@ -111,35 +123,205 @@ class DpTable:
     def __iter__(self):
         return iter(self.rows.values())
 
+    def keys(self):
+        return self.rows.keys()
+
+    def items(self):
+        return self.rows.items()
+
     def total_count(self) -> int:
         return sum(r.count for r in self.rows.values())
 
     def max_witness_set(self) -> int:
         """The largest witness set; 0 for support and CNF tables."""
-        return max(
-            (len(r.state) for r in self.rows.values() if not isinstance(r.state, int)),
-            default=0,
+        return _max_witness_set(self.rows)
+
+
+def _max_witness_set(keys) -> int:
+    return max((len(s) for _, s in keys if not isinstance(s, int)), default=0)
+
+
+def _row_table(entries) -> DpTable:
+    table = DpTable()
+    for row in entries:
+        table.add(row)
+    return table
+
+
+class Values:
+    """A pass's value kind: what its tables map each (assignment, state)
+    key to, and the entry a handler yields for a key.  `leaf(key)` is a
+    leaf's entry; `carry(key, value)` an introduce entry, which keeps the
+    child's value; `forget(atom)` the step `(key, value, bit) -> entry |
+    None` of the node forgetting `atom` with truth `bit`, which charges
+    the atom's cost and weight and gives None when the weight becomes 0;
+    `join(key, left, right)` the entry of a joined pair.  `table(entries)`
+    builds a table, and `total(values)`, None for `Row` tables, gives a
+    lean root's answer from its solution values."""
+
+    __slots__ = ("leaf", "carry", "forget", "join", "table", "total")
+
+    def __init__(self, leaf, carry, forget, join, table, total=None):
+        self.leaf = leaf
+        self.carry = carry
+        self.forget = forget
+        self.join = join
+        self.table = table
+        self.total = total
+
+
+def row_values(costs=None, weights=None) -> Values:
+    """`Row` entries with their derivations.  `costs` and `weights` map
+    an atom to its charges (if false, if true): minimize costs are added
+    and literal weights multiplied when the atom is forgotten."""
+
+    def leaf(key):
+        return Row(*key, 1, weight=Fraction(1) if weights else None)
+
+    def carry(key, row):
+        return Row(*key, row.count, row.cost, row.weight, ((row,),))
+
+    def forget(atom):
+        charge = costs(atom) if costs else (0, 0)
+        factor = weights(atom) if weights else None
+
+        def step(key, row, bit):
+            weight = row.weight
+            if factor:
+                weight = weight * factor[bit]
+                if weight == 0:
+                    return None
+            return Row(*key, row.count, row.cost + charge[bit], weight, ((row,),))
+
+        return step
+
+    def join(key, left, right):
+        weight = left.weight * right.weight if weights else None
+        return Row(
+            *key, left.count * right.count, left.cost + right.cost, weight, ((left, right),)
         )
+
+    return Values(leaf, carry, forget, join, _row_table)
+
+
+def _pair(key, value):
+    return key, value
+
+
+def _lean_table(merge, least):
+    """Tables that map each key to a bare value, merging a key's values
+    with `merge`; `least(values)` is the smallest count, which must be
+    at least 1."""
+
+    def table(entries) -> dict:
+        out: dict = {}
+        get = out.get
+        for key, value in entries:
+            old = get(key)
+            out[key] = value if old is None else merge(old, value)
+        if out and least(out.values()) < 1:
+            raise ValueError("row count must be positive")
+        return out
+
+    return table
+
+
+def _cheapest(old, new):
+    """The merge rule on (cost, count) values: the cheaper value wins,
+    and values of equal cost add their counts."""
+    if new[0] < old[0]:
+        return new
+    if new[0] == old[0]:
+        return old[0], old[1] + new[1]
+    return old
+
+
+def _optimum(values):
+    if not values:
+        return (None, 0)
+    best = min(cost for cost, _ in values)
+    return (best, sum(count for cost, count in values if cost == best))
+
+
+def lean_values(mode: Mode, costs=None, weights=None) -> Values:
+    """Bare values for a pass that reads only the root aggregate: a count
+    for COUNT and DECISION, a (cost, count) pair charged by `costs` for
+    OPTCOUNT, and for WEIGHTED an integer numerator.  Each forgotten
+    variable's two `weights` are written over their common denominator,
+    so numerators multiply as integers, and the root divides once by the
+    product of those denominators."""
+    if mode is Mode.OPTCOUNT:
+
+        def forget(atom):
+            charge = costs(atom) if costs else (0, 0)
+            return lambda key, value, bit: (key, (value[0] + charge[bit], value[1]))
+
+        return Values(
+            lambda key: (key, (0, 1)),
+            _pair,
+            forget,
+            lambda key, left, right: (key, (left[0] + right[0], left[1] * right[1])),
+            _lean_table(_cheapest, lambda values: min(count for _, count in values)),
+            _optimum,
+        )
+    if mode is Mode.WEIGHTED:
+        denominator = 1
+
+        def forget(atom):
+            nonlocal denominator
+            pair = [Fraction(w) for w in weights(atom)]
+            d = math.lcm(*(w.denominator for w in pair))
+            denominator *= d
+            factor = [int(w * d) for w in pair]
+
+            def step(key, value, bit):
+                value *= factor[bit]
+                return (key, value) if value else None
+
+            return step
+
+        def total(values):
+            return Fraction(sum(values), denominator)
+
+    else:
+
+        def forget(atom):
+            return lambda key, value, bit: (key, value)
+
+        total = sum
+    return Values(
+        lambda key: (key, 1),
+        _pair,
+        forget,
+        lambda key, left, right: (key, left * right),
+        _lean_table(operator.add, min),
+        total,
+    )
 
 
 @dataclass
 class Handlers:
-    """One row generator per node kind, each named by its `NodeKind`
-    value and called with the node id, the node and the child tables."""
+    """One entry generator per node kind, each named by its `NodeKind`
+    value and called with the node id, the node and the child tables;
+    `values` is the value kind that makes their entries and tables."""
 
     leaf: callable
     introduce: callable
     forget: callable
     join: callable
+    values: Values = field(default_factory=row_values)
 
 
 class TableStore:
-    def __init__(self, ntd: NiceTreeDecomposition):
+    """A pass's tables by node id.  A lean pass keeps only the root's."""
+
+    def __init__(self, ntd: NiceTreeDecomposition, values: Values):
         self.ntd = ntd
-        self.tables: list[DpTable | None] = [None] * len(ntd.nodes)
+        self.values = values
+        self.tables: list = [None] * len(ntd.nodes)
 
     @property
-    def root_table(self) -> DpTable:
+    def root_table(self):
         return self.tables[self.ntd.root]
 
     def fingerprint(self) -> str:
@@ -151,71 +333,76 @@ class TableStore:
         return "\n".join(parts)
 
 
-def _check_table(node, table: DpTable) -> None:
-    """Each state kind's bound: a support mask lies inside its
-    assignment, so a support table has at most 3^|bag| rows; a witness
-    set has at most 2^(|bag|+1) states and keeps the self-witness; a
-    table without either has at most one row per assignment.  One pass
-    builds a table with one state kind, so its first row tells which."""
+def _check_table(node, keys) -> None:
+    """Each state kind's bound over a table's (assignment, state) keys:
+    a support mask lies inside its assignment, so a support table has at
+    most 3^|bag| keys; a witness set has at most 2^(|bag|+1) states and
+    keeps the self-witness; a table without either has at most one key
+    per assignment.  One pass builds a table with one state kind, so its
+    first key tells which."""
     bag_size = len(node.bag)
-    first = next(iter(table), None)
-    if first is not None and isinstance(first.state, int):
-        if len(table) > 3**bag_size:
+    first = next(iter(keys), None)
+    if first is not None and isinstance(first[1], int):
+        if len(keys) > 3**bag_size:
             raise InvariantError("row bound exceeded for support tables")
-        for row in table:
-            if row.state & ~row.assignment:
+        for assignment, mask in keys:
+            if mask & ~assignment:
                 raise InvariantError("support mask outside the assignment")
         return
+    if {witnesses for _, witnesses in keys} <= {frozenset()}:
+        if len(keys) > (1 << bag_size):
+            raise InvariantError("row bound exceeded for witness-free tables")
+        return
     witness_cap = 1 << (bag_size + 1)
-    witness_free = True
-    for row in table:
-        if len(row.state) > witness_cap:
+    for assignment, witnesses in keys:
+        if len(witnesses) > witness_cap:
             raise InvariantError("witness-set bound exceeded")
-        if row.state:
-            witness_free = False
-            # the non-strict self-witness must survive every step
-            if (row.assignment, False) not in row.state:
-                raise InvariantError("self-witness lost")
-    if witness_free and len(table) > (1 << bag_size):
-        raise InvariantError("row bound exceeded for witness-free tables")
+        # the non-strict self-witness must survive every step
+        if witnesses and (assignment, False) not in witnesses:
+            raise InvariantError("self-witness lost")
 
 
 def traverse(ntd: NiceTreeDecomposition, handlers: Handlers, trace=None) -> TableStore:
-    """Fill a table for every node in post-order from the rows its
-    handler yields.  Handler exceptions are wrapped in
-    HandlerFailureError with the offending node attached."""
-    store = TableStore(ntd)
+    """Fill a table for every node in post-order from the entries its
+    handler yields, through the handlers' value kind.  A lean pass drops
+    each child table once its parent is built.  Handler exceptions are
+    wrapped in HandlerFailureError with the offending node attached."""
+    values = handlers.values
+    store = TableStore(ntd, values)
+    tables = store.tables
     for i, node in enumerate(ntd.nodes):
         try:
-            table = DpTable()
             handler = getattr(handlers, node.kind.value)
-            for row in handler(i, node, *(store.tables[c] for c in node.children)):
-                table.add(row)
-            _check_table(node, table)
+            table = values.table(handler(i, node, *(tables[c] for c in node.children)))
+            _check_table(node, table.keys())
         except Exception as exc:
             raise HandlerFailureError(i, node.kind.value) from exc
-        store.tables[i] = table
+        tables[i] = table
+        if values.total is not None:  # lean: only the root's total is read
+            for c in node.children:
+                tables[c] = None
         if trace is not None:
             record = {
                 "node": i,
                 "type": node.kind.value,
                 "bag": list(node.bag),
                 "rows": len(table),
-                "max_witness_set": table.max_witness_set(),
+                "max_witness_set": _max_witness_set(table.keys()),
             }
             trace.write(json.dumps(record, sort_keys=True) + "\n")
     return store
 
 
-def solution_rows(table: DpTable) -> list[Row]:
-    """Rows with no strict witness left: they describe solutions.  A
-    support row reaching the root is a solution: every true atom was
+def _is_solution(state) -> bool:
+    """A root key with no strict witness left describes solutions.  A
+    support key reaching the root is a solution: every true atom was
     supported when it was forgotten."""
-    return [
-        r
-        for r in table
-        if isinstance(r.state, int) or not any(strict for _, strict in r.state)
-    ]
+    return isinstance(state, int) or not any(strict for _, strict in state)
+
+
+def solution_rows(table: DpTable) -> list[Row]:
+    """The rows whose state describes solutions."""
+    return [r for r in table if _is_solution(r.state)]
 
 
 def purge(store: TableStore) -> TableStore:
@@ -237,7 +424,7 @@ def purge(store: TableStore) -> TableStore:
             for derivation in row.origins:
                 for child, ref in zip(node.children, derivation):
                     marked[child].add(id(ref))
-    out = TableStore(ntd)
+    out = TableStore(ntd, store.values)
     for i, table in enumerate(store.tables):
         out.tables[i] = kept = DpTable()
         for row in table:
@@ -247,11 +434,15 @@ def purge(store: TableStore) -> TableStore:
 
 
 def root_aggregate(store: TableStore, mode: Mode):
-    """Aggregate the root table's solution rows."""
+    """Aggregate the root table's solution keys."""
     ntd = store.ntd
     if ntd.nodes[ntd.root].bag != ():
         raise InvariantError("root bag must be empty")
-    return aggregate(solution_rows(store.root_table), mode)
+    total = store.values.total
+    if total is None:
+        return aggregate(solution_rows(store.root_table), mode)
+    sols = [v for (_, state), v in store.root_table.items() if _is_solution(state)]
+    return bool(sols) if mode is Mode.DECISION else total(sols)
 
 
 def aggregate(sols: list[Row], mode: Mode):
@@ -262,10 +453,7 @@ def aggregate(sols: list[Row], mode: Mode):
     if mode is Mode.DECISION:
         return bool(sols)
     if mode is Mode.OPTCOUNT:
-        if not sols:
-            return (None, 0)
-        best = min(r.cost for r in sols)
-        return (best, sum(r.count for r in sols if r.cost == best))
+        return _optimum([(r.cost, r.count) for r in sols])
     if mode is Mode.WEIGHTED:
         return sum((r.weight for r in sols), Fraction(0))
     raise ValueError(f"unknown mode {mode}")

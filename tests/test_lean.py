@@ -1,0 +1,175 @@
+"""Lean counting tables: the pass behind `aspdp.answer` maps each key to
+a bare value, builds no `Row`, drops each child table once its parent is
+built, and answers and traces exactly as the `Row` store does."""
+
+import io
+import json
+import random
+import tracemalloc
+from fractions import Fraction
+
+import pytest
+
+from tdcount import aspdp, cli, dpcore
+from tdcount.dpcore import Mode, root_aggregate, traverse
+from tdcount.errors import HandlerFailureError
+from tdcount.graphs import instance_graph
+from tdcount.model import CnfFormula
+from tdcount.parsers import parse_ground_program
+from tdcount.satdp import count_models
+from tdcount.treedecomp import decompose
+
+import corpus
+
+HEURISTICS = ("min-fill", "min-degree")
+PROGRAM_MODES = (Mode.COUNT, Mode.DECISION, Mode.OPTCOUNT)
+CNF_MODES = PROGRAM_MODES + (Mode.WEIGHTED,)
+
+
+def weighted_cnf(seed: int) -> CnfFormula:
+    """A corpus CNF with a random rational weight on every literal,
+    about one in seven of them 0."""
+    formula = corpus.random_cnf(seed, weighted=False)
+    rng = random.Random(seed)
+    weights = {
+        lit: Fraction(rng.randint(0, 6), rng.randint(1, 4))
+        for v in range(1, formula.num_vars + 1)
+        for lit in (v, -v)
+    }
+    return CnfFormula(formula.num_vars, formula.clauses, weights)
+
+
+def traced(run, *args, **options):
+    buf = io.StringIO()
+    value = run(*args, trace=buf, **options)
+    return value, buf.getvalue()
+
+
+def test_lean_answers_and_traces_match_the_row_store():
+    cases = [(corpus.random_program(seed), PROGRAM_MODES) for seed in range(150)]
+    cases += [(weighted_cnf(seed), CNF_MODES) for seed in range(150)]
+    kinds = {"support": 0, "witness": 0, "cnf": 0}
+    for instance, modes in cases:
+        if any(rule.is_always_violated() for rule in instance.rules):
+            continue  # answered before any table is built
+        check = aspdp.check_state(instance)
+        kinds["cnf" if check is None else "support" if check is aspdp.SUPPORT else "witness"] += 1
+        for heuristic in HEURISTICS:
+            decomp = decompose(instance_graph(instance), heuristic)
+            for mode in modes:
+                got, lean_trace = traced(aspdp.answer, instance, mode, decomp=decomp)
+                (store, _), row_trace = traced(aspdp.build_store, instance, mode, decomp=decomp)
+                expected = root_aggregate(store, mode)
+                assert got == expected and type(got) is type(expected), (instance, mode)
+                assert lean_trace == row_trace, (instance, heuristic, mode)
+    assert min(kinds.values()) >= 40, kinds
+
+
+def test_lean_pass_builds_no_row_and_keeps_no_child_table(monkeypatch):
+    stores = []
+
+    class Store(dpcore.TableStore):
+        def __init__(self, *args):
+            super().__init__(*args)
+            stores.append(self)
+
+    monkeypatch.setattr(dpcore, "TableStore", Store)
+    monkeypatch.setattr(dpcore, "Row", None)  # building a row would raise
+
+    for instance, mode in [
+        (parse_ground_program("a :- not b. b :- not a. c :- a. #minimize{ 1:c }."), Mode.OPTCOUNT),
+        (parse_ground_program("a :- b. b :- a. a :- not c. c :- not a."), Mode.COUNT),
+        (weighted_cnf(3), Mode.WEIGHTED),
+        (corpus.banded_cnf(1, 40), Mode.DECISION),
+    ]:
+        decomp = decompose(instance_graph(instance))
+        nodes = decomp.ntd.nodes
+        parent = {c: i for i, node in enumerate(nodes) for c in node.children}
+        built = []
+
+        class Trace:
+            def write(self, line):
+                i = json.loads(line)["node"]
+                built.append(i)
+                live = {j for j, t in enumerate(stores[-1].tables) if t is not None}
+                # a table lives from its node until its parent is built
+                assert live == {j for j in range(i + 1) if parent.get(j, i + 1) > i}
+
+        aspdp.answer(instance, mode, decomp=decomp, trace=Trace())
+        assert built == list(range(len(nodes)))
+        assert [t is not None for t in stores[-1].tables].count(True) == 1
+
+
+def test_a_failing_handler_in_the_lean_pass_names_its_node():
+    formula = corpus.banded_cnf(2, 30)
+    decomp = decompose(instance_graph(formula))
+
+    def weights(v):
+        if v == 17:
+            raise RuntimeError("boom")
+        return formula.charges(v)
+
+    handlers = aspdp.make_handlers(
+        decomp.ntd,
+        dpcore.plan_checks(decomp.ntd, formula.rules),
+        check=None,
+        weights=weights,
+        counting=Mode.WEIGHTED,
+    )
+    with pytest.raises(HandlerFailureError) as info:
+        traverse(decomp.ntd, handlers)
+    assert info.value.node_id == decomp.ntd.forget_node_of[17]
+    assert info.value.kind == "forget"
+    assert str(info.value.__cause__) == "boom"
+
+
+def test_lean_table_guards_raise_inside_the_pass():
+    decomp = decompose(instance_graph(parse_ground_program("a.")))
+    for entries in (
+        [((0, frozenset()), 0)],  # a count below 1
+        [((a, frozenset()), 1) for a in range(2)],  # 2 keys in an empty bag
+        [((0, 1), 1)],  # a support mask outside its assignment
+    ):
+
+        def leaf(*_args, entries=entries):
+            yield from entries
+
+        handlers = dpcore.Handlers(leaf, None, None, None, dpcore.lean_values(Mode.COUNT))
+        with pytest.raises(HandlerFailureError) as info:
+            traverse(decomp.ntd, handlers)
+        assert (info.value.node_id, info.value.kind) == (0, "leaf")
+
+
+def test_out_of_memory_in_the_lean_pass_names_its_node(tmp_path, capsys, monkeypatch):
+    lean_values = aspdp.lean_values
+
+    def failing(*args):
+        values = lean_values(*args)
+
+        def table(entries):
+            raise MemoryError
+
+        values.table = table
+        return values
+
+    monkeypatch.setattr(aspdp, "lean_values", failing)
+    path = tmp_path / "p.lp"
+    path.write_text("a :- not b. b :- not a.\n", encoding="utf-8")
+    assert cli.run(["count", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: out of memory (handler failed at node 0 (leaf))\n"
+
+
+def test_lean_pass_memory_stays_flat():
+    # the Row store of this pass peaked near 70 MB under tracemalloc
+    formula = corpus.banded_cnf(1, 2000)
+    decomp = decompose(instance_graph(formula))
+    tracemalloc.start()
+    try:
+        count = count_models(formula, decomp=decomp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count > 2**1000
+    assert peak < 5_000_000, peak

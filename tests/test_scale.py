@@ -83,15 +83,40 @@ def transfer_matrix_weight(n: int, weights: dict[int, Fraction]) -> Fraction:
     return sum(vector)
 
 
-@pytest.mark.parametrize("seed", [1, 2])
-def test_weighted_path_matches_transfer_matrix(seed):
+def random_path_weights(seed: int, n: int) -> dict[int, Fraction]:
     rng = random.Random(seed)
     weights = {}
-    for v in range(1, N + 1):
+    for v in range(1, n + 1):
         weights[v] = Fraction(rng.randint(0, 5), rng.randint(1, 4))
         weights[-v] = Fraction(rng.randint(1, 5), rng.randint(1, 4))
+    return weights
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_weighted_path_matches_transfer_matrix(seed):
+    weights = random_path_weights(seed, N)
     expected = transfer_matrix_weight(N, weights)
     assert weighted_count(path_cnf(N, weights)) == expected
+
+
+BIG = 10_000  # the path and cycle closed forms ten times larger
+
+
+@pytest.mark.parametrize("heuristic", HEURISTICS)
+def test_path_cnf_counts_fibonacci_at_ten_thousand(heuristic):
+    assert count_models(path_cnf(BIG), heuristic=heuristic) == fibonacci(BIG + 2)
+
+
+@pytest.mark.parametrize("heuristic", HEURISTICS)
+def test_cycle_cnf_counts_lucas_at_ten_thousand(heuristic):
+    assert count_models(cycle_cnf(BIG), heuristic=heuristic) == lucas(BIG)
+
+
+@pytest.mark.parametrize("heuristic", HEURISTICS)
+def test_weighted_path_matches_transfer_matrix_at_ten_thousand(heuristic):
+    weights = random_path_weights(3, BIG)
+    expected = transfer_matrix_weight(BIG, weights)
+    assert weighted_count(path_cnf(BIG, weights), heuristic=heuristic) == expected
 
 
 def cnf_as_program(formula: CnfFormula) -> GroundProgram:

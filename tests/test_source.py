@@ -86,8 +86,12 @@ def test_package_has_no_dead_module_level_names():
 
 
 def test_only_dpcore_builds_tables():
-    # handlers yield rows and `dpcore` alone decides which rows a table
-    # keeps, so no other module constructs a table or reaches its dict
+    # handlers yield entries that `dpcore`'s value kinds make, and `dpcore`
+    # alone decides which entries a table keeps, so no other module
+    # constructs a row, a table or a store, reaches a row table's dict, or
+    # calls a value kind's table builder or root total on lean tables
+    built = {"DpTable", "Row", "TableStore", "_lean_table", "_row_table"}
+    reached = {"rows", "table", "total"}
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "dpcore.py":
@@ -97,8 +101,8 @@ def test_only_dpcore_builds_tables():
             if isinstance(node, ast.Call):
                 func = node.func
                 name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                if name == "DpTable":
-                    found.append(f"{path.name}:{node.lineno} DpTable(")
-            elif isinstance(node, ast.Attribute) and node.attr == "rows":
-                found.append(f"{path.name}:{node.lineno} .rows")
+                if name in built:
+                    found.append(f"{path.name}:{node.lineno} {name}(")
+            elif isinstance(node, ast.Attribute) and node.attr in reached:
+                found.append(f"{path.name}:{node.lineno} .{node.attr}")
     assert found == []
