@@ -25,8 +25,9 @@ One planner (`dpcore.plan_checks`), one handler set (`make_handlers`),
 one `build_store` and one `answer` serve programs and CNFs alike: a
 CNF's `rules` are its clauses as constraints, run with an empty state.
 `answer`, behind every count, decision, optimum and weight, runs the
-handlers on lean tables of bare values; `build_store`, for enumeration
-and projection, on `Row` tables that keep derivations.
+handlers on lean tables of the mode's bare values; `build_store`, for
+enumeration and projection, on `Row` tables that carry the same values
+plus their derivations.
 """
 
 from __future__ import annotations
@@ -37,8 +38,9 @@ from .dpcore import (
     Handlers,
     Mode,
     TableStore,
-    aggregate,
+    Values,
     constraint_masks,
+    empty_answer,
     insert_bit,
     lean_values,
     plan_checks,
@@ -170,28 +172,21 @@ def make_handlers(
     plan: dict[int, list[Rule]],
     *,
     check: CheckState | None = WITNESS,
-    costs=None,
-    weights=None,
-    counting: Mode | None = None,
+    values: Values,
 ) -> Handlers:
     """The one handler set, for programs and CNFs alike.  Each handler
-    yields its node's table entries, made by the pass's value kind from
-    a key and the child values; `dpcore.traverse` builds the table.
+    yields its node's table entries, made by the value kind `values`
+    from a key and the child values; `dpcore.traverse` builds the table.
 
     `plan` maps forget nodes to the rules checked there, and `check`
     gives each key's check state and its steps; with None every key
-    keeps an empty state and only the rules are checked.  `costs` and
-    `weights` map an atom to its charges (if false, if true), charged
-    when the atom is forgotten, which happens exactly once, so joins
-    combine them without correction.  Entries whose weight drops to 0
-    contribute nothing and are dropped.  `counting`, the mode of a pass
-    that reads only the root aggregate, gives lean tables of bare values
-    (`dpcore.lean_values`); without it the tables hold `Row`s with their
-    derivations (`dpcore.row_values`)."""
-    if counting is None:
-        values = row_values(costs, weights)
-    else:
-        values = lean_values(counting, costs, weights)
+    keeps an empty state and only the rules are checked.  `values` is
+    one mode's kind (`dpcore.lean_values`), whose lean tables hold bare
+    values, or that kind wrapped by `dpcore.row_values`, whose tables
+    hold `Row`s with their derivations.  The kind charges an atom's cost
+    and weight when the atom is forgotten, which happens exactly once, so
+    joins combine them without correction, and it drops entries whose
+    weight becomes 0, which contribute nothing."""
 
     def leaf(node_id, node):
         yield values.leaf((0, check.start if check else frozenset()))
@@ -267,13 +262,16 @@ def _table_pass(
         decomp = decompose(instance_graph(instance), heuristic, seed, seeds)
     program = isinstance(instance, GroundProgram)
     minimize = instance.minimize if program and mode is Mode.OPTCOUNT else None
+    values = lean_values(
+        mode,
+        costs=minimize.charges if minimize else None,
+        weights=instance.charges if mode is Mode.WEIGHTED else None,
+    )
     handlers = make_handlers(
         decomp.ntd,
         plan_checks(decomp.ntd, instance.rules),
         check=check_state(instance),
-        costs=minimize.charges if minimize else None,
-        weights=instance.charges if mode is Mode.WEIGHTED else None,
-        counting=mode if counting else None,
+        values=values if counting else row_values(values),
     )
     return traverse(decomp.ntd, handlers, trace), decomp
 
@@ -293,7 +291,7 @@ def answer(instance: GroundProgram | CnfFormula, mode: Mode, **options):
     built.  An atomless rule (`:- .`, an empty clause) is never
     satisfied: then no table is built."""
     if any(rule.is_always_violated() for rule in instance.rules):
-        return aggregate([], mode)
+        return empty_answer(mode)
     store, _ = _table_pass(instance, mode, True, **options)
     return root_aggregate(store, mode)
 
@@ -342,7 +340,7 @@ def _materialize(store: TableStore) -> list[frozenset[int]]:
                     for s1 in left[id(lrow)]:
                         gathered.update(s1 | s2 for s2 in right[id(rrow)])
                 result = list(gathered)
-            if len(result) != row.count:
+            if len(result) != row.value:
                 raise InvariantError("materialized sets must match the count")
             built[id(row)] = result
         sets[i] = built

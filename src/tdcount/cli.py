@@ -90,10 +90,14 @@ def _build_parser() -> _Parser:
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        name = "stdin" if path == "-" else path
+        raise _UsageError(f"{name} is not UTF-8 text (byte {exc.start})") from None
 
 
 def _sniff_format(path: str, text: str) -> str:
@@ -298,7 +302,11 @@ def run(argv=None) -> int:
         if args.seed is not None:
             args.resolved_seed = args.seed
         else:
-            args.resolved_seed = int(os.environ.get("TDCOUNT_SEED", "0"))
+            env_seed = os.environ.get("TDCOUNT_SEED", "0")
+            try:
+                args.resolved_seed = int(env_seed)
+            except ValueError:
+                raise _UsageError(f"TDCOUNT_SEED must be an integer, not {env_seed!r}") from None
         text = _read_input(args.path)
         instance = _parse_instance(args, text)
         if args.command in PROGRAM_COMMANDS and not isinstance(instance, GroundProgram):

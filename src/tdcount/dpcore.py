@@ -5,24 +5,26 @@ at one forget node.  A post-order traversal hands each node to a handler,
 which yields the node's table entries, and builds the node's table from
 them.  Every table is keyed by (assignment, state): a bag assignment and
 a check state for stability checking (a support mask for tight programs,
-witness sets for the others, an empty set for CNF).  What a key maps to
-is the pass's value kind (`Values`):
+witness sets for the others, an empty set for CNF).
 
-- `row_values`: a `Row` with exact integer count, integer cost, rational
-  weight and the row's derivations, each with one row per child.  Only
-  this store keeps derivations, so that later passes (purge,
-  enumeration, projection) walk the derivation structure instead of
-  materializing solutions; every table is kept until the pass ends.
-- `lean_values`: a bare value for a pass that reads only the root
-  aggregate: a count, a (cost, count) pair, or a weight numerator over
-  the product of each forgotten variable's common weight denominator.
-  Each child table is dropped once its parent is built.
+Each mode has one value kind (`Values`, made by `lean_values`), which
+writes once what a key's value is and how it is combined: a count
+(COUNT, DECISION), a (cost, count) pair (OPTCOUNT) or a weight numerator
+over the product of each forgotten variable's common weight denominator
+(WEIGHTED); the charges at forget nodes, the product at joins, the merge
+rule of two values of one key and the root total.  A lean pass maps each
+key to its bare value and drops each child table once its parent is
+built.  `row_values` wraps a mode's kind into `Row`s that carry the same
+value plus their derivations, each with one row per child, so that later
+passes (purge, enumeration, projection) walk the derivation structure
+instead of materializing solutions; every `Row` table is kept until the
+pass ends.
 
 A table keeps one value per key, of the cheapest cost seen: values of
 equal cost merge, so above the leaves a count is the sum over a key's
-derivations of the product of their counts.  Outside optimization every
-cost is 0 and merging is plain summing.  `root_aggregate` maps the root's
-solution keys to the answer.
+derivations of the product of their counts.  Outside optimization there
+is no cost and merging is plain summing.  `root_aggregate` maps the
+root's solution keys to the answer.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import enum
 import json
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BagMismatchError, HandlerFailureError, InvariantError
@@ -58,23 +60,20 @@ class Row:
                     - a frozenset of (bitmask, strict) counter-witness
                       states, for other programs;
                     - the empty frozenset, for CNF
-    count           number of distinct decided-atom extensions, >= 1
-    cost            minimize cost of the forgotten atoms below
-    weight          product of the forgotten variables' literal weights
-                    (weighted counting only, else None)
+    value           the pass's value for the row's key, as its mode's
+                    lean kind computes it (`lean_values`): a count, a
+                    (cost, count) pair or a weight numerator
     origins         derivations, each a tuple with one row per child:
                     () at a leaf, ((child,), ...) at an introduce or
                     forget node, ((left, right), ...) at a join node
     """
 
-    __slots__ = ("assignment", "state", "count", "cost", "weight", "origins")
+    __slots__ = ("assignment", "state", "value", "origins")
 
-    def __init__(self, assignment, state, count, cost=0, weight=None, origins=()):
+    def __init__(self, assignment, state, value, origins):
         self.assignment = assignment
         self.state = state
-        self.count = count
-        self.cost = cost
-        self.weight = weight
+        self.value = value
         self.origins = origins
 
     def __repr__(self):  # compact, deterministic; used by store fingerprints
@@ -82,40 +81,15 @@ class Row:
             state = f"s={self.state:b}"
         else:
             state = f"w={sorted(self.state)}"
-        base = f"Row(a={self.assignment:b}, {state}, n={self.count}, c={self.cost}"
-        if self.weight is not None:
-            base += f", wt={self.weight}"
-        return base + ")"
+        return f"Row(a={self.assignment:b}, {state}, v={self.value})"
 
 
 class DpTable:
-    """Rows keyed uniquely by (assignment, state), keeping only the
-    cheapest rows of a key.  A cheaper row replaces the key's row and
-    moves to the end, a dearer row is dropped, and a row of equal cost
-    merges: counts and weights are summed and derivations concatenated.
-    Only cost-minimal rows can extend to optimal solutions, and outside
-    optimization every cost is 0.  A handler derives at most one row per
-    key from each child row (unary nodes) or each joined pair, so no
-    derivation is merged twice."""
+    """`Row`s keyed uniquely by (assignment, state), as the value kind's
+    table builder kept them."""
 
-    def __init__(self):
-        self.rows: dict[tuple, Row] = {}
-
-    def add(self, row: Row) -> None:
-        if row.count < 1:
-            raise ValueError("row count must be positive")
-        key = (row.assignment, row.state)
-        existing = self.rows.get(key)
-        if existing is None:
-            self.rows[key] = row
-        elif row.cost < existing.cost:
-            del self.rows[key]
-            self.rows[key] = row
-        elif row.cost == existing.cost:
-            existing.count += row.count
-            if existing.weight is not None:
-                existing.weight += row.weight
-            existing.origins += row.origins
+    def __init__(self, rows: dict[tuple, Row]):
+        self.rows = rows
 
     def __len__(self):
         return len(self.rows)
@@ -129,9 +103,6 @@ class DpTable:
     def items(self):
         return self.rows.items()
 
-    def total_count(self) -> int:
-        return sum(r.count for r in self.rows.values())
-
     def max_witness_set(self) -> int:
         """The largest witness set; 0 for support and CNF tables."""
         return _max_witness_set(self.rows)
@@ -141,13 +112,6 @@ def _max_witness_set(keys) -> int:
     return max((len(s) for _, s in keys if not isinstance(s, int)), default=0)
 
 
-def _row_table(entries) -> DpTable:
-    table = DpTable()
-    for row in entries:
-        table.add(row)
-    return table
-
-
 class Values:
     """A pass's value kind: what its tables map each (assignment, state)
     key to, and the entry a handler yields for a key.  `leaf(key)` is a
@@ -155,64 +119,31 @@ class Values:
     child's value; `forget(atom)` the step `(key, value, bit) -> entry |
     None` of the node forgetting `atom` with truth `bit`, which charges
     the atom's cost and weight and gives None when the weight becomes 0;
-    `join(key, left, right)` the entry of a joined pair.  `table(entries)`
-    builds a table, and `total(values)`, None for `Row` tables, gives a
-    lean root's answer from its solution values."""
+    `join(key, left, right)` the entry of a joined pair.  `merge(old,
+    new)` is the value of a key that receives a second value: `new`
+    itself when it replaces `old`, `old` itself when `new` is dropped,
+    else a merged value.  `least(values)` is the smallest count of a
+    table, which must be at least 1, and `total(values)` the answer from
+    the root's solution values.  `table(entries)` builds a table: a dict
+    from key to value, or with `derivations` a `DpTable` of `Row`s."""
 
-    __slots__ = ("leaf", "carry", "forget", "join", "table", "total")
+    __slots__ = (
+        "leaf", "carry", "forget", "join", "merge", "least", "total", "derivations", "table"
+    )
 
-    def __init__(self, leaf, carry, forget, join, table, total=None):
+    def __init__(self, leaf, carry, forget, join, merge, least, total, derivations=False):
         self.leaf = leaf
         self.carry = carry
         self.forget = forget
         self.join = join
-        self.table = table
+        self.merge = merge
+        self.least = least
         self.total = total
-
-
-def row_values(costs=None, weights=None) -> Values:
-    """`Row` entries with their derivations.  `costs` and `weights` map
-    an atom to its charges (if false, if true): minimize costs are added
-    and literal weights multiplied when the atom is forgotten."""
-
-    def leaf(key):
-        return Row(*key, 1, weight=Fraction(1) if weights else None)
-
-    def carry(key, row):
-        return Row(*key, row.count, row.cost, row.weight, ((row,),))
-
-    def forget(atom):
-        charge = costs(atom) if costs else (0, 0)
-        factor = weights(atom) if weights else None
-
-        def step(key, row, bit):
-            weight = row.weight
-            if factor:
-                weight = weight * factor[bit]
-                if weight == 0:
-                    return None
-            return Row(*key, row.count, row.cost + charge[bit], weight, ((row,),))
-
-        return step
-
-    def join(key, left, right):
-        weight = left.weight * right.weight if weights else None
-        return Row(
-            *key, left.count * right.count, left.cost + right.cost, weight, ((left, right),)
-        )
-
-    return Values(leaf, carry, forget, join, _row_table)
-
-
-def _pair(key, value):
-    return key, value
+        self.derivations = derivations
+        self.table = (_row_table if derivations else _lean_table)(merge, least)
 
 
 def _lean_table(merge, least):
-    """Tables that map each key to a bare value, merging a key's values
-    with `merge`; `least(values)` is the smallest count, which must be
-    at least 1."""
-
     def table(entries) -> dict:
         out: dict = {}
         get = out.get
@@ -226,9 +157,72 @@ def _lean_table(merge, least):
     return table
 
 
+def _row_table(merge, least):
+    """A key's second row replaces its row and moves to the end, is
+    dropped, or merges into it with the derivations concatenated, as
+    `merge` chose.  A handler derives at most one row per key from each
+    child row (unary nodes) or each joined pair, so no derivation is
+    merged twice."""
+
+    def table(entries) -> DpTable:
+        rows: dict[tuple, Row] = {}
+        get = rows.get
+        for row in entries:
+            key = (row.assignment, row.state)
+            old = get(key)
+            if old is None:
+                rows[key] = row
+                continue
+            value = merge(old.value, row.value)
+            if value is row.value:
+                del rows[key]
+                rows[key] = row
+            elif value is not old.value:
+                old.value = value
+                old.origins += row.origins
+        if rows and least(row.value for row in rows.values()) < 1:
+            raise ValueError("row count must be positive")
+        return DpTable(rows)
+
+    return table
+
+
+def row_values(lean: Values) -> Values:
+    """`Row` entries that carry the values of the lean kind `lean` and
+    their derivations, merged and totalled by `lean`'s rules."""
+
+    def leaf(key):
+        return Row(*key, lean.leaf(key)[1], ())
+
+    def carry(key, row):
+        return Row(*key, row.value, ((row,),))
+
+    def forget(atom):
+        charge = lean.forget(atom)
+
+        def step(key, row, bit):
+            entry = charge(key, row.value, bit)
+            return None if entry is None else Row(*key, entry[1], ((row,),))
+
+        return step
+
+    def join(key, left, right):
+        return Row(*key, lean.join(key, left.value, right.value)[1], ((left, right),))
+
+    def total(rows):
+        return lean.total([row.value for row in rows])
+
+    return Values(leaf, carry, forget, join, lean.merge, lean.least, total, derivations=True)
+
+
+def _pair(key, value):
+    return key, value
+
+
 def _cheapest(old, new):
-    """The merge rule on (cost, count) values: the cheaper value wins,
-    and values of equal cost add their counts."""
+    """The merge rule on (cost, count) values: the cheaper value wins
+    and is returned itself, since only cost-minimal values extend to
+    optimal solutions, and values of equal cost add their counts."""
     if new[0] < old[0]:
         return new
     if new[0] == old[0]:
@@ -244,12 +238,13 @@ def _optimum(values):
 
 
 def lean_values(mode: Mode, costs=None, weights=None) -> Values:
-    """Bare values for a pass that reads only the root aggregate: a count
-    for COUNT and DECISION, a (cost, count) pair charged by `costs` for
-    OPTCOUNT, and for WEIGHTED an integer numerator.  Each forgotten
-    variable's two `weights` are written over their common denominator,
-    so numerators multiply as integers, and the root divides once by the
-    product of those denominators."""
+    """The mode's value kind, with bare values: a count for COUNT and
+    DECISION, a (cost, count) pair charged by `costs` for OPTCOUNT, and
+    for WEIGHTED an integer numerator.  `costs` and `weights` map an atom
+    to its charges (if false, if true).  Each forgotten variable's two
+    `weights` are written over their common denominator, so numerators
+    multiply as integers, and the root divides once by the product of
+    those denominators."""
     if mode is Mode.OPTCOUNT:
 
         def forget(atom):
@@ -261,7 +256,8 @@ def lean_values(mode: Mode, costs=None, weights=None) -> Values:
             _pair,
             forget,
             lambda key, left, right: (key, (left[0] + right[0], left[1] * right[1])),
-            _lean_table(_cheapest, lambda values: min(count for _, count in values)),
+            _cheapest,
+            lambda values: min(count for _, count in values),
             _optimum,
         )
     if mode is Mode.WEIGHTED:
@@ -288,13 +284,14 @@ def lean_values(mode: Mode, costs=None, weights=None) -> Values:
         def forget(atom):
             return lambda key, value, bit: (key, value)
 
-        total = sum
+        total = bool if mode is Mode.DECISION else sum
     return Values(
         lambda key: (key, 1),
         _pair,
         forget,
         lambda key, left, right: (key, left * right),
-        _lean_table(operator.add, min),
+        operator.add,
+        min,
         total,
     )
 
@@ -309,7 +306,7 @@ class Handlers:
     introduce: callable
     forget: callable
     join: callable
-    values: Values = field(default_factory=row_values)
+    values: Values
 
 
 class TableStore:
@@ -378,7 +375,7 @@ def traverse(ntd: NiceTreeDecomposition, handlers: Handlers, trace=None) -> Tabl
         except Exception as exc:
             raise HandlerFailureError(i, node.kind.value) from exc
         tables[i] = table
-        if values.total is not None:  # lean: only the root's total is read
+        if not values.derivations:  # lean: only the root's total is read
             for c in node.children:
                 tables[c] = None
         if trace is not None:
@@ -426,37 +423,23 @@ def purge(store: TableStore) -> TableStore:
                     marked[child].add(id(ref))
     out = TableStore(ntd, store.values)
     for i, table in enumerate(store.tables):
-        out.tables[i] = kept = DpTable()
-        for row in table:
-            if id(row) in marked[i]:
-                kept.add(row)
+        out.tables[i] = DpTable({k: r for k, r in table.items() if id(r) in marked[i]})
     return out
 
 
 def root_aggregate(store: TableStore, mode: Mode):
-    """Aggregate the root table's solution keys."""
+    """The answer from the root table's solution keys, by the store's
+    value kind; DECISION is answered from any store."""
     ntd = store.ntd
     if ntd.nodes[ntd.root].bag != ():
         raise InvariantError("root bag must be empty")
-    total = store.values.total
-    if total is None:
-        return aggregate(solution_rows(store.root_table), mode)
     sols = [v for (_, state), v in store.root_table.items() if _is_solution(state)]
-    return bool(sols) if mode is Mode.DECISION else total(sols)
+    return bool(sols) if mode is Mode.DECISION else store.values.total(sols)
 
 
-def aggregate(sols: list[Row], mode: Mode):
-    """The mode's answer from solution rows: a count, a consistency flag,
-    a (cost, count) pair or a weight; no rows give an inconsistent answer."""
-    if mode is Mode.COUNT:
-        return sum(r.count for r in sols)
-    if mode is Mode.DECISION:
-        return bool(sols)
-    if mode is Mode.OPTCOUNT:
-        return _optimum([(r.cost, r.count) for r in sols])
-    if mode is Mode.WEIGHTED:
-        return sum((r.weight for r in sols), Fraction(0))
-    raise ValueError(f"unknown mode {mode}")
+def empty_answer(mode: Mode):
+    """The mode's answer when no key describes a solution."""
+    return lean_values(mode).total([])
 
 
 def plan_checks(ntd: NiceTreeDecomposition, rules: list[Rule]) -> dict[int, list[Rule]]:

@@ -20,7 +20,14 @@ from tdcount.aspdp import (
     is_consistent,
     make_handlers,
 )
-from tdcount.dpcore import Mode, plan_checks, root_aggregate, traverse
+from tdcount.dpcore import (
+    Mode,
+    lean_values,
+    plan_checks,
+    root_aggregate,
+    row_values,
+    traverse,
+)
 from tdcount.graphs import primal_graph
 from tdcount.model import GroundProgram
 from tdcount.oracle import brute_answer_sets
@@ -67,12 +74,13 @@ def run_on(ntd, text, mode=Mode.COUNT):
     program = parse_ground_program(text)
     plan = plan_checks(ntd, program.rules)
     minimize = program.minimize if mode is Mode.OPTCOUNT else None
-    handlers = make_handlers(ntd, plan, costs=minimize.charges if minimize else None)
+    values = lean_values(mode, costs=minimize.charges if minimize else None)
+    handlers = make_handlers(ntd, plan, values=row_values(values))
     return traverse(ntd, handlers)
 
 
 def rows_of(table):
-    return sorted((r.assignment, tuple(sorted(r.state)), r.count) for r in table)
+    return sorted((r.assignment, tuple(sorted(r.state)), r.value) for r in table)
 
 
 def test_fact_walkthrough():

@@ -233,6 +233,23 @@ def test_seed_env_default(tmp_path, capsys, monkeypatch):
     assert payload["seed"] == 2
 
 
+def test_seed_env_must_be_an_integer(tmp_path, capsys, monkeypatch):
+    path = write(tmp_path, "p.lp", PROG)
+    monkeypatch.setenv("TDCOUNT_SEED", "abc")
+    error = "error: TDCOUNT_SEED must be an integer, not 'abc'\n"
+    assert run(capsys, "count", path) == (1, "", error)
+    # an explicit --seed does not read the environment
+    assert run(capsys, "count", path, "--seed", "2") == (0, "2\n", "")
+
+
+def test_input_that_is_not_utf8_is_an_input_error(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "p.lp"
+    path.write_bytes(b"\xffa.\n")
+    assert run(capsys, "count", str(path)) == (1, "", f"error: {path} is not UTF-8 text (byte 0)\n")
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"a.\n\xfe"), encoding="utf-8"))
+    assert run(capsys, "count", "-") == (1, "", "error: stdin is not UTF-8 text (byte 3)\n")
+
+
 def test_trace_file(tmp_path, capsys):
     path = write(tmp_path, "p.lp", PROG)
     trace = tmp_path / "trace.jsonl"

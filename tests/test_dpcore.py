@@ -3,22 +3,22 @@
 import io
 import json
 import random
-from fractions import Fraction
 
 import pytest
 
 from tdcount import aspdp
 from tdcount.dpcore import (
-    DpTable,
     Handlers,
     Mode,
     Row,
     insert_bit,
+    lean_values,
     plan_checks,
     purge,
     remove_bit,
     require_same_bag,
     root_aggregate,
+    row_values,
     solution_rows,
     traverse,
 )
@@ -47,79 +47,104 @@ def test_insert_and_remove_bit_are_inverse():
                 assert remove_bit(grown, pos) == mask
 
 
+def row_kind(mode=Mode.COUNT):
+    return row_values(lean_values(mode))
+
+
 def test_table_merges_equal_keys():
-    t = DpTable()
-    a = Row(1, NO_WITNESSES, 2, origins=((),))
-    b = Row(1, NO_WITNESSES, 3, origins=((),))
-    t.add(a)
-    t.add(b)
+    t = row_kind().table([Row(1, NO_WITNESSES, 2, ((),)), Row(1, NO_WITNESSES, 3, ((),))])
     assert len(t) == 1
-    assert t.total_count() == 5
+    assert [r.value for r in t] == [5]
 
 
 def test_table_keeps_the_cheapest_rows_of_a_key():
-    t = DpTable()
-    dear = Row(1, NO_WITNESSES, 1, cost=2)
-    other = Row(0, NO_WITNESSES, 1, cost=5)
-    cheap = Row(1, NO_WITNESSES, 3, cost=0)
-    for row in (dear, other, cheap, Row(1, NO_WITNESSES, 4, cost=1)):
-        t.add(row)
+    def rows():  # dear, other, cheap, and one more row of cheap's key
+        return [
+            Row(1, NO_WITNESSES, (2, 1), ()),
+            Row(0, NO_WITNESSES, (5, 1), ()),
+            Row(1, NO_WITNESSES, (0, 3), ()),
+            Row(1, NO_WITNESSES, (1, 4), ()),
+        ]
+
+    table = row_kind(Mode.OPTCOUNT).table
+    _, other, cheap, _ = entries = rows()
     # the cheaper row replaced the dearer one and moved behind `other`;
     # the dearer row that came last was dropped
-    assert list(t) == [other, cheap]
-    t.add(Row(1, NO_WITNESSES, 2, cost=0))
-    assert cheap.count == 5
+    assert list(table(entries)) == [other, cheap]
+    _, other, cheap, _ = entries = rows()
+    assert list(table(entries + [Row(1, NO_WITNESSES, (0, 2), ())])) == [other, cheap]
+    assert cheap.value == (0, 5)
 
 
-def reference_merge(rows):
-    """The merge rule in two passes, as a group-by then a filter: rows
-    (in `Row` argument order) are keyed by (assignment, witnesses, cost)
-    and summed, then each (assignment, witnesses) keeps only its
-    cheapest key, in first-seen order."""
+def reference_merge(entries):
+    """The merge rule in two passes, as a group-by then a filter:
+    entries (assignment, state, cost, amount, origins) are keyed by
+    (assignment, state, cost), their amounts summed and origins
+    concatenated, then each (assignment, state) keeps only its cheapest
+    key, in first-seen order."""
     merged = {}
-    for assignment, witnesses, count, cost, weight, origins in rows:
-        key = (assignment, witnesses, cost)
+    for assignment, state, cost, amount, origins in entries:
+        key = (assignment, state, cost)
         if key in merged:
-            n, wt, seen = merged[key]
-            merged[key] = (n + count, None if wt is None else wt + weight, seen + origins)
+            total, seen = merged[key]
+            merged[key] = (total + amount, seen + origins)
         else:
-            merged[key] = (count, weight, origins)
+            merged[key] = (amount, origins)
     best = {}
-    for assignment, witnesses, cost in merged:
-        k = (assignment, witnesses)
+    for assignment, state, cost in merged:
+        k = (assignment, state)
         best[k] = min(cost, best.get(k, cost))
     return [
-        (assignment, witnesses, count, cost, weight, origins)
-        for (assignment, witnesses, cost), (count, weight, origins) in merged.items()
-        if cost == best[assignment, witnesses]
+        (assignment, state, cost, amount, origins)
+        for (assignment, state, cost), (amount, origins) in merged.items()
+        if cost == best[assignment, state]
     ]
 
 
+def kind_value(mode, cost, amount):
+    return (cost, amount) if mode is Mode.OPTCOUNT else amount
+
+
 def test_table_follows_the_reference_merge_rule():
+    # the same random entries through the lean table and the `Row` table
+    # of each kind: a count, a (cost, count) pair or a weight numerator
     rng = random.Random(7)
     witness_sets = [NO_WITNESSES, frozenset({(0, False)}), frozenset({(0, False), (1, True)})]
+    kinds = {  # the cost the merge rule sees and the amount it sums
+        Mode.COUNT: lambda cost, count, numerator: (0, count),
+        Mode.OPTCOUNT: lambda cost, count, numerator: (cost, count),
+        Mode.WEIGHTED: lambda cost, count, numerator: (0, numerator),
+    }
     replaced = 0
     for _ in range(500):
-        weighted = rng.random() < 0.5
-        rows = [
+        draws = [
             (
                 rng.randrange(3),
                 rng.choice(witness_sets),
-                rng.randint(1, 4),
                 rng.randrange(4),
-                Fraction(rng.randint(1, 5), rng.randint(1, 3)) if weighted else None,
+                rng.randint(1, 4),
+                rng.randint(1, 9),
                 ((tag,),),
             )
             for tag in range(rng.randint(0, 25))
         ]
-        table = DpTable()
-        for row in rows:
-            table.add(Row(*row))
-        got = [(r.assignment, r.state, r.count, r.cost, r.weight, r.origins) for r in table]
-        assert got == reference_merge(rows)
+        for mode, kind in kinds.items():
+            entries = [(a, s, *kind(*draw), o) for a, s, *draw, o in draws]
+            expected = [
+                (a, s, kind_value(mode, cost, amount), o)
+                for a, s, cost, amount, o in reference_merge(entries)
+            ]
+            rows = row_kind(mode).table(
+                Row(a, s, kind_value(mode, cost, amount), o) for a, s, cost, amount, o in entries
+            )
+            assert [(r.assignment, r.state, r.value, r.origins) for r in rows] == expected
+            lean = lean_values(mode).table(
+                ((a, s), kind_value(mode, cost, amount)) for a, s, cost, amount, _ in entries
+            )
+            assert lean == {(a, s): value for a, s, value, _ in expected}
         cheapest = {}
-        for assignment, witnesses, _, cost, _, _ in rows:
-            k = (assignment, witnesses)
+        for assignment, state, cost, *_ in draws:
+            k = (assignment, state)
             replaced += k in cheapest and cost < cheapest[k]
             cheapest[k] = min(cost, cheapest.get(k, cost))
     # cheaper rows often arrive after dearer rows of their key
@@ -128,7 +153,7 @@ def test_table_follows_the_reference_merge_rule():
 
 def test_table_rejects_nonpositive_counts():
     with pytest.raises(ValueError):
-        DpTable().add(Row(0, NO_WITNESSES, 0))
+        row_kind().table([Row(0, NO_WITNESSES, 0, ())])
 
 
 def test_traverse_visits_every_node_in_post_order():
@@ -145,7 +170,7 @@ def test_traverse_wraps_handler_errors():
     def boom(*_args):
         raise RuntimeError("boom")
 
-    handlers = Handlers(leaf=boom, introduce=boom, forget=boom, join=boom)
+    handlers = Handlers(leaf=boom, introduce=boom, forget=boom, join=boom, values=row_kind())
     with pytest.raises(HandlerFailureError) as info:
         traverse(decomp.ntd, handlers)
     assert info.value.node_id == 0
@@ -155,8 +180,8 @@ def test_traverse_wraps_handler_errors():
 @pytest.mark.parametrize(
     "rows",
     [
-        [Row(0, 1, 1)],  # a supported atom that is false
-        [Row(a, 0, 1) for a in range(4)],  # more than 3^0 rows in an empty bag
+        [Row(0, 1, 1, ())],  # a supported atom that is false
+        [Row(a, 0, 1, ()) for a in range(4)],  # more than 3^0 rows in an empty bag
     ],
     ids=["mask-outside-assignment", "row-bound"],
 )
@@ -166,7 +191,7 @@ def test_support_tables_are_checked(rows):
     def leaf(*_args):
         yield from rows
 
-    handlers = Handlers(leaf=leaf, introduce=None, forget=None, join=None)
+    handlers = Handlers(leaf=leaf, introduce=None, forget=None, join=None, values=row_kind())
     with pytest.raises(HandlerFailureError) as info:
         traverse(decomp.ntd, handlers)
     assert isinstance(info.value.__cause__, InvariantError)
@@ -180,12 +205,9 @@ def test_require_same_bag():
 
 
 def test_solution_rows_exclude_strict_witnesses():
-    t = DpTable()
-    good = Row(0, frozenset({(0, False)}), 1)
-    bad = Row(1, frozenset({(1, False), (0, True)}), 1)
-    t.add(good)
-    t.add(bad)
-    assert solution_rows(t) == [good]
+    good = Row(0, frozenset({(0, False)}), 1, ())
+    bad = Row(1, frozenset({(1, False), (0, True)}), 1, ())
+    assert solution_rows(row_kind().table([good, bad])) == [good]
 
 
 def test_purge_preserves_root_aggregate():

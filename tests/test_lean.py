@@ -113,8 +113,7 @@ def test_a_failing_handler_in_the_lean_pass_names_its_node():
         decomp.ntd,
         dpcore.plan_checks(decomp.ntd, formula.rules),
         check=None,
-        weights=weights,
-        counting=Mode.WEIGHTED,
+        values=dpcore.lean_values(Mode.WEIGHTED, weights=weights),
     )
     with pytest.raises(HandlerFailureError) as info:
         traverse(decomp.ntd, handlers)
@@ -143,8 +142,8 @@ def test_lean_table_guards_raise_inside_the_pass():
 def test_out_of_memory_in_the_lean_pass_names_its_node(tmp_path, capsys, monkeypatch):
     lean_values = aspdp.lean_values
 
-    def failing(*args):
-        values = lean_values(*args)
+    def failing(*args, **kwargs):
+        values = lean_values(*args, **kwargs)
 
         def table(entries):
             raise MemoryError
