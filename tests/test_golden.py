@@ -1,6 +1,8 @@
 """Golden digests of the CLI's `--trace` records and `--json` output.
 
-Each case runs one command on one corpus instance and keeps two digests:
+Each case runs one command on one corpus instance and keeps two digests
+(`pmc` projects a CNF onto fixed variables: every second of a corpus
+CNF's, every third of a banded CNF's):
 `json` hashes the JSON payload (its `elapsed_ms` removed) and the exit
 code, `trace` hashes the trace file.  The digests in
 `golden_digests.json` pin the table pass's observable behaviour: row
@@ -25,7 +27,7 @@ import corpus
 
 DIGESTS = Path(__file__).with_name("golden_digests.json")
 PROGRAM_COMMANDS = ("count", "optcount", "solve")
-CNF_COMMANDS = ("mc", "wmc")
+CNF_COMMANDS = ("mc", "wmc", "pmc")
 
 
 def _program_seeds():
@@ -42,29 +44,39 @@ def _program_seeds():
     return sorted(with_min + without)
 
 
+def _cnf_case(name, formula, step):
+    """A CNF case; `pmc` projects onto every `step`-th variable from 1."""
+    project = ",".join(str(v) for v in range(1, formula.num_vars + 1, step))
+    extra = {"pmc": ["--project-vars", project]}
+    commands = [(command, extra.get(command, [])) for command in CNF_COMMANDS]
+    return name, ".cnf", corpus.dimacs_text(formula), commands
+
+
 def instances():
-    """(name, file suffix, text, commands) for every golden instance."""
+    """(name, file suffix, text, [(command, extra arguments)]) for every
+    golden instance."""
     out = []
     for seed in _program_seeds():
         program = corpus.random_program(seed, max_atoms=10, max_rules=15)
-        out.append((f"program-{seed}", ".lp", render_program(program), PROGRAM_COMMANDS))
+        commands = [(command, []) for command in PROGRAM_COMMANDS]
+        out.append((f"program-{seed}", ".lp", render_program(program), commands))
     for seed in range(17):
         formula = corpus.random_cnf(seed, max_vars=15, max_clauses=25, weighted=True)
-        out.append((f"cnf-{seed}", ".cnf", corpus.dimacs_text(formula), CNF_COMMANDS))
+        out.append(_cnf_case(f"cnf-{seed}", formula, 2))
     for seed in (1, 2, 3):
-        formula = corpus.banded_cnf(seed, 40)
-        out.append((f"banded-{seed}", ".cnf", corpus.dimacs_text(formula), CNF_COMMANDS))
+        out.append(_cnf_case(f"banded-{seed}", corpus.banded_cnf(seed, 40), 3))
     return out
 
 
-def digest(command: str, suffix: str, text: str) -> dict[str, str]:
+def digest(command: str, suffix: str, text: str, extra=()) -> dict[str, str]:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / f"instance{suffix}"
         path.write_text(text)
         trace = Path(tmp) / "trace.jsonl"
         out = io.StringIO()
+        argv = [command, str(path), *extra, "--json", "--trace", str(trace)]
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            code = cli.run([command, str(path), "--json", "--trace", str(trace)])
+            code = cli.run(argv)
         payload = json.loads(out.getvalue())
         payload.pop("elapsed_ms")
         answer = hashlib.sha256(json.dumps(payload, sort_keys=True).encode())
@@ -77,16 +89,16 @@ def digest(command: str, suffix: str, text: str) -> dict[str, str]:
 
 def all_digests() -> dict[str, dict[str, str]]:
     return {
-        f"{command}:{name}": digest(command, suffix, text)
+        f"{command}:{name}": digest(command, suffix, text, extra)
         for name, suffix, text, commands in instances()
-        for command in commands
+        for command, extra in commands
     }
 
 
 def test_trace_and_json_match_golden_digests():
     expected = json.loads(DIGESTS.read_text())
     actual = all_digests()
-    assert len(actual) == 100
+    assert len(actual) == 120
     assert sorted(actual) == sorted(expected)
     differing = [
         f"{key} {half}"
