@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import enum
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
 from .errors import InvariantError, ParseError
@@ -116,7 +117,8 @@ def _greedy(adj, heuristic: str, seed: int, defer):
     tied vertices in ascending order; a single lowest vertex is taken
     without a draw, so it leaves the generator's state alone.
 
-    Each live vertex keeps its score, indexed by (deferred, score).  Only
+    Each live vertex keeps its score, indexed by (deferred, score) in a
+    bucket kept sorted, so a draw needs no sort of the ties.  Only
     the vertices whose score eliminating v can change are re-scored once
     the caller has eliminated v: N(v) under min-degree, N(v) ∪ N(N(v))
     minus v under min-fill (fill-in edges join two vertices of N(v))."""
@@ -129,23 +131,23 @@ def _greedy(adj, heuristic: str, seed: int, defer):
     deferred = frozenset(defer)
     rng = random.Random(seed)
     key = {}  # live vertex -> (deferred, score); False sorts first
-    index: dict[tuple[bool, int], set[int]] = {}  # key -> live vertices
+    index: dict[tuple[bool, int], list[int]] = {}  # key -> sorted live vertices
 
     def place(u, k):
         key[u] = k
-        index.setdefault(k, set()).add(u)
+        insort(index.setdefault(k, []), u)
 
     def unplace(u):
         k = key.pop(u)
         bucket = index[k]
-        bucket.discard(u)
+        del bucket[bisect_left(bucket, u)]
         if not bucket:
             del index[k]
 
     for v in range(len(adj)):
         place(v, (v in deferred, score(adj, v)))
     while index:
-        ties = sorted(index[min(index)])
+        ties = index[min(index)]
         v = ties[0] if len(ties) == 1 else rng.choice(ties)
         unplace(v)
         touched = set(adj[v])
