@@ -25,9 +25,11 @@ One planner (`dpcore.plan_checks`), one handler set (`make_handlers`),
 one `build_store` and one `answer` serve programs and CNFs alike: a
 CNF's `rules` are its clauses as constraints, run with an empty state.
 `answer`, behind every count, decision, optimum and weight, runs the
-handlers on lean tables of the mode's bare values; `build_store`, for
-enumeration and projection, on `Row` tables that carry the same values
-plus their derivations.
+handlers on lean tables of the mode's bare values (`mode_values`);
+`build_store`, for enumeration and the projection pass of programs, on
+`Row` tables that carry the same values plus their derivations.
+`table_pass` runs them with any value kind, as the one pass of
+projected CNF counting does.
 """
 
 from __future__ import annotations
@@ -245,33 +247,37 @@ def make_handlers(
     return Handlers(leaf, introduce, forget, join, values)
 
 
-def _table_pass(
+def mode_values(instance: GroundProgram | CnfFormula, mode: Mode) -> Values:
+    """The mode's lean value kind for the instance: OPTCOUNT charges a
+    program's minimize costs and WEIGHTED a CNF's literal weights."""
+    program = isinstance(instance, GroundProgram)
+    minimize = instance.minimize if program and mode is Mode.OPTCOUNT else None
+    return lean_values(
+        mode,
+        costs=minimize.charges if minimize else None,
+        weights=instance.charges if mode is Mode.WEIGHTED else None,
+    )
+
+
+def table_pass(
     instance: GroundProgram | CnfFormula,
-    mode: Mode,
-    counting: bool,
+    values: Values,
     heuristic: str = "min-fill",
     seed: int = 0,
     seeds: int = 1,
     trace=None,
     decomp: DecompResult | None = None,
 ) -> tuple[TableStore, DecompResult]:
-    """Run the table pass; `counting` picks lean tables.  The instance
-    picks the keys' check state (`check_state`).  OPTCOUNT charges
-    minimize costs and WEIGHTED literal weights."""
+    """Run the one handler set with the value kind `values`, on lean
+    tables unless it keeps derivations.  The instance picks the keys'
+    check state (`check_state`)."""
     if decomp is None:
         decomp = decompose(instance_graph(instance), heuristic, seed, seeds)
-    program = isinstance(instance, GroundProgram)
-    minimize = instance.minimize if program and mode is Mode.OPTCOUNT else None
-    values = lean_values(
-        mode,
-        costs=minimize.charges if minimize else None,
-        weights=instance.charges if mode is Mode.WEIGHTED else None,
-    )
     handlers = make_handlers(
         decomp.ntd,
         plan_checks(decomp.ntd, instance.rules),
         check=check_state(instance),
-        values=values if counting else row_values(values),
+        values=values,
     )
     return traverse(decomp.ntd, handlers, trace), decomp
 
@@ -282,7 +288,7 @@ def build_store(
     """The `Row` store of every node, with derivations, for the callers
     that read more than the root aggregate; caller picks the aggregate.
     Options: heuristic, seed, seeds, trace, decomp."""
-    return _table_pass(instance, mode, False, **options)
+    return table_pass(instance, row_values(mode_values(instance, mode)), **options)
 
 
 def answer(instance: GroundProgram | CnfFormula, mode: Mode, **options):
@@ -292,7 +298,7 @@ def answer(instance: GroundProgram | CnfFormula, mode: Mode, **options):
     satisfied: then no table is built."""
     if any(rule.is_always_violated() for rule in instance.rules):
         return empty_answer(mode)
-    store, _ = _table_pass(instance, mode, True, **options)
+    store, _ = table_pass(instance, mode_values(instance, mode), **options)
     return root_aggregate(store, mode)
 
 

@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 parse or usage problems or an --oracle-check
 mismatch (any command, `td-stats` included), 2 unsupported rule types,
 brute-force size guards, an instance too deep for the recursive
-projection pass of `pcount`/`pmc`, or running out of memory (also inside
+projection pass of `pcount`, or running out of memory (also inside
 the table pass); `solve` exits 10 when consistent and 20 when
 inconsistent.  Each error is one `error:` line on stderr.
 """

@@ -12,7 +12,10 @@ writes once what a key's value is and how it is combined: a count
 (COUNT, DECISION), a (cost, count) pair (OPTCOUNT) or a weight numerator
 over the product of each forgotten variable's common weight denominator
 (WEIGHTED); the charges at forget nodes, the product at joins, the merge
-rule of two values of one key and the root total.  A lean pass maps each
+rule of two values of one key and the root total.  `projected_values`
+is one more kind, a projected count, whose merge rule follows the atom a
+forget node forgets: OR for an unprojected atom, SUM for a projected
+one.  A lean pass maps each
 key to its bare value and drops each child table once its parent is
 built.  `row_values` wraps a mode's kind into `Row`s that carry the same
 value plus their derivations, each with one row per child, so that later
@@ -38,7 +41,7 @@ from fractions import Fraction
 
 from .errors import BagMismatchError, HandlerFailureError, InvariantError
 from .model import Rule
-from .treedecomp import NiceTreeDecomposition
+from .treedecomp import NiceTreeDecomposition, NodeKind
 
 
 class Mode(enum.Enum):
@@ -122,25 +125,42 @@ class Values:
     `join(key, left, right)` the entry of a joined pair.  `merge(old,
     new)` is the value of a key that receives a second value: `new`
     itself when it replaces `old`, `old` itself when `new` is dropped,
-    else a merged value.  `least(values)` is the smallest count of a
-    table, which must be at least 1, and `total(values)` the answer from
-    the root's solution values.  `table(entries)` builds a table: a dict
-    from key to value, or with `derivations` a `DpTable` of `Row`s."""
+    else a merged value; `merge_at(atom)`, when given, is instead the
+    merge rule of the node forgetting `atom`.  `least(values)` is the
+    smallest count of a table, which must be at least 1, and
+    `total(values)` the answer from the root's solution values.
+    `table(entries)` builds a table: a dict from key to value, or with
+    `derivations` a `DpTable` of `Row`s; `forget_table(atom)` is the
+    builder of the node forgetting `atom`.  `mode` is the `Mode` whose
+    answer `total` gives, None for a projected count."""
 
     __slots__ = (
-        "leaf", "carry", "forget", "join", "merge", "least", "total", "derivations", "table"
+        "leaf", "carry", "forget", "join", "merge", "merge_at", "least", "total",
+        "derivations", "mode", "table",
     )
 
-    def __init__(self, leaf, carry, forget, join, merge, least, total, derivations=False):
+    def __init__(
+        self, leaf, carry, forget, join, merge, least, total,
+        derivations=False, mode=None, merge_at=None,
+    ):
         self.leaf = leaf
         self.carry = carry
         self.forget = forget
         self.join = join
         self.merge = merge
+        self.merge_at = merge_at
         self.least = least
         self.total = total
         self.derivations = derivations
+        self.mode = mode
         self.table = (_row_table if derivations else _lean_table)(merge, least)
+
+    def forget_table(self, atom):
+        """`table`, or with `merge_at` a builder by its rule for `atom`."""
+        if self.merge_at is None:
+            return self.table
+        builder = _row_table if self.derivations else _lean_table
+        return builder(self.merge_at(atom), self.least)
 
 
 def _lean_table(merge, least):
@@ -212,7 +232,10 @@ def row_values(lean: Values) -> Values:
     def total(rows):
         return lean.total([row.value for row in rows])
 
-    return Values(leaf, carry, forget, join, lean.merge, lean.least, total, derivations=True)
+    return Values(
+        leaf, carry, forget, join, lean.merge, lean.least, total,
+        derivations=True, mode=lean.mode, merge_at=lean.merge_at,
+    )
 
 
 def _pair(key, value):
@@ -259,6 +282,7 @@ def lean_values(mode: Mode, costs=None, weights=None) -> Values:
             _cheapest,
             lambda values: min(count for _, count in values),
             _optimum,
+            mode=mode,
         )
     if mode is Mode.WEIGHTED:
         denominator = 1
@@ -293,6 +317,34 @@ def lean_values(mode: Mode, costs=None, weights=None) -> Values:
         operator.add,
         min,
         total,
+        mode=mode,
+    )
+
+
+def _first(old, new):
+    return old
+
+
+def projected_values(projected) -> Values:
+    """The projected count's kind, for a check-free pass on a
+    decomposition where no unprojected forget has a projected forget
+    below it (the path condition).  A key's value is the number of
+    distinct projections, onto the atoms of `projected` forgotten below,
+    of the key's extensions.  A forget of an unprojected atom takes the
+    OR: no projected atom is forgotten below it, so every value there is
+    1, "some extension exists", and a key keeps its first.  A forget of a
+    projected atom takes the SUM, since its two values project apart.  A
+    join takes the product, since its two sides forget disjoint atoms,
+    and the total is the sum of the root's values.  A check-free pass
+    merges keys only at forget nodes, so only their rule matters."""
+
+    def merge_at(atom):
+        return operator.add if atom in projected else _first
+
+    count = lean_values(Mode.COUNT)
+    return Values(
+        count.leaf, count.carry, count.forget, count.join, count.merge, count.least,
+        count.total, merge_at=merge_at,
     )
 
 
@@ -370,7 +422,8 @@ def traverse(ntd: NiceTreeDecomposition, handlers: Handlers, trace=None) -> Tabl
     for i, node in enumerate(ntd.nodes):
         try:
             handler = getattr(handlers, node.kind.value)
-            table = values.table(handler(i, node, *(tables[c] for c in node.children)))
+            build = values.forget_table(node.vertex) if node.kind is NodeKind.FORGET else values.table
+            table = build(handler(i, node, *(tables[c] for c in node.children)))
             _check_table(node, table.keys())
         except Exception as exc:
             raise HandlerFailureError(i, node.kind.value) from exc
@@ -427,14 +480,30 @@ def purge(store: TableStore) -> TableStore:
     return out
 
 
-def root_aggregate(store: TableStore, mode: Mode):
-    """The answer from the root table's solution keys, by the store's
-    value kind; DECISION is answered from any store."""
+def _root_values(store: TableStore) -> list:
+    """The values of the root table's solution keys."""
     ntd = store.ntd
     if ntd.nodes[ntd.root].bag != ():
         raise InvariantError("root bag must be empty")
-    sols = [v for (_, state), v in store.root_table.items() if _is_solution(state)]
-    return bool(sols) if mode is Mode.DECISION else store.values.total(sols)
+    return [v for (_, state), v in store.root_table.items() if _is_solution(state)]
+
+
+def root_total(store: TableStore):
+    """The answer from the root table's solution keys, by the store's
+    value kind."""
+    return store.values.total(_root_values(store))
+
+
+def root_aggregate(store: TableStore, mode: Mode):
+    """The mode's answer from the root table's solution keys.  The store
+    must have been built for `mode`, since another kind's total would be
+    a wrong answer; DECISION is answered from any store."""
+    if mode is Mode.DECISION:
+        return bool(_root_values(store))
+    if store.values.mode is not mode:
+        kind = store.values.mode.value if store.values.mode else "projected"
+        raise InvariantError(f"a {kind} store cannot answer {mode.value}")
+    return root_total(store)
 
 
 def empty_answer(mode: Mode):

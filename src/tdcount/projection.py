@@ -1,5 +1,21 @@
-"""Projected counting: a pass from the root's solution rows down their
-derivations, so it reads only rows some solution uses and needs no purge.
+"""Projected counting, by one of two passes.
+
+On a CNF whose decomposition meets the path condition (`one_pass_holds`:
+no forget of an unprojected vertex has a forget of a projected one
+below it), one lean table pass counts the projections (Fichte, Hecher,
+Morak and Woltran, SAT 2018): a key's value is the number of distinct
+projections of its extensions onto the projected vertices forgotten
+below, taken as the OR at an unprojected forget, the SUM at a projected
+forget and the product at a join (`dpcore.projected_values`).  The
+decomposition `projected_count` builds eliminates the projected vertices
+last, so it meets the condition.
+
+Programs, and CNFs on a caller-given decomposition that fails the
+condition, take `ProjectionPass`: a pass from the root's solution rows
+of the `Row` store down their derivations, so it reads only rows some
+solution uses and needs no purge.  A program's keys of one assignment
+but distinct check states may carry the same projection, so summing
+over them could count one projection twice.
 
 For a set of rows O at a node, `pmc` is the number of distinct
 projections of extensions compatible with at least one row of O, and
@@ -26,11 +42,11 @@ from __future__ import annotations
 from itertools import combinations
 
 from . import aspdp
-from .dpcore import Mode, Row, TableStore, solution_rows
+from .dpcore import Mode, Row, TableStore, projected_values, root_total, solution_rows
 from .errors import InvariantError, ProjectionOutOfRangeError
 from .graphs import instance_graph
 from .model import CnfFormula, GroundProgram
-from .treedecomp import NodeKind, decompose
+from .treedecomp import NiceTreeDecomposition, NodeKind, decompose
 
 
 def _subsets(items):
@@ -182,6 +198,21 @@ def projection_vertices(instance, projection) -> set[int]:
     raise TypeError(f"cannot project a {type(instance).__name__}")
 
 
+def one_pass_holds(ntd: NiceTreeDecomposition, vertices) -> bool:
+    """The path condition of the one pass: no forget of a vertex outside
+    `vertices` has a forget of one inside below it."""
+    below = [False] * len(ntd.nodes)  # a projected forget at or below
+    for i, node in enumerate(ntd.nodes):
+        under = any(below[c] for c in node.children)
+        if node.kind is NodeKind.FORGET:
+            if node.vertex in vertices:
+                under = True
+            elif under:
+                return False
+        below[i] = under
+    return True
+
+
 def projected_count(instance, projection, **options) -> int:
     """Number of distinct projections of answer sets (programs, atom
     ids) or models (CNF, 1-based variables) onto `projection`."""
@@ -190,9 +221,8 @@ def projected_count(instance, projection, **options) -> int:
         return 0
     if options.get("decomp") is None:
         # Eliminating the projected vertices last makes forgets follow the
-        # elimination order along every branch, so below the first
-        # projected forget each row admits a single projection and the
-        # inclusion-exclusion recursions bottom out early.
+        # elimination order along every branch: every unprojected forget
+        # lies below every projected one, the one pass's path condition
         options["decomp"] = decompose(
             instance_graph(instance),
             options.pop("heuristic", "min-fill"),
@@ -200,5 +230,8 @@ def projected_count(instance, projection, **options) -> int:
             options.pop("seeds", 1),
             defer=vertices,
         )
+    if isinstance(instance, CnfFormula) and one_pass_holds(options["decomp"].ntd, vertices):
+        store, _ = aspdp.table_pass(instance, projected_values(vertices), **options)
+        return root_total(store)
     store, _ = aspdp.build_store(instance, Mode.COUNT, **options)
     return ProjectionPass(store, vertices).root_value()

@@ -129,24 +129,49 @@ def test_pmc_rejects_bad_variables(tmp_path, capsys):
     assert run(capsys, "pmc", path, "--project-vars", "x")[0] == 1
 
 
-def test_pmc_too_deep_for_projection_exits_two(tmp_path):
-    # the projection pass recurses once per node of a path, so a
-    # 1500-variable path projected onto every variable exceeds the
-    # default recursion limit; the CLI reports it in one line
+def _subprocess(*argv, stdin=None, **env):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), **env)
+    return subprocess.run(
+        [sys.executable, "-m", "tdcount", *argv],
+        input=stdin, capture_output=True, env=env, timeout=120,
+    )
+
+
+def test_deep_pmc_counts_the_path_in_one_pass(tmp_path):
+    # a 1500-variable path projected onto every variable: the one table
+    # pass of projected CNF counting does not recurse, so it answers
+    # the path's model count F(n+2), with F(1) = F(2) = 1
     n = 1500
     clauses = "".join(f"{i} {i + 1} 0\n" for i in range(1, n))
     path = write(tmp_path, "path.cnf", f"p cnf {n} {n - 1}\n{clauses}")
     project = ",".join(str(v) for v in range(1, n + 1))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    out = subprocess.run(
-        [sys.executable, "-m", "tdcount", "pmc", path, "--project-vars", project],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    out = _subprocess("pmc", path, "--project-vars", project)
+    a, b = 0, 1  # F(0), F(1)
+    for _ in range(n + 2):
+        a, b = b, a + b
+    assert (out.returncode, out.stderr) == (0, b"")
+    assert out.stdout == f"{a}\n".encode()
+
+
+@pytest.mark.parametrize(
+    "rules",
+    [
+        lambda n: "a0.\n" + "".join(f"a{i + 1} :- a{i}.\n" for i in range(n - 1)),
+        lambda n: "".join(f"a{i} :- not a{i + 1}.\n" for i in range(n - 1)),
+    ],
+    ids=["implications", "negations"],
+)
+def test_pcount_too_deep_for_projection_exits_two(tmp_path, rules):
+    # programs keep the recursive projection pass, which recurses once
+    # per node of a path: a 1500-atom chain projected onto every atom
+    # exceeds the default recursion limit, and the CLI says so in one line
+    n = 1500
+    path = write(tmp_path, "chain.lp", rules(n))
+    project = ",".join(f"a{i}" for i in range(n))
+    out = _subprocess("pcount", path, "--project", project)
     assert out.returncode == 2
-    assert out.stdout == ""
-    assert "Traceback" not in out.stderr
-    assert len(out.stderr.splitlines()) == 1
-    assert out.stderr.startswith("error: instance too deep for the projection pass")
+    assert out.stdout == b""
+    assert out.stderr == b"error: instance too deep for the projection pass\n"
 
 
 def test_format_sniffing(tmp_path, capsys):

@@ -291,3 +291,19 @@ def test_root_aggregate_modes():
     assert root_aggregate(store, Mode.DECISION) is True
     _, store, _ = build("a :- not a.", mode=Mode.OPTCOUNT)
     assert root_aggregate(store, Mode.OPTCOUNT) == (None, 0)
+
+
+def test_root_aggregate_rejects_a_store_of_another_mode():
+    # a COUNT store totals counts; read as OPTCOUNT it would answer 2,
+    # the number of answer sets, for a program with one optimal one
+    text = "a :- not b. b :- not a. #minimize{ 1:a }."
+    _, store, _ = build(text, mode=Mode.COUNT)
+    with pytest.raises(InvariantError):
+        root_aggregate(store, Mode.OPTCOUNT)
+    with pytest.raises(InvariantError):
+        root_aggregate(store, Mode.WEIGHTED)
+    assert root_aggregate(store, Mode.DECISION) is True
+    _, store, _ = build(text, mode=Mode.OPTCOUNT)
+    assert root_aggregate(store, Mode.OPTCOUNT) == (0, 1)
+    with pytest.raises(InvariantError):
+        root_aggregate(store, Mode.COUNT)

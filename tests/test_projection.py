@@ -1,6 +1,8 @@
-"""Projected counting via inclusion-exclusion down the derivations of
-the root's solution rows."""
+"""Projected counting: one OR/SUM table pass for CNFs on decompositions
+that meet its path condition, and otherwise inclusion-exclusion down
+the derivations of the root's solution rows."""
 
+import io
 import random
 
 import pytest
@@ -11,7 +13,12 @@ from tdcount.errors import ProjectionOutOfRangeError
 from tdcount.graphs import instance_graph
 from tdcount.oracle import brute_projected_count
 from tdcount.parsers import parse_dimacs, parse_ground_program
-from tdcount.projection import ProjectionPass, projected_count, projection_vertices
+from tdcount.projection import (
+    ProjectionPass,
+    one_pass_holds,
+    projected_count,
+    projection_vertices,
+)
 from tdcount.satdp import count_models
 from tdcount.treedecomp import NodeKind, decompose
 
@@ -211,3 +218,74 @@ def test_projected_count_runs_no_purge(monkeypatch):
     monkeypatch.setattr(projection, "purge", no_purge, raising=False)
     assert projected_count(program, {2}) == 2
     assert projected_count(formula, {1, 3}) == 3
+
+
+def test_cnf_projections_match_oracle_on_both_paths():
+    # deferred decompositions, built by projected_count, meet the path
+    # condition and take the one pass; caller-given plain ones take it
+    # when they happen to meet it, and ProjectionPass otherwise
+    rng = random.Random(409)
+    paths = {True: 0, False: 0}
+    for heuristic in ("min-fill", "min-degree"):
+        for seed in range(160):
+            f = corpus.random_cnf(seed, weighted=False)
+            n = f.num_vars
+            proj = set(rng.sample(range(1, n + 1), rng.randint(0, n)))
+            expected = brute_projected_count(f, proj)
+            vertices = projection_vertices(f, proj)
+            graph = instance_graph(f)
+            deferred = decompose(graph, heuristic, seed, defer=vertices)
+            assert one_pass_holds(deferred.ntd, vertices)
+            got = projected_count(f, proj, heuristic=heuristic, seed=seed)
+            assert got == expected, (heuristic, seed, sorted(proj))
+            plain = decompose(graph, heuristic, seed)
+            paths[one_pass_holds(plain.ntd, vertices)] += 1
+            got = projected_count(f, proj, decomp=plain)
+            assert got == expected, (heuristic, seed, sorted(proj))
+    assert min(paths.values()) >= 100, paths
+
+
+def test_decomposition_failing_the_path_condition_takes_the_fallback(monkeypatch):
+    # deferring the unprojected variables forgets the projected one
+    # first, below them: one table pass would OR over counts above 1
+    from tdcount import projection
+
+    f = parse_dimacs("p cnf 3 2\n1 -2 0\n2 3 0\n")
+    decomp = decompose(instance_graph(f), defer={0, 2})
+    assert not one_pass_holds(decomp.ntd, {1})
+
+    def no_one_pass(*args, **kwargs):
+        raise AssertionError("the one pass ran")
+
+    monkeypatch.setattr(projection, "projected_values", no_one_pass)
+    assert projected_count(f, {2}, decomp=decomp) == brute_projected_count(f, {2}) == 2
+
+
+def test_one_pass_builds_no_row_store(monkeypatch):
+    from tdcount import aspdp, projection
+
+    def no_store(*args, **kwargs):
+        raise AssertionError("a Row store or projection pass was built")
+
+    monkeypatch.setattr(aspdp, "build_store", no_store)
+    monkeypatch.setattr(projection, "ProjectionPass", no_store)
+    for seed in range(40):
+        f = corpus.random_cnf(seed, weighted=False)
+        proj = set(range(1, f.num_vars + 1, 2))
+        assert projected_count(f, proj) == brute_projected_count(f, proj), seed
+    banded = corpus.banded_cnf(1, 60)
+    assert projected_count(banded, set(range(1, 61, 5))) > 0
+
+
+def test_one_pass_trace_matches_the_row_store():
+    # the one pass keeps the Row store's keys; only the values differ
+    for seed in range(40):
+        f = corpus.random_cnf(seed, weighted=False)
+        if any(rule.is_always_violated() for rule in f.rules):
+            continue
+        proj = set(range(1, f.num_vars + 1, 3))
+        decomp = decompose(instance_graph(f), defer=projection_vertices(f, proj))
+        one_pass, row_store = io.StringIO(), io.StringIO()
+        projected_count(f, proj, decomp=decomp, trace=one_pass)
+        build_store(f, Mode.COUNT, decomp=decomp, trace=row_store)
+        assert one_pass.getvalue() == row_store.getvalue(), seed

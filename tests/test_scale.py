@@ -119,6 +119,14 @@ def test_weighted_path_matches_transfer_matrix_at_ten_thousand(heuristic):
     assert weighted_count(path_cnf(BIG, weights), heuristic=heuristic) == expected
 
 
+@pytest.mark.parametrize("heuristic", HEURISTICS)
+def test_path_cnf_projected_onto_odd_variables_at_ten_thousand(heuristic):
+    # setting every even variable true satisfies each clause, so every
+    # assignment of the ⌈n/2⌉ odd variables extends to a model
+    odd = set(range(1, BIG + 1, 2))
+    assert projected_count(path_cnf(BIG), odd, heuristic=heuristic) == 2 ** ((BIG + 1) // 2)
+
+
 def cnf_as_program(formula: CnfFormula) -> GroundProgram:
     """Variable i (0-based) becomes atom i with its complement atom n+i
     on an even loop, `x :- not x'. x' :- not x.`, and each clause the
