@@ -90,9 +90,13 @@ def _build_parser() -> _Parser:
 
 
 def _read_input(path: str) -> str:
+    """The input's text, decoded strictly as UTF-8.  Stdin is read as
+    bytes when it has a byte layer, since its text layer may let bad
+    bytes through (UTF-8 mode decodes with surrogateescape)."""
     try:
         if path == "-":
-            return sys.stdin.read()
+            raw = getattr(sys.stdin, "buffer", None)
+            return sys.stdin.read() if raw is None else raw.read().decode("utf-8")
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:

@@ -275,6 +275,16 @@ def test_input_that_is_not_utf8_is_an_input_error(tmp_path, capsys, monkeypatch)
     assert run(capsys, "count", "-") == (1, "", "error: stdin is not UTF-8 text (byte 3)\n")
 
 
+def test_stdin_that_is_not_utf8_is_an_input_error_in_utf8_mode():
+    # UTF-8 mode decodes stdin with surrogateescape, which would pass the
+    # bad byte on to the parser; stdin is read as bytes instead
+    out = _subprocess("count", "-", stdin=b"a.\n\xff", PYTHONUTF8="1")
+    assert (out.returncode, out.stdout) == (1, b"")
+    assert out.stderr == b"error: stdin is not UTF-8 text (byte 3)\n"
+    out = _subprocess("count", "-", stdin="% café\na.\n".encode(), PYTHONUTF8="1")
+    assert (out.returncode, out.stdout, out.stderr) == (0, b"1\n", b"")
+
+
 def test_trace_file(tmp_path, capsys):
     path = write(tmp_path, "p.lp", PROG)
     trace = tmp_path / "trace.jsonl"
