@@ -422,7 +422,9 @@ def traverse(ntd: NiceTreeDecomposition, handlers: Handlers, trace=None) -> Tabl
     for i, node in enumerate(ntd.nodes):
         try:
             handler = getattr(handlers, node.kind.value)
-            build = values.forget_table(node.vertex) if node.kind is NodeKind.FORGET else values.table
+            build = values.table
+            if node.kind is NodeKind.FORGET:
+                build = values.forget_table(node.vertex)
             table = build(handler(i, node, *(tables[c] for c in node.children)))
             _check_table(node, table.keys())
         except Exception as exc:

@@ -71,11 +71,7 @@ class ProjectionPass:
         # projects to the row's own projected bag assignment, so the
         # counts are immediate: distinct buckets for a union, 1 for an
         # intersection
-        self._pforget_below = [False] * len(self.ntd.nodes)
-        for i, node in enumerate(self.ntd.nodes):
-            self._pforget_below[i] = (
-                node.kind is NodeKind.FORGET and node.vertex in self.proj
-            ) or any(self._pforget_below[c] for c in node.children)
+        self._pforget_below = _projected_forget_below(self.ntd, self.proj)
         self._pmc_cache: dict[tuple[int, frozenset], int] = {}
         self._pairs_cache: dict[tuple[int, frozenset], int] = {}
 
@@ -198,19 +194,26 @@ def projection_vertices(instance, projection) -> set[int]:
     raise TypeError(f"cannot project a {type(instance).__name__}")
 
 
+def _projected_forget_below(ntd: NiceTreeDecomposition, vertices) -> list[bool]:
+    """Per node, whether a forget of a vertex of `vertices` lies at or
+    below it."""
+    below: list[bool] = []
+    for node in ntd.nodes:
+        below.append(
+            (node.kind is NodeKind.FORGET and node.vertex in vertices)
+            or any(below[c] for c in node.children)
+        )
+    return below
+
+
 def one_pass_holds(ntd: NiceTreeDecomposition, vertices) -> bool:
     """The path condition of the one pass: no forget of a vertex outside
     `vertices` has a forget of one inside below it."""
-    below = [False] * len(ntd.nodes)  # a projected forget at or below
-    for i, node in enumerate(ntd.nodes):
-        under = any(below[c] for c in node.children)
-        if node.kind is NodeKind.FORGET:
-            if node.vertex in vertices:
-                under = True
-            elif under:
-                return False
-        below[i] = under
-    return True
+    below = _projected_forget_below(ntd, vertices)
+    return not any(
+        node.kind is NodeKind.FORGET and node.vertex not in vertices and below[node.children[0]]
+        for node in ntd.nodes
+    )
 
 
 def projected_count(instance, projection, **options) -> int:
