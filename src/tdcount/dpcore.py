@@ -482,30 +482,20 @@ def purge(store: TableStore) -> TableStore:
     return out
 
 
-def _root_values(store: TableStore) -> list:
-    """The values of the root table's solution keys."""
-    ntd = store.ntd
-    if ntd.nodes[ntd.root].bag != ():
-        raise InvariantError("root bag must be empty")
-    return [v for (_, state), v in store.root_table.items() if _is_solution(state)]
-
-
-def root_total(store: TableStore):
-    """The answer from the root table's solution keys, by the store's
-    value kind."""
-    return store.values.total(_root_values(store))
-
-
 def root_aggregate(store: TableStore, mode: Mode):
     """The mode's answer from the root table's solution keys.  The store
     must have been built for `mode`, since another kind's total would be
     a wrong answer; DECISION is answered from any store."""
+    ntd = store.ntd
+    if ntd.nodes[ntd.root].bag != ():
+        raise InvariantError("root bag must be empty")
+    sols = [v for (_, state), v in store.root_table.items() if _is_solution(state)]
     if mode is Mode.DECISION:
-        return bool(_root_values(store))
+        return bool(sols)
     if store.values.mode is not mode:
         kind = store.values.mode.value if store.values.mode else "projected"
         raise InvariantError(f"a {kind} store cannot answer {mode.value}")
-    return root_total(store)
+    return store.values.total(sols)
 
 
 def empty_answer(mode: Mode):

@@ -42,7 +42,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from . import aspdp
-from .dpcore import Mode, Row, TableStore, projected_values, root_total, solution_rows
+from .dpcore import Mode, Row, TableStore, projected_values, solution_rows
 from .errors import InvariantError, ProjectionOutOfRangeError
 from .graphs import instance_graph
 from .model import CnfFormula, GroundProgram
@@ -235,6 +235,6 @@ def projected_count(instance, projection, **options) -> int:
         )
     if isinstance(instance, CnfFormula) and one_pass_holds(options["decomp"].ntd, vertices):
         store, _ = aspdp.table_pass(instance, projected_values(vertices), **options)
-        return root_total(store)
+        return sum(store.root_table.values())  # a CNF's keys are all solutions
     store, _ = aspdp.build_store(instance, Mode.COUNT, **options)
     return ProjectionPass(store, vertices).root_value()
