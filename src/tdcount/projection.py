@@ -225,7 +225,9 @@ def projected_count(instance, projection, **options) -> int:
     if options.get("decomp") is None:
         # Eliminating the projected vertices last makes forgets follow the
         # elimination order along every branch: every unprojected forget
-        # lies below every projected one, the one pass's path condition
+        # lies below every projected one, the one pass's path condition,
+        # and for programs each row below the first projected forget
+        # admits a single projection, so inclusion-exclusion bottoms out
         options["decomp"] = decompose(
             instance_graph(instance),
             options.pop("heuristic", "min-fill"),
