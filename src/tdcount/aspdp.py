@@ -56,7 +56,7 @@ from .dpcore import (
 )
 from .errors import InvariantError
 from .graphs import instance_graph
-from .model import CnfFormula, GroundProgram, Rule
+from .model import CnfFormula, GroundProgram, Rule, has_atomless_rule
 from .treedecomp import DecompResult, NiceTreeDecomposition, NodeKind, decompose
 
 
@@ -296,7 +296,7 @@ def answer(instance: GroundProgram | CnfFormula, mode: Mode, **options):
     keeps no derivations and drops each child table once its parent is
     built.  An atomless rule (`:- .`, an empty clause) is never
     satisfied: then no table is built."""
-    if any(rule.is_always_violated() for rule in instance.rules):
+    if has_atomless_rule(instance):
         return empty_answer(mode)
     store, _ = table_pass(instance, mode_values(instance, mode), **options)
     return root_aggregate(store, mode)
@@ -364,7 +364,7 @@ def enumerate_answer_sets(program: GroundProgram, limit: int | None = None, **op
     sorted atom tuples, stopping after `limit` when given."""
     if limit is not None and limit <= 0:
         return
-    if program.is_trivially_inconsistent():
+    if has_atomless_rule(program):
         return
     store, _ = build_store(program, Mode.COUNT, **options)
     yield from islice(_materialize(purge(store)), limit)

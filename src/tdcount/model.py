@@ -28,9 +28,11 @@ class Rule:
     def atoms(self) -> frozenset[int]:
         return self.head | self.body_pos | self.body_neg
 
-    def is_always_violated(self) -> bool:
-        # no head and no body: the constraint can never be satisfied
-        return not self.atoms
+
+def has_atomless_rule(instance: GroundProgram | CnfFormula) -> bool:
+    """True when some rule (`:- .`, or an empty clause) has no atoms: it
+    is never satisfied, so the instance has no answer set or model."""
+    return any(not rule.atoms for rule in instance.rules)
 
 
 @dataclass
@@ -85,7 +87,7 @@ class GroundProgram:
         return len(self.atoms)
 
     def is_trivially_inconsistent(self) -> bool:
-        return any(r.is_always_violated() for r in self.rules)
+        return has_atomless_rule(self)
 
     def is_tight(self) -> bool:
         """True when the positive dependency graph, with an edge from
@@ -191,7 +193,7 @@ class CnfFormula:
         return len(self.clauses)
 
     def has_empty_clause(self) -> bool:
-        return any(not c for c in self.clauses)
+        return has_atomless_rule(self)
 
     def literal_weight(self, lit: int) -> Fraction:
         if self.weights is None:

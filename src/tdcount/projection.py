@@ -45,7 +45,7 @@ from . import aspdp
 from .dpcore import Mode, Row, TableStore, projected_values, solution_rows
 from .errors import InvariantError, ProjectionOutOfRangeError
 from .graphs import instance_graph
-from .model import CnfFormula, GroundProgram
+from .model import CnfFormula, GroundProgram, has_atomless_rule
 from .treedecomp import NiceTreeDecomposition, NodeKind, decompose
 
 
@@ -220,7 +220,7 @@ def projected_count(instance, projection, **options) -> int:
     """Number of distinct projections of answer sets (programs, atom
     ids) or models (CNF, 1-based variables) onto `projection`."""
     vertices = projection_vertices(instance, projection)
-    if any(rule.is_always_violated() for rule in instance.rules):
+    if has_atomless_rule(instance):
         return 0
     if options.get("decomp") is None:
         # Eliminating the projected vertices last makes forgets follow the

@@ -49,7 +49,7 @@ def test_parse_disjunction_and_constraint():
 def test_parse_degenerate_constraint():
     p = parse_ground_program(":- .")
     assert len(p.rules) == 1
-    assert p.rules[0].is_always_violated()
+    assert not p.rules[0].atoms
     assert p.is_trivially_inconsistent()
 
 
@@ -274,7 +274,7 @@ def test_cnf_rules_are_clause_constraints():
         Rule(frozenset(), frozenset({2}), frozenset()),
         Rule(frozenset(), frozenset(), frozenset()),
     ]
-    assert f.rules[2].is_always_violated()
+    assert not f.rules[2].atoms
     assert "rules" not in repr(f)
 
 
