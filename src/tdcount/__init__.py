@@ -32,6 +32,7 @@ from .model import Atom, CnfFormula, GroundProgram, MinimizeStatement, Rule, ren
 from .oracle import (
     brute_answer_sets,
     brute_count_models,
+    brute_optimum,
     brute_projected_count,
     brute_treewidth,
     brute_weighted_count,

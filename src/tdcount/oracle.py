@@ -69,6 +69,18 @@ def brute_answer_sets(program: GroundProgram) -> list[frozenset[int]]:
     return out
 
 
+def brute_optimum(program: GroundProgram) -> tuple[int | None, int]:
+    """(lowest cost of an answer set, number of answer sets at that
+    cost); (None, 0) when there is none.  A missing minimize statement
+    costs 0."""
+    minimize = program.minimize
+    costs = [minimize.cost_of(s) if minimize else 0 for s in brute_answer_sets(program)]
+    if not costs:
+        return None, 0
+    best = min(costs)
+    return best, costs.count(best)
+
+
 def brute_projected_count(instance, projection) -> int:
     """Distinct projections of answer sets (programs) or models (CNF)."""
     if isinstance(instance, GroundProgram):

@@ -30,7 +30,7 @@ from tdcount.dpcore import (
 )
 from tdcount.graphs import primal_graph
 from tdcount.model import GroundProgram
-from tdcount.oracle import brute_answer_sets
+from tdcount.oracle import brute_answer_sets, brute_optimum
 from tdcount.parsers import parse_dimacs, parse_ground_program
 from tdcount.projection import projected_count
 from tdcount.satdp import count_models, weighted_count
@@ -283,20 +283,10 @@ def test_decision_matches_oracle():
         assert is_consistent(program) == bool(brute_answer_sets(program)), seed
 
 
-def oracle_optcount(program):
-    sets_ = brute_answer_sets(program)
-    if not sets_:
-        return (None, 0)
-    m = program.minimize
-    costs = [m.cost_of(s) if m else 0 for s in sets_]
-    best = min(costs)
-    return (best, costs.count(best))
-
-
 def test_optcount_matches_oracle():
     for seed in range(150):
         program = corpus.random_program(seed)
-        assert count_optimal(program) == oracle_optcount(program), seed
+        assert count_optimal(program) == brute_optimum(program), seed
 
 
 def test_enumerate_matches_oracle():
