@@ -1,11 +1,12 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 1 parse or usage problems or an --oracle-check
-mismatch (any command, `td-stats` included), 2 unsupported rule types,
-brute-force size guards, an instance too deep for the recursive
-projection pass of `pcount`, or running out of memory (also inside
-the table pass); `solve` exits 10 when consistent and 20 when
-inconsistent.  Each error is one `error:` line on stderr.
+mismatch (any command, `td-stats` and `enumerate --limit` included), 2
+unsupported rule types, brute-force size guards, an instance too deep
+for the recursive projection pass of `pcount`, or running out of memory
+(also inside the table pass); `solve` exits 10 when consistent and 20
+when inconsistent.  Each error is one `error:` line on stderr.
+`pcount --project` names atoms as `enumerate` prints them.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import json
 import os
 import sys
 import time
+from typing import Callable, NamedTuple
 
 from . import aspdp, oracle, satdp
 from .errors import (
@@ -29,9 +31,6 @@ from .model import CnfFormula, GroundProgram
 from .parsers import parse_dimacs, parse_ground_program, parse_smodels
 from .projection import projected_count, projection_vertices
 from .treedecomp import decompose, lowest_width, seeded_decompositions, validate_td
-
-PROGRAM_COMMANDS = {"count", "solve", "enumerate", "optcount", "pcount"}
-CNF_COMMANDS = {"mc", "wmc", "pmc"}
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -50,45 +49,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="tdcount", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "count": "count answer sets",
-        "solve": "decide consistency (exit 10/20)",
-        "enumerate": "list answer sets",
-        "optcount": "optimal cost and number of optimal answer sets",
-        "pcount": "projected answer-set count",
-        "mc": "count CNF models",
-        "wmc": "weighted CNF model count",
-        "pmc": "projected CNF model count",
-        "td-stats": "decomposition width statistics",
-    }
-    for name, help_text in commands.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("path", help="input file, or - for stdin")
-        p.add_argument("--graph", choices=["primal", "incidence"], default="primal")
-        p.add_argument("--heuristic", choices=["min-fill", "min-degree"], default="min-fill")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument(
-            "--seeds",
-            type=int,
-            default=5 if name == "td-stats" else 1,
-            help="number of consecutive seeds to try",
-        )
-        p.add_argument("--format", choices=["asp", "smodels", "dimacs", "auto"], default="auto")
-        p.add_argument("--json", action="store_true")
-        p.add_argument("--trace", metavar="FILE", help="line-delimited JSON per-node trace")
-        p.add_argument("--oracle-check", action="store_true")
-        if name == "pcount":
-            p.add_argument("--project", default="", help="comma-separated atom names")
-        if name == "pmc":
-            p.add_argument("--project-vars", default="", help="comma-separated variables")
-        if name == "enumerate":
-            p.add_argument("--limit", type=int, default=None)
-    return parser
-
-
 def _read_input(path: str) -> str:
     """The input's text, decoded strictly as UTF-8.  Stdin is read as
     bytes when it has a byte layer, since its text layer may let bad
@@ -104,19 +64,17 @@ def _read_input(path: str) -> str:
         raise _UsageError(f"{name} is not UTF-8 text (byte {exc.start})") from None
 
 
+PARSERS = {"asp": parse_ground_program, "smodels": parse_smodels, "dimacs": parse_dimacs}
+EXTENSIONS = {
+    "asp": (".lp", ".asp"),
+    "dimacs": (".cnf", ".dimacs", ".wcnf"),
+    "smodels": (".sm", ".smodels", ".lparse"),
+}
+
+
 def _sniff_format(path: str, text: str) -> str:
-    lowered = path.lower()
-    for ext, fmt in (
-        (".lp", "asp"),
-        (".asp", "asp"),
-        (".cnf", "dimacs"),
-        (".dimacs", "dimacs"),
-        (".wcnf", "dimacs"),
-        (".sm", "smodels"),
-        (".smodels", "smodels"),
-        (".lparse", "smodels"),
-    ):
-        if lowered.endswith(ext):
+    for fmt, extensions in EXTENSIONS.items():
+        if path.lower().endswith(extensions):
             return fmt
     # a DIMACS header cannot be an ASP rule; a `c` line may be either
     for raw in text.splitlines():
@@ -131,23 +89,14 @@ def _sniff_format(path: str, text: str) -> str:
     return "asp"
 
 
-def _parse_instance(args, text: str):
-    fmt = args.format
-    if fmt == "auto":
-        fmt = _sniff_format(args.path, text)
-    if fmt == "asp":
-        return parse_ground_program(text)
-    if fmt == "smodels":
-        return parse_smodels(text)
-    return parse_dimacs(text)
-
-
 def _csv_items(raw: str) -> list[str]:
     return [item.strip() for item in raw.split(",") if item.strip()]
 
 
 def _project_atoms(program: GroundProgram, raw: str) -> set[int]:
-    by_name = {a.name: a.id for a in program.atoms if a.name is not None}
+    """The atoms `raw` names, named as `enumerate` prints them (`x0`,
+    `x1`, ... for atoms without a name)."""
+    by_name = {name: a for a, name in enumerate(program.atom_names())}
     out = set()
     for name in _csv_items(raw):
         if name not in by_name:
@@ -169,128 +118,168 @@ def _project_vars(formula: CnfFormula, raw: str) -> set[int]:
     return out
 
 
-def _td_stats(args, instance) -> tuple[dict, int]:
-    """Width statistics, and exit 1 if --oracle-check finds a bad decomposition."""
+def _projected(instance, projection, **options) -> int:
+    try:
+        return projected_count(instance, projection, **options)
+    except RecursionError:
+        raise TooLargeError("instance too deep for the projection pass") from None
+
+
+def _first_answer_sets(program: GroundProgram, limit: int | None) -> list[frozenset[int]]:
+    """The oracle's answer sets in `enumerate`'s order (sorted by sorted
+    atom tuple), the first `limit` of them when given."""
+    found = sorted(oracle.brute_answer_sets(program), key=sorted)
+    return found if limit is None else found[: max(limit, 0)]
+
+
+def _verdict(program, consistent: bool):
+    text = "CONSISTENT" if consistent else "INCONSISTENT"
+    return text.lower(), [text], EXIT_CONSISTENT if consistent else EXIT_INCONSISTENT
+
+
+def _answer_sets(program, sets):
+    names = program.atom_names()
+    rows = [[names[a] for a in sorted(s)] for s in sets]
+    return rows, [" ".join(row) for row in rows], EXIT_OK
+
+
+def _optimum(program, optimum):
+    cost, count = optimum
+    lines = ["INCONSISTENT"] if cost is None else [f"{cost} {count}"]
+    return {"cost": cost, "count": count}, lines, EXIT_OK
+
+
+def _run_command(command, args, instance, trace):
+    """Decompose, answer, and under --oracle-check compare with the
+    oracle, showing a list of answer sets by its length.  Returns
+    (result-for-json, text-lines, width, seed, exit-code)."""
+    keywords = command.keywords(instance, args)
+    projection = keywords.get("projection")
+    defer = () if projection is None else projection_vertices(instance, projection)
+    decomp = decompose(
+        instance_graph(instance), args.heuristic, args.resolved_seed, args.seeds, defer=defer
+    )
+    value = command.answer(instance, decomp=decomp, trace=trace, **keywords)
+    result, lines, code = command.output(instance, value)
+    if args.oracle_check:
+        expected = command.oracle(instance, **keywords)
+        shown = [len(v) if isinstance(v, list) else v for v in (value, expected)]
+        if value == expected:
+            print(f"oracle-check: ok ({shown[1]})", file=sys.stderr)
+        else:
+            print(f"oracle-check: mismatch dp={shown[0]} oracle={shown[1]}", file=sys.stderr)
+            code = EXIT_MISMATCH
+    return result, lines, decomp.width, decomp.seed, code
+
+
+def _td_stats(command, args, instance, trace):
+    """Width statistics per seed; --oracle-check validates each seed's
+    decomposition and exits 1 if one fails."""
     graph = instance_graph(instance, args.graph)
     tried = []
     code = EXIT_OK
-    for s, w, td in seeded_decompositions(
-        graph, args.heuristic, args.resolved_seed, args.seeds
-    ):
-        if args.oracle_check:
-            violation = validate_td(graph, td)
-            if violation is not None:
-                print(f"oracle-check: mismatch seed={s} {violation}", file=sys.stderr)
-                code = EXIT_MISMATCH
+    for s, w, td in seeded_decompositions(graph, args.heuristic, args.resolved_seed, args.seeds):
+        violation = validate_td(graph, td) if args.oracle_check else None
+        if violation is not None:
+            print(f"oracle-check: mismatch seed={s} {violation}", file=sys.stderr)
+            code = EXIT_MISMATCH
         tried.append((s, w))
     best_seed, best_width = lowest_width(tried)
     if args.oracle_check and code == EXIT_OK:
         print(f"oracle-check: ok ({len(tried)} decompositions)", file=sys.stderr)
-    return {
+    stats = {
         "graph": args.graph,
         "widths": [{"seed": s, "width": w} for s, w in tried],
         "best_seed": best_seed,
         "best_width": best_width,
-    }, code
+    }
+    lines = [f"seed={s} width={w}" for s, w in tried]
+    lines.append(f"best seed={best_seed} width={best_width}")
+    return stats, lines, best_width, best_seed, code
 
 
-def _run_command(args, instance, trace):
-    """Returns (result-for-json, text-lines, width, seed, exit-code)."""
-    cmd = args.command
+class Command(NamedTuple):
+    """One subcommand: what the parser, the input check and the run read."""
 
-    if cmd == "td-stats":
-        stats, code = _td_stats(args, instance)
-        lines = [f"seed={w['seed']} width={w['width']}" for w in stats["widths"]]
-        lines.append(f"best seed={stats['best_seed']} width={stats['best_width']}")
-        return stats, lines, stats["best_width"], stats["best_seed"], code
+    help: str
+    reads: type | None  # GroundProgram, CnfFormula, or None for either
+    answer: Callable | None = None  # (instance, decomp=, trace=, **keywords): the table pass
+    oracle: Callable | None = None  # (instance, **keywords) by brute force; reads oracle.* then
+    # (instance, answer) -> (--json result, text lines, exit code)
+    output: Callable = lambda instance, value: (value, [str(value)], EXIT_OK)
+    flag: tuple[str, dict] | None = None  # its own option: (name, add_argument options)
+    keywords: Callable = lambda instance, args: {}  # what answer and oracle take from `flag`
+    run: Callable = _run_command  # the whole command; td-stats has its own
+    seeds: int = 1  # default of --seeds
 
-    proj = None
-    if cmd == "pcount":
-        proj = _project_atoms(instance, args.project)
-    elif cmd == "pmc":
-        proj = _project_vars(instance, args.project_vars)
-    defer = () if proj is None else projection_vertices(instance, proj)
-    decomp = decompose(
-        instance_graph(instance), args.heuristic, args.resolved_seed, args.seeds, defer=defer
-    )
-    opts = {"decomp": decomp, "trace": trace}
-    code = EXIT_OK
-    check = None  # under --oracle-check: (agrees, dp value shown, oracle value shown)
 
-    if cmd == "count":
-        result = aspdp.count_answer_sets(instance, **opts)
-        lines = [str(result)]
-        if args.oracle_check:
-            expected = len(oracle.brute_answer_sets(instance))
-            check = (result == expected, result, expected)
-
-    elif cmd == "solve":
-        consistent = aspdp.is_consistent(instance, **opts)
-        if args.oracle_check:
-            expected = bool(oracle.brute_answer_sets(instance))
-            check = (consistent == expected, consistent, expected)
-        text = "CONSISTENT" if consistent else "INCONSISTENT"
-        result, lines = text.lower(), [text]
-        code = EXIT_CONSISTENT if consistent else EXIT_INCONSISTENT
-
-    elif cmd == "enumerate":
-        names = instance.atom_names()
-        sets = list(aspdp.enumerate_answer_sets(instance, limit=args.limit, **opts))
-        if args.oracle_check and args.limit is None:
-            expected = sorted(oracle.brute_answer_sets(instance), key=sorted)
-            check = (sets == expected, len(sets), len(expected))
-        result = [[names[a] for a in sorted(s)] for s in sets]
-        lines = [" ".join(row) for row in result]
-
-    elif cmd == "optcount":
-        cost, count = aspdp.count_optimal(instance, **opts)
-        if args.oracle_check:
-            answer_sets = oracle.brute_answer_sets(instance)
-            if not answer_sets:
-                expected = (None, 0)
-            else:
-                minimize = instance.minimize
-                costs = [minimize.cost_of(s) if minimize else 0 for s in answer_sets]
-                best = min(costs)
-                expected = (best, costs.count(best))
-            check = ((cost, count) == expected, (cost, count), expected)
-        result = {"cost": cost, "count": count}
-        lines = ["INCONSISTENT"] if cost is None else [f"{cost} {count}"]
-
-    elif cmd in ("pcount", "pmc"):
-        try:
-            result = projected_count(instance, proj, **opts)
-        except RecursionError:
-            raise TooLargeError("instance too deep for the projection pass") from None
-        lines = [str(result)]
-        if args.oracle_check:
-            expected = oracle.brute_projected_count(instance, proj)
-            check = (result == expected, result, expected)
-
-    elif cmd in ("mc", "wmc"):
-        weighted = cmd == "wmc"
-        value = (satdp.weighted_count if weighted else satdp.count_models)(instance, **opts)
+COMMANDS = {
+    "count": Command(
+        "count answer sets", GroundProgram, aspdp.count_answer_sets,
+        lambda program: len(oracle.brute_answer_sets(program)),
+    ),
+    "solve": Command(
+        "decide consistency (exit 10/20)", GroundProgram, aspdp.is_consistent,
+        lambda program: bool(oracle.brute_answer_sets(program)), _verdict,
+    ),
+    "enumerate": Command(
+        "list answer sets", GroundProgram,
+        lambda program, **options: list(aspdp.enumerate_answer_sets(program, **options)),
+        _first_answer_sets, _answer_sets, ("--limit", {"type": int, "default": None}),
+        lambda program, args: {"limit": args.limit},
+    ),
+    "optcount": Command(
+        "optimal cost and number of optimal answer sets", GroundProgram, aspdp.count_optimal,
+        lambda program: oracle.brute_optimum(program), _optimum,
+    ),
+    "pcount": Command(
+        "projected answer-set count", GroundProgram, _projected,
+        lambda program, projection: oracle.brute_projected_count(program, projection),
+        flag=("--project", {"default": "", "help": "comma-separated atom names"}),
+        keywords=lambda program, args: {"projection": _project_atoms(program, args.project)},
+    ),
+    "mc": Command(
+        "count CNF models", CnfFormula, satdp.count_models,
+        lambda formula: oracle.brute_count_models(formula),
+    ),
+    "wmc": Command(
+        "weighted CNF model count", CnfFormula, satdp.weighted_count,
+        lambda formula: oracle.brute_weighted_count(formula),
         # JSON gives a weight as its string, a count as a number
-        result, lines = str(value) if weighted else value, [str(value)]
-        if args.oracle_check:
-            brute = oracle.brute_weighted_count if weighted else oracle.brute_count_models
-            expected = brute(instance)
-            check = (value == expected, value, expected)
+        lambda formula, weight: (str(weight), [str(weight)], EXIT_OK),
+    ),
+    "pmc": Command(
+        "projected CNF model count", CnfFormula, _projected,
+        lambda formula, projection: oracle.brute_projected_count(formula, projection),
+        flag=("--project-vars", {"default": "", "help": "comma-separated variables"}),
+        keywords=lambda formula, args: {"projection": _project_vars(formula, args.project_vars)},
+    ),
+    "td-stats": Command("decomposition width statistics", None, run=_td_stats, seeds=5),
+}
 
-    else:
-        raise _UsageError(f"unknown command {cmd!r}")
+EXPECTS = {GroundProgram: "a ground program", CnfFormula: "a DIMACS formula"}
 
-    if check is not None:
-        agrees, dp_value, oracle_value = check
-        if agrees:
-            print(f"oracle-check: ok ({oracle_value})", file=sys.stderr)
-        else:
-            print(
-                f"oracle-check: mismatch dp={dp_value} oracle={oracle_value}",
-                file=sys.stderr,
-            )
-            code = EXIT_MISMATCH
-    return result, lines, decomp.width, decomp.seed, code
+
+def _build_parser() -> _Parser:
+    parser = _Parser(prog="tdcount", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        p.add_argument("path", help="input file, or - for stdin")
+        p.add_argument("--graph", choices=["primal", "incidence"], default="primal")
+        p.add_argument("--heuristic", choices=["min-fill", "min-degree"], default="min-fill")
+        p.add_argument("--seed", type=int, default=None)
+        p.add_argument(
+            "--seeds", type=int, default=command.seeds, help="number of consecutive seeds to try"
+        )
+        p.add_argument("--format", choices=[*PARSERS, "auto"], default="auto")
+        p.add_argument("--json", action="store_true")
+        p.add_argument("--trace", metavar="FILE", help="line-delimited JSON per-node trace")
+        p.add_argument("--oracle-check", action="store_true")
+        if command.flag is not None:
+            flag, options = command.flag
+            p.add_argument(flag, **options)
+    return parser
 
 
 def run(argv=None) -> int:
@@ -299,27 +288,25 @@ def run(argv=None) -> int:
     trace = error = failed_at = None
     try:
         args = parser.parse_args(argv)
-        if args.command != "td-stats" and args.graph == "incidence":
+        command = COMMANDS[args.command]
+        # only td-stats's own run reads --graph
+        if command.run is _run_command and args.graph == "incidence":
             raise _UsageError("--graph incidence is only available for td-stats")
         if args.seeds < 1:
             raise _UsageError("--seeds must be positive")
-        if args.seed is not None:
-            args.resolved_seed = args.seed
-        else:
-            env_seed = os.environ.get("TDCOUNT_SEED", "0")
-            try:
-                args.resolved_seed = int(env_seed)
-            except ValueError:
-                raise _UsageError(f"TDCOUNT_SEED must be an integer, not {env_seed!r}") from None
+        raw_seed = os.environ.get("TDCOUNT_SEED", "0") if args.seed is None else args.seed
+        try:
+            args.resolved_seed = int(raw_seed)
+        except ValueError:
+            raise _UsageError(f"TDCOUNT_SEED must be an integer, not {raw_seed!r}") from None
         text = _read_input(args.path)
-        instance = _parse_instance(args, text)
-        if args.command in PROGRAM_COMMANDS and not isinstance(instance, GroundProgram):
-            raise _UsageError(f"{args.command} expects a ground program")
-        if args.command in CNF_COMMANDS and not isinstance(instance, CnfFormula):
-            raise _UsageError(f"{args.command} expects a DIMACS formula")
+        fmt = _sniff_format(args.path, text) if args.format == "auto" else args.format
+        instance = PARSERS[fmt](text)
+        if command.reads is not None and not isinstance(instance, command.reads):
+            raise _UsageError(f"{args.command} expects {EXPECTS[command.reads]}")
         if args.trace:
             trace = open(args.trace, "w", encoding="utf-8")
-        result, lines, width, seed, code = _run_command(args, instance, trace)
+        result, lines, width, seed, code = command.run(command, args, instance, trace)
     except (UnsupportedRuleError, TooLargeError) as exc:
         code, error = EXIT_UNSUPPORTED, str(exc)
     except (_UsageError, ParseError, ProjectionOutOfRangeError, OSError) as exc:

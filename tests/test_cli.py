@@ -6,10 +6,12 @@ import os
 import subprocess
 import sys
 import weakref
+from fractions import Fraction
 
 import pytest
 
 from tdcount import cli, dpcore, oracle, projection
+from tdcount.parsers import parse_smodels
 from tdcount.treedecomp import Violation, ViolationKind
 
 PROG = "a :- not b. b :- not a.\n"
@@ -105,6 +107,18 @@ def test_pcount_with_names(tmp_path, capsys):
     assert (code, out) == (0, "2\n")
     code, out, _ = run(capsys, "pcount", path, "--project", "")
     assert (code, out) == (0, "1\n")
+
+
+def test_pcount_names_unnamed_atoms_as_enumerate_prints_them(tmp_path, capsys):
+    # two smodels rules `1 :- not 2.` and `2 :- not 1.` with no symbol table
+    path = write(tmp_path, "s.sm", "1 1 1 1 2\n1 2 1 1 1\n0\n0\nB+\n0\nB-\n0\n1\n")
+    assert run(capsys, "enumerate", path) == (0, "x0\nx1\n", "")
+    program = parse_smodels(open(path).read())
+    for project, atoms in (("x0", {0}), ("x0,x1", {0, 1})):
+        expected = oracle.brute_projected_count(program, atoms)
+        assert run(capsys, "pcount", path, "--project", project, "--oracle-check") == (
+            0, f"{expected}\n", f"oracle-check: ok ({expected})\n"
+        )
 
 
 def test_pcount_unknown_atom(tmp_path, capsys):
@@ -297,6 +311,21 @@ def test_trace_file(tmp_path, capsys):
         assert {"node", "type", "bag", "rows", "max_witness_set"} <= set(r)
 
 
+@pytest.mark.parametrize(
+    "command", ["count", "solve", "enumerate", "optcount", "pcount", "mc", "wmc", "pmc"]
+)
+def test_atomless_rule_writes_no_trace_record(tmp_path, capsys, command):
+    # `:- .` and an empty clause are never satisfied: answered before any table
+    if command in ("mc", "wmc", "pmc"):
+        path = write(tmp_path, "bad.cnf", "p cnf 2 2\n1 2 0\n0\n")
+    else:
+        path = write(tmp_path, "bad.lp", "a :- not b. :- .")
+    trace = tmp_path / "trace.jsonl"
+    code, _, _ = run(capsys, command, path, "--trace", str(trace), "--oracle-check")
+    assert code == (20 if command == "solve" else 0)
+    assert trace.read_text() == ""
+
+
 def test_td_stats(tmp_path, capsys):
     path = write(tmp_path, "p.lp", PROG)
     code, out, _ = run(capsys, "td-stats", path, "--seeds", "3")
@@ -322,10 +351,16 @@ def test_td_stats_incidence(tmp_path, capsys):
 @pytest.mark.parametrize(
     "command, name, text, oracle_name, wrong",
     [
-        ("mc", "f.cnf", CNF, "brute_count_models", lambda formula: 99),
+        ("count", "p.lp", PROG, "brute_answer_sets", lambda program: []),
         ("solve", "p.lp", PROG, "brute_answer_sets", lambda program: []),
+        ("enumerate", "p.lp", PROG, "brute_answer_sets", lambda program: []),
+        ("optcount", "p.lp", PROG, "brute_optimum", lambda program: (5, 5)),
+        ("pcount", "p.lp", PROG, "brute_projected_count", lambda program, projection: 99),
+        ("mc", "f.cnf", CNF, "brute_count_models", lambda formula: 99),
+        ("wmc", "w.cnf", WCNF, "brute_weighted_count", lambda formula: Fraction(99)),
+        ("pmc", "f.cnf", CNF, "brute_projected_count", lambda formula, projection: 99),
     ],
-    ids=["mc", "solve"],
+    ids=["count", "solve", "enumerate", "optcount", "pcount", "mc", "wmc", "pmc"],
 )
 def test_oracle_check_mismatch_exits_one(
     tmp_path, capsys, monkeypatch, command, name, text, oracle_name, wrong
@@ -333,7 +368,30 @@ def test_oracle_check_mismatch_exits_one(
     monkeypatch.setattr(oracle, oracle_name, wrong)
     code, _, err = run(capsys, command, write(tmp_path, name, text), "--oracle-check")
     assert code == 1
-    assert "oracle-check: mismatch" in err
+    assert err.startswith("oracle-check: mismatch dp=")
+
+
+def test_enumerate_limit_is_checked_against_the_oracles_first_answer_sets(
+    tmp_path, capsys, monkeypatch
+):
+    path = write(tmp_path, "p.lp", "a :- not b. b :- not a. c :- not d. d :- not c.")
+    assert run(capsys, "enumerate", path, "--limit", "2", "--oracle-check") == (
+        0, "a c\na d\n", "oracle-check: ok (2)\n"
+    )
+    assert run(capsys, "enumerate", path, "--limit", "0", "--oracle-check")[2] == (
+        "oracle-check: ok (0)\n"
+    )
+    big = write(tmp_path, "big.lp", " ".join(f"a{i}." for i in range(21)))
+    code, out, err = run(capsys, "enumerate", big, "--limit", "1", "--oracle-check")
+    assert (code, out) == (2, "")
+    assert "brute-force" in err
+    # an oracle without the first answer set disagrees on the first two,
+    # though not on their number
+    brute = oracle.brute_answer_sets
+    monkeypatch.setattr(oracle, "brute_answer_sets", lambda p: sorted(brute(p), key=sorted)[1:])
+    assert run(capsys, "enumerate", path, "--limit", "2", "--oracle-check") == (
+        1, "a c\na d\n", "oracle-check: mismatch dp=2 oracle=2\n"
+    )
 
 
 def test_td_stats_oracle_check_mismatch_exits_one(tmp_path, capsys, monkeypatch):

@@ -1,9 +1,11 @@
 """Checks over the package source itself."""
 
 import ast
+import re
 from pathlib import Path
 
 import tdcount
+from tdcount import cli
 
 PACKAGE = Path(tdcount.__file__).parent
 REPO = Path(__file__).resolve().parents[1]
@@ -106,3 +108,12 @@ def test_only_dpcore_builds_tables():
             elif isinstance(node, ast.Attribute) and node.attr in reached:
                 found.append(f"{path.name}:{node.lineno} .{node.attr}")
     assert found == []
+
+
+def test_readme_lists_exactly_the_cli_commands():
+    # the README's CLI section gives each command one list line, led by the
+    # command in backticks; a command is added in the table and there
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^- `([a-z-]+)", section, flags=re.MULTILINE)
+    assert sorted(listed) == sorted(cli.COMMANDS)
