@@ -1,8 +1,9 @@
 """Golden digests of the CLI's `--trace` records and `--json` output.
 
 Each case runs one command on one corpus instance and keeps two digests
-(`pmc` projects a CNF onto fixed variables: every second of a corpus
-CNF's, every third of a banded CNF's):
+(`pcount` projects a program onto every second of its atoms, `pmc` a CNF
+onto fixed variables: every second of a corpus CNF's, every third of a
+banded CNF's):
 `json` hashes the JSON payload (its `elapsed_ms` removed) and the exit
 code, `trace` hashes the trace file.  The digests in
 `golden_digests.json` pin the table pass's observable behaviour: row
@@ -22,11 +23,12 @@ from pathlib import Path
 
 from tdcount import cli
 from tdcount.model import render_program
+from tdcount.parsers import parse_ground_program
 
 import corpus
 
 DIGESTS = Path(__file__).with_name("golden_digests.json")
-PROGRAM_COMMANDS = ("count", "optcount", "solve")
+PROGRAM_COMMANDS = ("count", "optcount", "solve", "pcount")
 CNF_COMMANDS = ("mc", "wmc", "pmc")
 
 
@@ -57,9 +59,26 @@ def instances():
     golden instance."""
     out = []
     for seed in _program_seeds():
-        program = corpus.random_program(seed, max_atoms=10, max_rules=15)
-        commands = [(command, []) for command in PROGRAM_COMMANDS]
-        out.append((f"program-{seed}", ".lp", render_program(program), commands))
+        text = render_program(corpus.random_program(seed, max_atoms=10, max_rules=15))
+        # the names of the atoms the text mentions, as the CLI reads them
+        project = ",".join(parse_ground_program(text).atom_names()[::2])
+        extra = {"pcount": ["--project", project]}
+        commands = [(command, extra.get(command, [])) for command in PROGRAM_COMMANDS]
+        out.append((f"program-{seed}", ".lp", text, commands))
+    # projections that several answer sets share: a tight program whose
+    # supports differ between the answer sets of one projection, and
+    # linked positive loops, which are not tight
+    loops = "".join(
+        f"a{i} :- b{i}. b{i} :- a{i}. a{i} :- not c{i}. c{i} :- not a{i}.\n"
+        f"d{i} :- c{i}, not a{i + 1}.\n"
+        for i in range(4)
+    )
+    supports = "b :- c. b :- not e. c :- not d. d :- not c. e :- not f. f :- not e.\n"
+    for name, text, project in (
+        ("supports", supports, "b,e,f"),
+        ("loops", loops + "a4.\n", "b0,d0,d1,d2,d3"),
+    ):
+        out.append((name, ".lp", text, [("pcount", ["--project", project])]))
     for seed in range(17):
         formula = corpus.random_cnf(seed, max_vars=15, max_clauses=25, weighted=True)
         out.append(_cnf_case(f"cnf-{seed}", formula, 2))
@@ -98,7 +117,7 @@ def all_digests() -> dict[str, dict[str, str]]:
 def test_trace_and_json_match_golden_digests():
     expected = json.loads(DIGESTS.read_text())
     actual = all_digests()
-    assert len(actual) == 120
+    assert len(actual) == 142
     assert sorted(actual) == sorted(expected)
     differing = [
         f"{key} {half}"
