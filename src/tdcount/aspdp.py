@@ -26,10 +26,10 @@ one `build_store` and one `answer` serve programs and CNFs alike: a
 CNF's `rules` are its clauses as constraints, run with an empty state.
 `answer`, behind every count, decision, optimum and weight, runs the
 handlers on lean tables of the mode's bare values (`mode_values`);
-`build_store`, for enumeration and the projection pass of programs, on
-`Row` tables that carry the same values plus their derivations.
-`table_pass` runs them with any value kind, as the one pass of
-projected CNF counting does.
+`build_store`, for enumeration, on `Row` tables that carry the same
+values plus their derivations.  `table_pass` runs them with any value
+kind, as the one pass of projected counting does, whose program keys
+carry sets of check states (`lifted`).
 """
 
 from __future__ import annotations
@@ -159,6 +159,26 @@ WITNESS = CheckState(
 )
 
 
+def lifted(check: CheckState) -> CheckState:
+    """`check` on sets of its states, the keys of a projected count:
+    introduce and forget map each state, forget dropping the states that
+    rule the candidate out and the key when none is left, and join
+    combines the two sets pairwise."""
+
+    def introduce(states, p):
+        pairs = [check.introduce(state, p) for state in states]
+        return frozenset(f for f, _ in pairs), frozenset(t for _, t in pairs)
+
+    def forget(due, p):
+        step = check.forget(due, p)
+        return lambda states, A: frozenset(step(state, A) for state in states) - {None} or None
+
+    def join(left, right):
+        return frozenset(check.join(x, y) for x in left for y in right)
+
+    return CheckState(frozenset({check.start}), introduce, forget, join)
+
+
 def check_state(instance: GroundProgram | CnfFormula) -> CheckState | None:
     """The check state of the instance's rows: support masks for a
     tight program, whose answer sets are its supported models, witness
@@ -270,13 +290,17 @@ def table_pass(
 ) -> tuple[TableStore, DecompResult]:
     """Run the one handler set with the value kind `values`, on lean
     tables unless it keeps derivations.  The instance picks the keys'
-    check state (`check_state`)."""
+    check state (`check_state`), which a projected count lifts to sets
+    of states."""
     if decomp is None:
         decomp = decompose(instance_graph(instance), heuristic, seed, seeds)
+    check = check_state(instance)
+    if check and values.mode is None:
+        check = lifted(check)
     handlers = make_handlers(
         decomp.ntd,
         plan_checks(decomp.ntd, instance.rules),
-        check=check_state(instance),
+        check=check,
         values=values,
     )
     return traverse(decomp.ntd, handlers, trace), decomp

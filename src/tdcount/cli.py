@@ -2,10 +2,9 @@
 
 Exit codes: 0 success, 1 parse or usage problems or an --oracle-check
 mismatch (any command, `td-stats` and `enumerate --limit` included), 2
-unsupported rule types, brute-force size guards, an instance too deep
-for the recursive projection pass of `pcount`, or running out of memory
-(also inside the table pass); `solve` exits 10 when consistent and 20
-when inconsistent.  Each error is one `error:` line on stderr.
+unsupported rule types, brute-force size guards or running out of
+memory (also inside the table pass); `solve` exits 10 when consistent
+and 20 when inconsistent.  Each error is one `error:` line on stderr.
 `pcount --project` names atoms as `enumerate` prints them.
 """
 
@@ -118,20 +117,6 @@ def _project_vars(formula: CnfFormula, raw: str) -> set[int]:
     return out
 
 
-def _projected(instance, projection, **options) -> int:
-    try:
-        return projected_count(instance, projection, **options)
-    except RecursionError:
-        raise TooLargeError("instance too deep for the projection pass") from None
-
-
-def _first_answer_sets(program: GroundProgram, limit: int | None) -> list[frozenset[int]]:
-    """The oracle's answer sets in `enumerate`'s order (sorted by sorted
-    atom tuple), the first `limit` of them when given."""
-    found = sorted(oracle.brute_answer_sets(program), key=sorted)
-    return found if limit is None else found[: max(limit, 0)]
-
-
 def _verdict(program, consistent: bool):
     text = "CONSISTENT" if consistent else "INCONSISTENT"
     return text.lower(), [text], EXIT_CONSISTENT if consistent else EXIT_INCONSISTENT
@@ -225,7 +210,9 @@ COMMANDS = {
     "enumerate": Command(
         "list answer sets", GroundProgram,
         lambda program, **options: list(aspdp.enumerate_answer_sets(program, **options)),
-        _first_answer_sets, _answer_sets, ("--limit", {"type": int, "default": None}),
+        # the oracle's first answer sets in the same order, sorted by sorted atom tuple
+        lambda program, limit: sorted(oracle.brute_answer_sets(program), key=sorted)[:limit],
+        _answer_sets, ("--limit", {"type": int, "default": None}),
         lambda program, args: {"limit": args.limit},
     ),
     "optcount": Command(
@@ -233,7 +220,7 @@ COMMANDS = {
         lambda program: oracle.brute_optimum(program), _optimum,
     ),
     "pcount": Command(
-        "projected answer-set count", GroundProgram, _projected,
+        "projected answer-set count", GroundProgram, projected_count,
         lambda program, projection: oracle.brute_projected_count(program, projection),
         flag=("--project", {"default": "", "help": "comma-separated atom names"}),
         keywords=lambda program, args: {"projection": _project_atoms(program, args.project)},
@@ -249,7 +236,7 @@ COMMANDS = {
         lambda formula, weight: (str(weight), [str(weight)], EXIT_OK),
     ),
     "pmc": Command(
-        "projected CNF model count", CnfFormula, _projected,
+        "projected CNF model count", CnfFormula, projected_count,
         lambda formula, projection: oracle.brute_projected_count(formula, projection),
         flag=("--project-vars", {"default": "", "help": "comma-separated variables"}),
         keywords=lambda formula, args: {"projection": _project_vars(formula, args.project_vars)},
@@ -294,6 +281,8 @@ def run(argv=None) -> int:
             raise _UsageError("--graph incidence is only available for td-stats")
         if args.seeds < 1:
             raise _UsageError("--seeds must be positive")
+        if getattr(args, "limit", None) is not None and args.limit < 1:
+            raise _UsageError("--limit must be positive")
         raw_seed = os.environ.get("TDCOUNT_SEED", "0") if args.seed is None else args.seed
         try:
             args.resolved_seed = int(raw_seed)

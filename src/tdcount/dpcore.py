@@ -13,15 +13,15 @@ writes once what a key's value is and how it is combined: a count
 over the product of each forgotten variable's common weight denominator
 (WEIGHTED); the charges at forget nodes, the product at joins, the merge
 rule of two values of one key and the root total.  `projected_values`
-is one more kind, a projected count, whose merge rule follows the atom a
-forget node forgets: OR for an unprojected atom, SUM for a projected
-one.  A lean pass maps each
-key to its bare value and drops each child table once its parent is
-built.  `row_values` wraps a mode's kind into `Row`s that carry the same
-value plus their derivations, each with one row per child, so that later
-passes (purge, enumeration, projection) walk the derivation structure
-instead of materializing solutions; every `Row` table is kept until the
-pass ends.
+is one more kind, a projected count, whose keys carry sets of check
+states and whose forget nodes build their tables by the atom they
+forget: a union of state sets for an unprojected atom, a SUM for a
+projected one.  A lean pass maps each key to its bare value and drops
+each child table once its parent is built.  `row_values` wraps a mode's
+kind into `Row`s that carry the same value plus their derivations, each
+with one row per child, so that later passes (purge, enumeration,
+projection) walk the derivation structure instead of materializing
+solutions; every `Row` table is kept until the pass ends.
 
 A table keeps one value per key, of the cheapest cost seen: values of
 equal cost merge, so above the leaves a count is the sum over a key's
@@ -125,46 +125,39 @@ class Values:
     `join(key, left, right)` the entry of a joined pair.  `merge(old,
     new)` is the value of a key that receives a second value: `new`
     itself when it replaces `old`, `old` itself when `new` is dropped,
-    else a merged value; `merge_at(atom)`, when given, is instead the
-    merge rule of the node forgetting `atom`.  `least(values)` is the
-    smallest count of a table, which must be at least 1, and
-    `total(values)` the answer from the root's solution values.
-    `table(entries)` builds a table: a dict from key to value, or with
+    else a merged value.  `least(values)` is the smallest count of a
+    table, which must be at least 1, and `total(values)` the answer from
+    the root's solution values.  `table(entries)` builds a table from
+    (key, value) entries: a dict from key to value, or with
     `derivations` a `DpTable` of `Row`s; `forget_table(atom)` is the
-    builder of the node forgetting `atom`.  `mode` is the `Mode` whose
-    answer `total` gives, None for a projected count."""
+    builder of the node forgetting `atom`, `table` unless the kind
+    supplies its own.  `mode` is the `Mode` whose answer `total` gives,
+    None for a projected count, whose keys carry sets of check states."""
 
     __slots__ = (
-        "leaf", "carry", "forget", "join", "merge", "merge_at", "least", "total",
-        "derivations", "mode", "table",
+        "leaf", "carry", "forget", "join", "merge", "least", "total", "derivations",
+        "mode", "table", "forget_table",
     )
 
     def __init__(
         self, leaf, carry, forget, join, merge, least, total,
-        derivations=False, mode=None, merge_at=None,
+        derivations=False, mode=None, forget_table=None,
     ):
         self.leaf = leaf
         self.carry = carry
         self.forget = forget
         self.join = join
         self.merge = merge
-        self.merge_at = merge_at
         self.least = least
         self.total = total
         self.derivations = derivations
         self.mode = mode
-        self.table = (_row_table if derivations else _lean_table)(merge, least)
-
-    def forget_table(self, atom):
-        """`table`, or with `merge_at` a builder by its rule for `atom`."""
-        if self.merge_at is None:
-            return self.table
-        builder = _row_table if self.derivations else _lean_table
-        return builder(self.merge_at(atom), self.least)
+        table = self.table = _lean_table(merge, least, DpTable if derivations else None)
+        self.forget_table = forget_table or (lambda atom: table)
 
 
-def _lean_table(merge, least):
-    def table(entries) -> dict:
+def _lean_table(merge, least, wrap=None):
+    def table(entries):
         out: dict = {}
         get = out.get
         for key, value in entries:
@@ -172,69 +165,52 @@ def _lean_table(merge, least):
             out[key] = value if old is None else merge(old, value)
         if out and least(out.values()) < 1:
             raise ValueError("row count must be positive")
-        return out
-
-    return table
-
-
-def _row_table(merge, least):
-    """A key's second row replaces its row and moves to the end, is
-    dropped, or merges into it with the derivations concatenated, as
-    `merge` chose.  A handler derives at most one row per key from each
-    child row (unary nodes) or each joined pair, so no derivation is
-    merged twice."""
-
-    def table(entries) -> DpTable:
-        rows: dict[tuple, Row] = {}
-        get = rows.get
-        for row in entries:
-            key = (row.assignment, row.state)
-            old = get(key)
-            if old is None:
-                rows[key] = row
-                continue
-            value = merge(old.value, row.value)
-            if value is row.value:
-                del rows[key]
-                rows[key] = row
-            elif value is not old.value:
-                old.value = value
-                old.origins += row.origins
-        if rows and least(row.value for row in rows.values()) < 1:
-            raise ValueError("row count must be positive")
-        return DpTable(rows)
+        return out if wrap is None else wrap(out)
 
     return table
 
 
 def row_values(lean: Values) -> Values:
     """`Row` entries that carry the values of the lean kind `lean` and
-    their derivations, merged and totalled by `lean`'s rules."""
+    their derivations, merged and totalled by `lean`'s rules.  A key's
+    second row replaces its row, is dropped, or merges into it with the
+    derivations concatenated.  A handler derives at most one row per key
+    from each child row (unary nodes) or each joined pair, so no
+    derivation is merged twice."""
 
     def leaf(key):
-        return Row(*key, lean.leaf(key)[1], ())
+        return key, Row(*key, lean.leaf(key)[1], ())
 
     def carry(key, row):
-        return Row(*key, row.value, ((row,),))
+        return key, Row(*key, row.value, ((row,),))
 
     def forget(atom):
         charge = lean.forget(atom)
 
         def step(key, row, bit):
             entry = charge(key, row.value, bit)
-            return None if entry is None else Row(*key, entry[1], ((row,),))
+            return None if entry is None else (key, Row(*key, entry[1], ((row,),)))
 
         return step
 
     def join(key, left, right):
-        return Row(*key, lean.join(key, left.value, right.value)[1], ((left, right),))
+        return key, Row(*key, lean.join(key, left.value, right.value)[1], ((left, right),))
+
+    def merge(old, new):
+        value = lean.merge(old.value, new.value)
+        if value is new.value:
+            return new
+        if value is not old.value:
+            old.value = value
+            old.origins += new.origins
+        return old
 
     def total(rows):
         return lean.total([row.value for row in rows])
 
     return Values(
-        leaf, carry, forget, join, lean.merge, lean.least, total,
-        derivations=True, mode=lean.mode, merge_at=lean.merge_at,
+        leaf, carry, forget, join, merge, lambda rows: lean.least(r.value for r in rows),
+        total, derivations=True, mode=lean.mode,
     )
 
 
@@ -321,30 +297,40 @@ def lean_values(mode: Mode, costs=None, weights=None) -> Values:
     )
 
 
-def _first(old, new):
-    return old
+def _union_table(entries) -> dict:
+    """The table of a projected count's forget of an unprojected atom:
+    the keys of one assignment merge into one key whose state set is the
+    union of theirs.  No projected atom is forgotten below, so every
+    value is 1."""
+    states: dict = {}
+    for (assignment, state), value in entries:
+        if value != 1:
+            raise InvariantError("an unprojected forget takes values of 1")
+        states[assignment] = states.get(assignment, state) | state
+    return dict.fromkeys(states.items(), 1)
 
 
 def projected_values(projected) -> Values:
-    """The projected count's kind, for a check-free pass on a
-    decomposition where no unprojected forget has a projected forget
-    below it (the path condition).  A key's value is the number of
-    distinct projections, onto the atoms of `projected` forgotten below,
-    of the key's extensions.  A forget of an unprojected atom takes the
-    OR: no projected atom is forgotten below it, so every value there is
-    1, "some extension exists", and a key keeps its first.  A forget of a
-    projected atom takes the SUM, since its two values project apart.  A
-    join takes the product, since its two sides forget disjoint atoms,
-    and the total is the sum of the root's values.  A check-free pass
-    merges keys only at forget nodes, so only their rule matters."""
-
-    def merge_at(atom):
-        return operator.add if atom in projected else _first
-
+    """The projected count's kind, for a pass on a decomposition where
+    no unprojected forget has a projected forget below it (the path
+    condition).  A program's keys carry sets of check states
+    (`aspdp.table_pass` lifts its check state); a CNF's keep the empty
+    state.  A key's value is the number of distinct projections, onto
+    the atoms of `projected` forgotten below, whose extensions of the
+    key's assignment reach exactly the key's states.  A forget of an
+    unprojected atom merges the keys of each assignment by the union of
+    their state sets (`_union_table`).  A forget of a projected atom
+    takes the SUM, since its two values project apart.  A join takes
+    the product, since its two sides forget disjoint atoms, and the
+    total is the sum of the root's solution values."""
     count = lean_values(Mode.COUNT)
+
+    def forget_table(atom):
+        return count.table if atom in projected else _union_table
+
     return Values(
         count.leaf, count.carry, count.forget, count.join, count.merge, count.least,
-        count.total, merge_at=merge_at,
+        count.total, forget_table=forget_table,
     )
 
 
@@ -388,9 +374,13 @@ def _check_table(node, keys) -> None:
     most 3^|bag| keys; a witness set has at most 2^(|bag|+1) states and
     keeps the self-witness; a table without either has at most one key
     per assignment.  One pass builds a table with one state kind, so its
-    first key tells which."""
+    first key tells which; a projected count's sets of states are
+    checked state by state."""
     bag_size = len(node.bag)
     first = next(iter(keys), None)
+    if first is not None and _is_state_set(first[1]):
+        keys = {(assignment, state) for assignment, states in keys for state in states}
+        first = next(iter(keys))
     if first is not None and isinstance(first[1], int):
         if len(keys) > 3**bag_size:
             raise InvariantError("row bound exceeded for support tables")
@@ -445,10 +435,19 @@ def traverse(ntd: NiceTreeDecomposition, handlers: Handlers, trace=None) -> Tabl
     return store
 
 
+def _is_state_set(state) -> bool:
+    """Whether a key's state is a projected count's set of check states
+    (support masks or witness sets), not one check state."""
+    return isinstance(state, frozenset) and not isinstance(next(iter(state), ()), tuple)
+
+
 def _is_solution(state) -> bool:
     """A root key with no strict witness left describes solutions.  A
     support key reaching the root is a solution: every true atom was
-    supported when it was forgotten."""
+    supported when it was forgotten.  A set of states describes
+    solutions when one of its states does."""
+    if _is_state_set(state):
+        return any(map(_is_solution, state))
     return isinstance(state, int) or not any(strict for _, strict in state)
 
 
@@ -482,10 +481,11 @@ def purge(store: TableStore) -> TableStore:
     return out
 
 
-def root_aggregate(store: TableStore, mode: Mode):
-    """The mode's answer from the root table's solution keys.  The store
-    must have been built for `mode`, since another kind's total would be
-    a wrong answer; DECISION is answered from any store."""
+def root_aggregate(store: TableStore, mode: Mode | None):
+    """The mode's answer from the root table's solution keys, with None
+    a projected count.  The store must have been built for `mode`, since
+    another kind's total would be a wrong answer; DECISION is answered
+    from any store."""
     ntd = store.ntd
     if ntd.nodes[ntd.root].bag != ():
         raise InvariantError("root bag must be empty")
@@ -493,8 +493,8 @@ def root_aggregate(store: TableStore, mode: Mode):
     if mode is Mode.DECISION:
         return bool(sols)
     if store.values.mode is not mode:
-        kind = store.values.mode.value if store.values.mode else "projected"
-        raise InvariantError(f"a {kind} store cannot answer {mode.value}")
+        kind, asked = (m.value if m else "projected" for m in (store.values.mode, mode))
+        raise InvariantError(f"a {kind} store cannot answer {asked}")
     return store.values.total(sols)
 
 

@@ -1,21 +1,20 @@
 """Projected counting, by one of two passes.
 
-On a CNF whose decomposition meets the path condition (`one_pass_holds`:
-no forget of an unprojected vertex has a forget of a projected one
-below it), one lean table pass counts the projections (Fichte, Hecher,
-Morak and Woltran, SAT 2018): a key's value is the number of distinct
-projections of its extensions onto the projected vertices forgotten
-below, taken as the OR at an unprojected forget, the SUM at a projected
-forget and the product at a join (`dpcore.projected_values`).  The
-decomposition `projected_count` builds eliminates the projected vertices
-last, so it meets the condition.
+On a decomposition that meets the path condition (`one_pass_holds`: no
+forget of an unprojected vertex has a forget of a projected one below
+it), one lean table pass counts the projections of a program's answer
+sets or a CNF's models (Fichte, Hecher, Morak and Woltran, SAT 2018):
+a key's value is the number of distinct projections onto the projected
+vertices forgotten below, taken as the union of a program's sets of
+check states at an unprojected forget, the SUM at a projected forget and
+the product at a join (`dpcore.projected_values`).  The decomposition
+`projected_count` builds eliminates the projected vertices last, so it
+meets the condition.
 
-Programs, and CNFs on a caller-given decomposition that fails the
-condition, take `ProjectionPass`: a pass from the root's solution rows
-of the `Row` store down their derivations, so it reads only rows some
-solution uses and needs no purge.  A program's keys of one assignment
-but distinct check states may carry the same projection, so summing
-over them could count one projection twice.
+A caller-given decomposition that fails the condition takes
+`ProjectionPass`: a pass from the root's solution rows of the `Row`
+store down their derivations, so it reads only rows some solution uses
+and needs no purge.
 
 For a set of rows O at a node, `pmc` is the number of distinct
 projections of extensions compatible with at least one row of O, and
@@ -42,7 +41,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from . import aspdp
-from .dpcore import Mode, Row, TableStore, projected_values, solution_rows
+from .dpcore import Mode, Row, TableStore, projected_values, root_aggregate, solution_rows
 from .errors import InvariantError, ProjectionOutOfRangeError
 from .graphs import instance_graph
 from .model import CnfFormula, GroundProgram, has_atomless_rule
@@ -226,8 +225,7 @@ def projected_count(instance, projection, **options) -> int:
         # Eliminating the projected vertices last makes forgets follow the
         # elimination order along every branch: every unprojected forget
         # lies below every projected one, the one pass's path condition,
-        # and for programs each row below the first projected forget
-        # admits a single projection, so inclusion-exclusion bottoms out
+        # for programs and CNFs alike
         options["decomp"] = decompose(
             instance_graph(instance),
             options.pop("heuristic", "min-fill"),
@@ -235,8 +233,8 @@ def projected_count(instance, projection, **options) -> int:
             options.pop("seeds", 1),
             defer=vertices,
         )
-    if isinstance(instance, CnfFormula) and one_pass_holds(options["decomp"].ntd, vertices):
+    if one_pass_holds(options["decomp"].ntd, vertices):
         store, _ = aspdp.table_pass(instance, projected_values(vertices), **options)
-        return sum(store.root_table.values())  # a CNF's keys are all solutions
+        return root_aggregate(store, None)
     store, _ = aspdp.build_store(instance, Mode.COUNT, **options)
     return ProjectionPass(store, vertices).root_value()

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from tdcount import cli, dpcore, oracle, projection
+from tdcount import cli, dpcore, oracle
 from tdcount.parsers import parse_smodels
 from tdcount.treedecomp import Violation, ViolationKind
 
@@ -175,17 +175,15 @@ def test_deep_pmc_counts_the_path_in_one_pass(tmp_path):
     ],
     ids=["implications", "negations"],
 )
-def test_pcount_too_deep_for_projection_exits_two(tmp_path, rules):
-    # programs keep the recursive projection pass, which recurses once
-    # per node of a path: a 1500-atom chain projected onto every atom
-    # exceeds the default recursion limit, and the CLI says so in one line
+def test_deep_pcount_counts_the_chain_in_one_pass(tmp_path, rules):
+    # a 1500-atom chain projected onto every atom: the one table pass of
+    # projected counting does not recurse, and each chain has exactly
+    # one answer set
     n = 1500
     path = write(tmp_path, "chain.lp", rules(n))
     project = ",".join(f"a{i}" for i in range(n))
     out = _subprocess("pcount", path, "--project", project)
-    assert out.returncode == 2
-    assert out.stdout == b""
-    assert out.stderr == b"error: instance too deep for the projection pass\n"
+    assert (out.returncode, out.stdout, out.stderr) == (0, b"1\n", b"")
 
 
 def test_format_sniffing(tmp_path, capsys):
@@ -378,9 +376,10 @@ def test_enumerate_limit_is_checked_against_the_oracles_first_answer_sets(
     assert run(capsys, "enumerate", path, "--limit", "2", "--oracle-check") == (
         0, "a c\na d\n", "oracle-check: ok (2)\n"
     )
-    assert run(capsys, "enumerate", path, "--limit", "0", "--oracle-check")[2] == (
-        "oracle-check: ok (0)\n"
-    )
+    for limit in ("0", "-1"):
+        assert run(capsys, "enumerate", path, "--limit", limit, "--oracle-check") == (
+            1, "", "error: --limit must be positive\n"
+        )
     big = write(tmp_path, "big.lp", " ".join(f"a{i}." for i in range(21)))
     code, out, err = run(capsys, "enumerate", big, "--limit", "1", "--oracle-check")
     assert (code, out) == (2, "")
@@ -457,7 +456,7 @@ class _StderrNeedingMemory(io.StringIO):
 @pytest.mark.parametrize("command", ["count", "pcount"])
 def test_out_of_memory_is_reported_after_its_frames_are_freed(tmp_path, monkeypatch, command):
     # `count` runs out inside the table pass (a handler failure caused by
-    # MemoryError), `pcount` in the projection pass (a bare MemoryError)
+    # MemoryError), `pcount` while decomposing (a bare MemoryError)
     hogs = []
 
     def hog_then_fail(*args, **kwargs):
@@ -468,7 +467,7 @@ def test_out_of_memory_is_reported_after_its_frames_are_freed(tmp_path, monkeypa
     if command == "count":
         monkeypatch.setattr(dpcore, "_check_table", hog_then_fail)
     else:
-        monkeypatch.setattr(projection.ProjectionPass, "root_value", hog_then_fail)
+        monkeypatch.setattr(cli, "decompose", hog_then_fail)
     stderr = _StderrNeedingMemory(hogs)
     monkeypatch.setattr(sys, "stderr", stderr)
     code = cli.run([command, write(tmp_path, "p.lp", PROG)])

@@ -51,28 +51,33 @@ def row_kind(mode=Mode.COUNT):
     return row_values(lean_values(mode))
 
 
+def entry(assignment, state, value, origins):
+    """A `Row` entry as the row kind's handlers yield it: (key, row)."""
+    return (assignment, state), Row(assignment, state, value, origins)
+
+
 def test_table_merges_equal_keys():
-    t = row_kind().table([Row(1, NO_WITNESSES, 2, ((),)), Row(1, NO_WITNESSES, 3, ((),))])
+    t = row_kind().table([entry(1, NO_WITNESSES, 2, ((),)), entry(1, NO_WITNESSES, 3, ((),))])
     assert len(t) == 1
     assert [r.value for r in t] == [5]
 
 
 def test_table_keeps_the_cheapest_rows_of_a_key():
-    def rows():  # dear, other, cheap, and one more row of cheap's key
+    def entries():  # dear, other, cheap, and one more row of cheap's key
         return [
-            Row(1, NO_WITNESSES, (2, 1), ()),
-            Row(0, NO_WITNESSES, (5, 1), ()),
-            Row(1, NO_WITNESSES, (0, 3), ()),
-            Row(1, NO_WITNESSES, (1, 4), ()),
+            entry(1, NO_WITNESSES, (2, 1), ()),
+            entry(0, NO_WITNESSES, (5, 1), ()),
+            entry(1, NO_WITNESSES, (0, 3), ()),
+            entry(1, NO_WITNESSES, (1, 4), ()),
         ]
 
     table = row_kind(Mode.OPTCOUNT).table
-    _, other, cheap, _ = entries = rows()
-    # the cheaper row replaced the dearer one and moved behind `other`;
-    # the dearer row that came last was dropped
-    assert list(table(entries)) == [other, cheap]
-    _, other, cheap, _ = entries = rows()
-    assert list(table(entries + [Row(1, NO_WITNESSES, (0, 2), ())])) == [other, cheap]
+    (_, other), (_, cheap) = (drawn := entries())[1:3]
+    # the cheaper row replaced the dearer one in its key's slot, ahead of
+    # `other`; the dearer row that came last was dropped
+    assert list(table(drawn)) == [cheap, other]
+    (_, other), (_, cheap) = (drawn := entries())[1:3]
+    assert list(table(drawn + [entry(1, NO_WITNESSES, (0, 2), ())])) == [cheap, other]
     assert cheap.value == (0, 5)
 
 
@@ -81,7 +86,7 @@ def reference_merge(entries):
     entries (assignment, state, cost, amount, origins) are keyed by
     (assignment, state, cost), their amounts summed and origins
     concatenated, then each (assignment, state) keeps only its cheapest
-    key, in first-seen order."""
+    key, in the order the (assignment, state) pairs were first seen."""
     merged = {}
     for assignment, state, cost, amount, origins in entries:
         key = (assignment, state, cost)
@@ -95,9 +100,8 @@ def reference_merge(entries):
         k = (assignment, state)
         best[k] = min(cost, best.get(k, cost))
     return [
-        (assignment, state, cost, amount, origins)
-        for (assignment, state, cost), (amount, origins) in merged.items()
-        if cost == best[assignment, state]
+        (assignment, state, cost, *merged[assignment, state, cost])
+        for (assignment, state), cost in best.items()
     ]
 
 
@@ -135,7 +139,7 @@ def test_table_follows_the_reference_merge_rule():
                 for a, s, cost, amount, o in reference_merge(entries)
             ]
             rows = row_kind(mode).table(
-                Row(a, s, kind_value(mode, cost, amount), o) for a, s, cost, amount, o in entries
+                entry(a, s, kind_value(mode, cost, amount), o) for a, s, cost, amount, o in entries
             )
             assert [(r.assignment, r.state, r.value, r.origins) for r in rows] == expected
             lean = lean_values(mode).table(
@@ -153,7 +157,7 @@ def test_table_follows_the_reference_merge_rule():
 
 def test_table_rejects_nonpositive_counts():
     with pytest.raises(ValueError):
-        row_kind().table([Row(0, NO_WITNESSES, 0, ())])
+        row_kind().table([entry(0, NO_WITNESSES, 0, ())])
 
 
 def test_traverse_visits_every_node_in_post_order():
@@ -180,8 +184,8 @@ def test_traverse_wraps_handler_errors():
 @pytest.mark.parametrize(
     "rows",
     [
-        [Row(0, 1, 1, ())],  # a supported atom that is false
-        [Row(a, 0, 1, ()) for a in range(4)],  # more than 3^0 rows in an empty bag
+        [entry(0, 1, 1, ())],  # a supported atom that is false
+        [entry(a, 0, 1, ()) for a in range(4)],  # more than 3^0 rows in an empty bag
     ],
     ids=["mask-outside-assignment", "row-bound"],
 )
@@ -205,9 +209,9 @@ def test_require_same_bag():
 
 
 def test_solution_rows_exclude_strict_witnesses():
-    good = Row(0, frozenset({(0, False)}), 1, ())
-    bad = Row(1, frozenset({(1, False), (0, True)}), 1, ())
-    assert solution_rows(row_kind().table([good, bad])) == [good]
+    good = entry(0, frozenset({(0, False)}), 1, ())
+    bad = entry(1, frozenset({(1, False), (0, True)}), 1, ())
+    assert solution_rows(row_kind().table([good, bad])) == [good[1]]
 
 
 def test_purge_preserves_root_aggregate():

@@ -1,6 +1,6 @@
-"""Projected counting: one OR/SUM table pass for CNFs on decompositions
-that meet its path condition, and otherwise inclusion-exclusion down
-the derivations of the root's solution rows."""
+"""Projected counting: one table pass for programs and CNFs on
+decompositions that meet its path condition, and otherwise
+inclusion-exclusion down the derivations of the root's solution rows."""
 
 import io
 import random
@@ -12,7 +12,7 @@ from tdcount.dpcore import Mode, purge
 from tdcount.errors import ProjectionOutOfRangeError
 from tdcount.graphs import instance_graph
 from tdcount.oracle import brute_projected_count
-from tdcount.model import has_atomless_rule
+from tdcount.model import Atom, GroundProgram, Rule, has_atomless_rule
 from tdcount.parsers import parse_dimacs, parse_ground_program
 from tdcount.projection import (
     ProjectionPass,
@@ -32,6 +32,16 @@ def test_projection_frozen_example():
     assert projected_count(p, {0}) == 2
     assert projected_count(p, {1, 2}) == 2
     assert projected_count(p, {0, 1, 2}) == 2
+    # b has its support from c in some answer sets and from `not e` in
+    # others, so one projection reaches several support masks
+    p = parse_ground_program(SUPPORTS)
+    proj = {p.atom_names().index(name) for name in "bef"}
+    for heuristic in ("min-fill", "min-degree"):
+        for seed in range(4):
+            assert projected_count(p, proj, heuristic=heuristic, seed=seed) == 3
+
+
+SUPPORTS = "b :- c. b :- not e. c :- not d. d :- not c. e :- not f. f :- not e."
 
 
 def test_projecting_onto_all_atoms_equals_the_count():
@@ -276,6 +286,49 @@ def test_one_pass_builds_no_row_store(monkeypatch):
         assert projected_count(f, proj) == brute_projected_count(f, proj), seed
     banded = corpus.banded_cnf(1, 60)
     assert projected_count(banded, set(range(1, 61, 5))) > 0
+    tight = {True: 0, False: 0}
+    for seed in range(60):
+        program = corpus.random_program(seed)
+        proj = set(range(0, program.num_atoms, 2))
+        tight[program.is_tight()] += 1
+        assert projected_count(program, proj) == brute_projected_count(program, proj), seed
+    assert min(tight.values()) >= 20, tight
+
+
+def banded_program(seed, n):
+    """n atoms paired into choices, and n/2 random rules over three atoms
+    at most three apart, so the width stays small; a rule's body atoms
+    are positive or negative at random, which makes positive loops."""
+    rng = random.Random(seed)
+    rules = []
+    for i in range(0, n - 1, 2):
+        rules.append(Rule(frozenset({i}), frozenset(), frozenset({i + 1})))
+        rules.append(Rule(frozenset({i + 1}), frozenset(), frozenset({i})))
+    for _ in range(n // 2):
+        i = rng.randrange(n)
+        head, *body = rng.sample(range(max(0, i - 3), min(n, i + 4)), 3)
+        pos = frozenset(b for b in body if rng.random() < 0.6)
+        rules.append(Rule(frozenset({head}), pos, frozenset(body) - pos))
+    return GroundProgram([Atom(i, f"a{i}") for i in range(n)], rules)
+
+
+def test_one_pass_matches_the_projection_pass_past_the_oracle():
+    # 21-32 atoms, more than the brute-force oracle takes: the one pass
+    # and the inclusion-exclusion pass count on the same deferred
+    # decomposition
+    rng = random.Random(411)
+    tight = {True: 0, False: 0}
+    for heuristic in ("min-fill", "min-degree"):
+        for seed in range(25):
+            program = banded_program(seed, rng.randint(21, 32))
+            proj = set(rng.sample(range(program.num_atoms), rng.randint(4, 12)))
+            decomp = decompose(instance_graph(program), heuristic, seed, defer=proj)
+            store, _ = build_store(program, Mode.COUNT, decomp=decomp)
+            expected = ProjectionPass(store, proj).root_value()
+            got = projected_count(program, proj, decomp=decomp)
+            assert got == expected, (heuristic, seed, sorted(proj))
+            tight[program.is_tight()] += 1
+    assert min(tight.values()) >= 15, tight
 
 
 def test_one_pass_trace_matches_the_row_store():

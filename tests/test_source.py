@@ -92,7 +92,7 @@ def test_only_dpcore_builds_tables():
     # alone decides which entries a table keeps, so no other module
     # constructs a row, a table or a store, reaches a row table's dict, or
     # calls a value kind's table builder or root total on lean tables
-    built = {"DpTable", "Row", "TableStore", "_lean_table", "_row_table"}
+    built = {"DpTable", "Row", "TableStore", "_lean_table"}
     reached = {"rows", "table", "total"}
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
