@@ -34,7 +34,7 @@ carry sets of check states (`lifted`).
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import islice, repeat
 
 from .dpcore import (
     Handlers,
@@ -166,12 +166,12 @@ def lifted(check: CheckState) -> CheckState:
     combines the two sets pairwise."""
 
     def introduce(states, p):
-        pairs = [check.introduce(state, p) for state in states]
-        return frozenset(f for f, _ in pairs), frozenset(t for _, t in pairs)
+        falses, trues = zip(*map(check.introduce, states, repeat(p)))
+        return frozenset(falses), frozenset(trues)
 
     def forget(due, p):
         step = check.forget(due, p)
-        return lambda states, A: frozenset(step(state, A) for state in states) - {None} or None
+        return lambda states, A: frozenset(map(step, states, repeat(A))) - {None} or None
 
     def join(left, right):
         return frozenset(check.join(x, y) for x in left for y in right)

@@ -258,7 +258,8 @@ def test_cnf_projections_match_oracle_on_both_paths():
 
 def test_decomposition_failing_the_path_condition_takes_the_fallback(monkeypatch):
     # deferring the unprojected variables forgets the projected one
-    # first, below them: one table pass would OR over counts above 1
+    # first, below them: one table pass would merge counts above 1 at
+    # an unprojected forget
     from tdcount import projection
 
     f = parse_dimacs("p cnf 3 2\n1 -2 0\n2 3 0\n")
