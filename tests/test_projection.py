@@ -26,6 +26,9 @@ from tdcount.treedecomp import NodeKind, decompose
 import corpus
 
 
+SUPPORTS = "b :- c. b :- not e. c :- not d. d :- not c. e :- not f. f :- not e."
+
+
 def test_projection_frozen_example():
     p = parse_ground_program("a :- not b. b :- not a. c :- a.")
     assert projected_count(p, {2}) == 2
@@ -39,9 +42,6 @@ def test_projection_frozen_example():
     for heuristic in ("min-fill", "min-degree"):
         for seed in range(4):
             assert projected_count(p, proj, heuristic=heuristic, seed=seed) == 3
-
-
-SUPPORTS = "b :- c. b :- not e. c :- not d. d :- not c. e :- not f. f :- not e."
 
 
 def test_projecting_onto_all_atoms_equals_the_count():
