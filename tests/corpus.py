@@ -93,6 +93,30 @@ def dimacs_text(formula: CnfFormula) -> str:
     return "\n".join(lines) + "\n"
 
 
+def smodels_text(program: GroundProgram) -> str:
+    """lparse/SModels output: one-head rules as type 1, the others (and
+    constraints) as type 8, the minimize statement as one type-6 rule,
+    atom id a as number a + 1, and a symbol table of the named atoms."""
+
+    def body(rule):
+        neg, pos = sorted(rule.body_neg), sorted(rule.body_pos)
+        return [len(neg) + len(pos), len(neg), *(a + 1 for a in neg + pos)]
+
+    lines = []
+    for rule in program.rules:
+        head = [a + 1 for a in sorted(rule.head)]
+        fields = [1, *head] if len(head) == 1 else [8, len(head), *head]
+        lines.append(fields + body(rule))
+    if program.minimize is not None:
+        lits = sorted(program.minimize.weights, key=lambda lit: lit[1])
+        nneg = sum(not sign for _, sign in lits)
+        lines.append([6, 0, len(lits), nneg, *(a + 1 for a, _ in lits)]
+                     + [program.minimize.weights[lit] for lit in lits])
+    out = [" ".join(map(str, fields)) for fields in lines] + ["0"]
+    out += [f"{a.id + 1} {a.name}" for a in program.atoms if a.name is not None]
+    return "\n".join(out + ["0", "B+", "0", "B-", "0", "1"]) + "\n"
+
+
 def cycle_graph(n: int) -> Graph:
     g = Graph(n)
     for v in range(n):

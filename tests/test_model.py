@@ -305,3 +305,22 @@ def test_tightness_frozen_examples():
     }
     for text, expected in cases.items():
         assert parse_ground_program(text).is_tight() is expected, text
+
+
+
+def test_smodels_round_trip_corpus():
+    # atom ids follow first occurrence, so atoms compare by name
+    def named(program):
+        names = program.atom_names()
+        rules = [
+            tuple(frozenset(names[a] for a in part) for part in (r.head, r.body_pos, r.body_neg))
+            for r in program.rules
+        ]
+        weights = program.minimize and {
+            (names[a], s): w for (a, s), w in program.minimize.weights.items()
+        }
+        return sorted(names), rules, weights
+
+    for seed in range(300):
+        p = corpus.random_program(seed)
+        assert named(parse_smodels(corpus.smodels_text(p))) == named(p), seed
