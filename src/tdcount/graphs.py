@@ -44,53 +44,44 @@ class Graph:
         return len(self.neighbors[v])
 
 
-def primal_graph(program: GroundProgram) -> Graph:
-    """Atoms are vertices; atoms sharing a rule form a clique.
-    Atoms in no rule stay as isolated vertices."""
-    labels = {a.id: a.name for a in program.atoms if a.name is not None}
-    g = Graph(program.num_atoms, labels)
-    for rule in program.rules:
+def _vertices(instance: GroundProgram | CnfFormula) -> tuple[int, dict[int, str] | None]:
+    """The vertex count of an instance's atoms or variables (DIMACS var
+    v is vertex v-1), and a program's atom names; a CNF's variables have
+    no labels."""
+    if isinstance(instance, CnfFormula):
+        return instance.num_vars, None
+    return instance.num_atoms, {a.id: a.name for a in instance.atoms if a.name is not None}
+
+
+def primal_graph(instance: GroundProgram | CnfFormula) -> Graph:
+    """Atoms or variables are vertices; those sharing a rule or clause
+    form a clique.  Atoms in no rule stay as isolated vertices."""
+    g = Graph(*_vertices(instance))
+    for rule in instance.rules:
         g.add_clique(rule.atoms)
     return g
 
 
-def incidence_graph(program: GroundProgram) -> Graph:
-    """Bipartite graph: atom vertices 0..n-1, then one vertex per rule."""
-    n = program.num_atoms
-    labels = {a.id: a.name for a in program.atoms if a.name is not None}
-    for i in range(len(program.rules)):
-        labels[n + i] = f"r{i}"
-    g = Graph(n + len(program.rules), labels)
-    for i, rule in enumerate(program.rules):
+def incidence_graph(instance: GroundProgram | CnfFormula) -> Graph:
+    """Bipartite graph: atom or variable vertices 0..n-1, then one vertex
+    per rule or clause, labelled `r<i>` for a program."""
+    n, labels = _vertices(instance)
+    if labels is not None:
+        labels.update((n + i, f"r{i}") for i in range(len(instance.rules)))
+    g = Graph(n + len(instance.rules), labels)
+    for i, rule in enumerate(instance.rules):
         for a in rule.atoms:
             g.add_edge(a, n + i)
     return g
 
 
-def primal_graph_cnf(formula: CnfFormula) -> Graph:
-    """Variables (0-based: DIMACS var v is vertex v-1) with one clique
-    per clause."""
-    g = Graph(formula.num_vars)
-    for rule in formula.rules:
-        g.add_clique(rule.atoms)
-    return g
-
-
-def incidence_graph_cnf(formula: CnfFormula) -> Graph:
-    """Bipartite variable/clause graph, mirroring incidence_graph."""
-    n = formula.num_vars
-    g = Graph(n + formula.num_clauses)
-    for i, rule in enumerate(formula.rules):
-        for a in rule.atoms:
-            g.add_edge(a, n + i)
-    return g
+primal_graph_cnf = primal_graph
+incidence_graph_cnf = incidence_graph
 
 
 def instance_graph(instance: GroundProgram | CnfFormula, kind: str = "primal") -> Graph:
     """The primal or incidence graph of a ground program or CNF formula."""
-    if isinstance(instance, GroundProgram):
-        return primal_graph(instance) if kind == "primal" else incidence_graph(instance)
-    return primal_graph_cnf(instance) if kind == "primal" else incidence_graph_cnf(instance)
+    return (primal_graph if kind == "primal" else incidence_graph)(instance)
 
 
 def write_gr(graph: Graph) -> str:

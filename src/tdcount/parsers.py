@@ -186,12 +186,18 @@ class _SmodelsReader:
         self.atoms: list[Atom] = []
 
     def next_line(self, context):
+        """The next non-blank line and its 1-based number."""
         while self.i < len(self.lines):
             line = self.lines[self.i].strip()
             self.i += 1
             if line:
-                return line
+                return line, self.i
         raise FormatError(f"unexpected end of input in {context}", line=self.i)
+
+    def section(self, context):
+        """Each line, with its number, up to the `0` that ends the section."""
+        while (entry := self.next_line(context))[0] != "0":
+            yield entry
 
     def at_eof(self):
         return all(not line.strip() for line in self.lines[self.i :])
@@ -212,6 +218,16 @@ def _ints(line, line_no, context):
         raise FormatError(f"non-numeric token in {context}", line=line_no) from None
 
 
+def _literals(counts, line_no, kind, per_literal=1):
+    """Check `nbody nneg` against the numbers after them, `per_literal`
+    per literal (a minimize rule's weights follow its literals); returns
+    nneg, the literals and the weights."""
+    nbody, nneg, *tail = counts
+    if nneg < 0 or nbody < nneg or len(tail) != per_literal * nbody:
+        raise FormatError(f"bad literal counts in {kind} rule", line=line_no)
+    return nneg, tail[:nbody], tail[nbody:]
+
+
 def parse_smodels(data) -> GroundProgram:
     """Parse grounder output: rules, symbol table, compute section.
 
@@ -221,63 +237,43 @@ def parse_smodels(data) -> GroundProgram:
     rules: list[Rule] = []
     minimize: MinimizeStatement | None = None
 
-    while True:
-        line_no = reader.i + 1
-        line = reader.next_line("rules section")
-        fields = _ints(line, line_no, "rules section")
-        if fields == [0]:
+    for line, line_no in reader.section("rules section"):
+        rtype, *rest = fields = _ints(line, line_no, "rules section")
+        if fields == [0]:  # "00" or "-0" ends the section too
             break
-        rtype = fields[0]
-        rest = fields[1:]
         if rtype in (_CONSTRAINT_RULE, _CHOICE_RULE, _WEIGHT_RULE):
             raise UnsupportedRuleError(rtype, line=line_no)
+        if rtype == _MINIMIZE_RULE:
+            if len(rest) < 3 or rest[0] != 0:
+                raise FormatError("truncated minimize rule", line=line_no)
+            nneg, lits, wlist = _literals(rest[1:], line_no, "minimize", per_literal=2)
+            if minimize is None:
+                minimize = MinimizeStatement()
+            for k, a in enumerate(lits):
+                minimize.add(reader.intern(a, line_no), k >= nneg, wlist[k])
+            continue
+        # a basic rule is a disjunctive rule with one head, but numbers
+        # its head after checking its counts, a disjunctive rule before
         if rtype == _BASIC_RULE:
             if len(rest) < 3:
                 raise FormatError("truncated basic rule", line=line_no)
-            head, nbody, nneg = rest[0], rest[1], rest[2]
-            lits = rest[3:]
-            if nneg < 0 or nbody < nneg or len(lits) != nbody:
-                raise FormatError("bad literal counts in basic rule", line=line_no)
-            head_ids = [reader.intern(head, line_no)]
-            neg = [reader.intern(a, line_no) for a in lits[:nneg]]
-            pos = [reader.intern(a, line_no) for a in lits[nneg:]]
+            nneg, lits, _ = _literals(rest[1:], line_no, "basic")
+            head = [reader.intern(rest[0], line_no)]
         elif rtype == _DISJUNCTIVE_RULE:
             if not rest:
                 raise FormatError("truncated disjunctive rule", line=line_no)
             nheads = rest[0]
             if nheads < 0 or len(rest) < 1 + nheads + 2:
                 raise FormatError("bad head count in disjunctive rule", line=line_no)
-            head_ids = [reader.intern(a, line_no) for a in rest[1 : 1 + nheads]]
-            nbody, nneg = rest[1 + nheads], rest[2 + nheads]
-            lits = rest[3 + nheads :]
-            if nneg < 0 or nbody < nneg or len(lits) != nbody:
-                raise FormatError("bad literal counts in disjunctive rule", line=line_no)
-            neg = [reader.intern(a, line_no) for a in lits[:nneg]]
-            pos = [reader.intern(a, line_no) for a in lits[nneg:]]
-        elif rtype == _MINIMIZE_RULE:
-            if len(rest) < 3 or rest[0] != 0:
-                raise FormatError("truncated minimize rule", line=line_no)
-            nbody, nneg = rest[1], rest[2]
-            tail = rest[3:]
-            if nneg < 0 or nbody < nneg or len(tail) != 2 * nbody:
-                raise FormatError("bad literal counts in minimize rule", line=line_no)
-            lits, wlist = tail[:nbody], tail[nbody:]
-            if minimize is None:
-                minimize = MinimizeStatement()
-            for k, a in enumerate(lits):
-                atom = reader.intern(a, line_no)
-                minimize.add(atom, k >= nneg, wlist[k])
-            continue
+            head = [reader.intern(a, line_no) for a in rest[1 : 1 + nheads]]
+            nneg, lits, _ = _literals(rest[1 + nheads :], line_no, "disjunctive")
         else:
             raise FormatError(f"unknown rule type {rtype}", line=line_no)
-        rules.append(Rule(frozenset(head_ids), frozenset(pos), frozenset(neg)))
+        neg = frozenset(reader.intern(a, line_no) for a in lits[:nneg])
+        pos = frozenset(reader.intern(a, line_no) for a in lits[nneg:])
+        rules.append(Rule(frozenset(head), pos, neg))
 
-    # symbol table
-    while True:
-        line_no = reader.i + 1
-        line = reader.next_line("symbol table")
-        if line == "0":
-            break
+    for line, line_no in reader.section("symbol table"):
         parts = line.split(maxsplit=1)
         if len(parts) != 2 or not parts[0].isdigit():
             raise FormatError("bad symbol table entry", line=line_no)
@@ -287,33 +283,20 @@ def parse_smodels(data) -> GroundProgram:
     # compute sections may be absent entirely but must not be cut short
     if not reader.at_eof():
         for marker in ("B+", "B-"):
-            line_no = reader.i + 1
-            line = reader.next_line("compute section")
+            line, line_no = reader.next_line("compute section")
             if line != marker:
                 raise FormatError(f"expected {marker!r}", line=line_no)
-            while True:
-                line_no = reader.i + 1
-                line = reader.next_line(f"compute section {marker}")
-                if line == "0":
-                    break
-                fields = _ints(line, line_no, "compute section")
-                for a in fields:
-                    atom = reader.intern(a, line_no)
-                    if marker == "B+":
-                        rules.append(
-                            Rule(frozenset(), frozenset(), frozenset({atom}))
-                        )
-                    else:
-                        rules.append(
-                            Rule(frozenset(), frozenset({atom}), frozenset())
-                        )
+            for line, line_no in reader.section(f"compute section {marker}"):
+                for a in _ints(line, line_no, "compute section"):
+                    atom, none = frozenset({reader.intern(a, line_no)}), frozenset()
+                    # B+ a is the constraint `:- not a.`, B- a is `:- a.`
+                    rules.append(Rule(none, *((none, atom) if marker == "B+" else (atom, none))))
         # trailing model count is accepted and ignored
         if not reader.at_eof():
-            line_no = reader.i + 1
-            line = reader.next_line("model count")
-            _ints(line, line_no, "model count")
+            _ints(*reader.next_line("model count"), "model count")
             if not reader.at_eof():
-                raise FormatError("trailing content after model count", line=reader.i + 1)
+                line_no = reader.next_line("model count")[1]
+                raise FormatError("trailing content after model count", line=line_no)
 
     return GroundProgram(reader.atoms, rules, minimize)
 
@@ -327,7 +310,6 @@ def parse_dimacs(text: str) -> CnfFormula:
     num_vars = None
     num_clauses = None
     weights: dict[int, Fraction] = {}
-    saw_weights = False
     clause_tokens: list[tuple[int, int]] = []  # (literal-or-0, line number)
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -367,7 +349,6 @@ def parse_dimacs(text: str) -> CnfFormula:
             if lit in weights:
                 raise ParseError(f"duplicate weight for literal {lit}", line_no)
             weights[lit] = value
-            saw_weights = True
             continue
         if num_vars is None:
             raise ParseError("clause before header", line_no)
@@ -401,4 +382,4 @@ def parse_dimacs(text: str) -> CnfFormula:
         raise HeaderMismatchError(
             f"header declares {num_clauses} clauses, found {len(clauses)}"
         )
-    return CnfFormula(num_vars, clauses, weights if saw_weights else None)
+    return CnfFormula(num_vars, clauses, weights or None)

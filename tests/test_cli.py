@@ -477,42 +477,41 @@ def test_out_of_memory_is_reported_after_its_frames_are_freed(tmp_path, monkeypa
     assert len(stderr.getvalue().splitlines()) == 1
 
 
-# (input, the line it is bad on, the line reported with two blank lines
-# before that one, exit code, message); an input cut short is bad on its
-# last line
+# (input, the line it is bad on, exit code, message); an input cut short
+# is bad on its last line
 SMODELS_ERRORS = [
-    ("1 1 0\n0\n", 1, 1, 1, "truncated basic rule"),
-    ("1 1 2 0 5\n0\n", 1, 1, 1, "bad literal counts in basic rule"),
-    ("1 1 0 -1\n0\n", 1, 1, 1, "bad literal counts in basic rule"),
-    ("1 0 1 0\n0\n", 1, 1, 1, "bad literal counts in basic rule"),
-    ("6 0 1\n0\n", 1, 1, 1, "truncated minimize rule"),
-    ("6 1 1 0 1 1\n0\n", 1, 1, 1, "truncated minimize rule"),
-    ("6 0 1 0 1\n0\n", 1, 1, 1, "bad literal counts in minimize rule"),
-    ("8\n0\n", 1, 1, 1, "truncated disjunctive rule"),
-    ("8 -1 0 0\n0\n", 1, 1, 1, "bad head count in disjunctive rule"),
-    ("8 3 1 2 0 0\n0\n", 1, 1, 1, "bad head count in disjunctive rule"),
-    ("8 1 1 1 0\n0\n", 1, 1, 1, "bad literal counts in disjunctive rule"),
+    ("1 1 0\n0\n", 1, 1, "truncated basic rule"),
+    ("1 1 2 0 5\n0\n", 1, 1, "bad literal counts in basic rule"),
+    ("1 1 0 -1\n0\n", 1, 1, "bad literal counts in basic rule"),
+    ("1 0 1 0\n0\n", 1, 1, "bad literal counts in basic rule"),
+    ("6 0 1\n0\n", 1, 1, "truncated minimize rule"),
+    ("6 1 1 0 1 1\n0\n", 1, 1, "truncated minimize rule"),
+    ("6 0 1 0 1\n0\n", 1, 1, "bad literal counts in minimize rule"),
+    ("8\n0\n", 1, 1, "truncated disjunctive rule"),
+    ("8 -1 0 0\n0\n", 1, 1, "bad head count in disjunctive rule"),
+    ("8 3 1 2 0 0\n0\n", 1, 1, "bad head count in disjunctive rule"),
+    ("8 1 1 1 0\n0\n", 1, 1, "bad literal counts in disjunctive rule"),
     # a disjunctive rule numbers its heads before it checks the counts
-    ("8 1 0 1 0\n0\n", 1, 1, 1, "atom number 0 out of range"),
-    ("9 1\n0\n", 1, 1, 1, "unknown rule type 9"),
-    ("3 1 1 0 0\n0\n", 1, 1, 2, "unsupported rule type 3"),
-    ("1 1 0 0\n1 0 0 0\n0\n", 2, 2, 1, "atom number 0 out of range"),
-    ("1 1 0 0\n1 a 0 0\n0\n", 2, 2, 1, "non-numeric token in rules section"),
-    ("1 1 0 0\n", 1, 3, 1, "unexpected end of input in rules section"),
-    ("1 1 0 0\n0\nx a\n0\n", 3, 3, 1, "bad symbol table entry"),
-    ("1 1 0 0\n0\n1 a\n0\nB-\n0\n1\n", 5, 5, 1, "expected 'B+'"),
-    ("1 1 0 0\n0\n1 a\n0\nB+\n0\n1\n", 7, 7, 1, "expected 'B-'"),
-    ("1 1 0 0\n0\n1 a\n0\nB+\n0 1\n0\nB-\n0\n1\n", 6, 6, 1, "atom number 0 out of range"),
-    ("1 1 0 0\n0\n1 a\n0\nB+\nx\n0\nB-\n0\n1\n", 6, 6, 1, "non-numeric token in compute section"),
-    ("1 1 0 0\n0\n1 a\n0\nB+\n0\n", 6, 8, 1, "unexpected end of input in compute section"),
-    ("1 1 0 0\n0\n1 a\n0\nB+\n0\nB-\n0\nx\n", 9, 9, 1, "non-numeric token in model count"),
-    ("1 1 0 0\n0\n1 a\n0\nB+\n0\nB-\n0\n1\n2\n", 10, 10, 1, "trailing content after model count"),
+    ("8 1 0 1 0\n0\n", 1, 1, "atom number 0 out of range"),
+    ("9 1\n0\n", 1, 1, "unknown rule type 9"),
+    ("3 1 1 0 0\n0\n", 1, 2, "unsupported rule type 3"),
+    ("1 1 0 0\n1 0 0 0\n0\n", 2, 1, "atom number 0 out of range"),
+    ("1 1 0 0\n1 a 0 0\n0\n", 2, 1, "non-numeric token in rules section"),
+    ("1 1 0 0\n", 1, 1, "unexpected end of input in rules section"),
+    ("1 1 0 0\n0\nx a\n0\n", 3, 1, "bad symbol table entry"),
+    ("1 1 0 0\n0\n1 a\n0\nB-\n0\n1\n", 5, 1, "expected 'B+'"),
+    ("1 1 0 0\n0\n1 a\n0\nB+\n0\n1\n", 7, 1, "expected 'B-'"),
+    ("1 1 0 0\n0\n1 a\n0\nB+\n0 1\n0\nB-\n0\n1\n", 6, 1, "atom number 0 out of range"),
+    ("1 1 0 0\n0\n1 a\n0\nB+\nx\n0\nB-\n0\n1\n", 6, 1, "non-numeric token in compute section"),
+    ("1 1 0 0\n0\n1 a\n0\nB+\n0\n", 6, 1, "unexpected end of input in compute section"),
+    ("1 1 0 0\n0\n1 a\n0\nB+\n0\nB-\n0\nx\n", 9, 1, "non-numeric token in model count"),
+    ("1 1 0 0\n0\n1 a\n0\nB+\n0\nB-\n0\n1\n2\n", 10, 1, "trailing content after model count"),
 ]
 DIMACS_ERRORS = [
-    ("p cnf 2 2\n1 0\n", None, None, 1, "header declares 2 clauses, found 1"),
-    ("p cnf 2 1\n1 0\nw 1 1/2 0\n", 3, 5, 1, "weight line after clauses"),
-    ("p cnf 2 1\n3 0\n", 2, 4, 1, "literal 3 exceeds declared variables"),
-    ("p cnf 2 1\n1 2\n", 2, 4, 1, "unterminated clause at end of input"),
+    ("p cnf 2 2\n1 0\n", None, 1, "header declares 2 clauses, found 1"),
+    ("p cnf 2 1\n1 0\nw 1 1/2 0\n", 3, 1, "weight line after clauses"),
+    ("p cnf 2 1\n3 0\n", 2, 1, "literal 3 exceeds declared variables"),
+    ("p cnf 2 1\n1 2\n", 2, 1, "unterminated clause at end of input"),
 ]
 
 
@@ -524,9 +523,10 @@ def _blank_lines_before(text, line):
 
 def _error_cases(blank):
     for name, command, table in (("in.sm", "count", SMODELS_ERRORS), ("in.cnf", "mc", DIMACS_ERRORS)):
-        for i, (text, line, blank_line, code, message) in enumerate(table):
+        for i, (text, line, code, message) in enumerate(table):
             if blank:
-                text, line = _blank_lines_before(text, line or 2), blank_line
+                text = _blank_lines_before(text, line or 2)
+                line = line and line + 2
             case_id = f"{command}-{i}" + ("-blank" if blank else "")
             yield pytest.param(name, command, text, line, code, message, id=case_id)
 
