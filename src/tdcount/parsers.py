@@ -145,10 +145,11 @@ class _ProgramParser:
         self.expect("punct", "{")
         if self.minimize is None:
             self.minimize = MinimizeStatement()
+        need_separator = False  # each element after the first follows a ';'
         while self.peek().text != "}":
-            if self.minimize.weights or self.peek().text == ";":
-                if self.peek().text == ";":
-                    self.take()
+            if need_separator:
+                self.expect("punct", ";")
+            need_separator = True
             wtok = self.expect("int")
             self.expect("punct", ":")
             sign = True

@@ -68,6 +68,20 @@ def test_parse_minimize():
     assert weights == {("a", True): 1, ("b", False): 3}
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["a. b. #minimize{ 1:a 2:b }.", "a. #minimize{ ;1:a }.", "a. #minimize{1:a}. #minimize{;2:a}.",
+     "a. #minimize{ 1:a; }."],
+)
+def test_minimize_elements_need_one_separator_between(text):
+    with pytest.raises(ParseError):
+        parse_ground_program(text)
+
+
+def test_empty_minimize_is_accepted():
+    assert parse_ground_program("a. #minimize{}.").minimize.weights == {}
+
+
 def test_minimize_statements_merge():
     p = parse_ground_program("a. #minimize{ 2:a }. #minimize{ 3:a; 1:not a }.")
     assert p.minimize.weights == {(0, True): 5, (0, False): 1}
