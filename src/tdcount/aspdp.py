@@ -331,7 +331,7 @@ def count_answer_sets(program: GroundProgram, **options) -> int:
 
 
 def is_consistent(program: GroundProgram, **options) -> bool:
-    return answer(program, Mode.DECISION, **options)
+    return bool(answer(program, Mode.COUNT, **options))
 
 
 def count_optimal(program: GroundProgram, **options) -> tuple[int | None, int]:

@@ -9,7 +9,7 @@ witness sets for the others, an empty set for CNF).
 
 Each mode has one value kind (`Values`, made by `lean_values`), which
 writes once what a key's value is and how it is combined: a count
-(COUNT, DECISION), a (cost, count) pair (OPTCOUNT) or a weight numerator
+(COUNT), a (cost, count) pair (OPTCOUNT) or a weight numerator
 over the product of each forgotten variable's common weight denominator
 (WEIGHTED); the charges at forget nodes, the product at joins, the merge
 rule of two values of one key and the root total.  `projected_values`
@@ -47,7 +47,6 @@ from .treedecomp import NiceTreeDecomposition, NodeKind
 class Mode(enum.Enum):
     COUNT = "count"
     OPTCOUNT = "optcount"
-    DECISION = "decision"
     WEIGHTED = "weighted"
 
 
@@ -237,10 +236,10 @@ def _optimum(values):
 
 
 def lean_values(mode: Mode, costs=None, weights=None) -> Values:
-    """The mode's value kind, with bare values: a count for COUNT and
-    DECISION, a (cost, count) pair charged by `costs` for OPTCOUNT, and
-    for WEIGHTED an integer numerator.  `costs` and `weights` map an atom
-    to its charges (if false, if true).  Each forgotten variable's two
+    """The mode's value kind, with bare values: a count for COUNT, a
+    (cost, count) pair charged by `costs` for OPTCOUNT, and for WEIGHTED
+    an integer numerator.  `costs` and `weights` map an atom to its
+    charges (if false, if true).  Each forgotten variable's two
     `weights` are written over their common denominator, so numerators
     multiply as integers, and the root divides once by the product of
     those denominators."""
@@ -284,7 +283,7 @@ def lean_values(mode: Mode, costs=None, weights=None) -> Values:
         def forget(atom):
             return lambda key, value, bit: (key, value)
 
-        total = bool if mode is Mode.DECISION else sum
+        total = sum
     return Values(
         lambda key: (key, 1),
         _pair,
@@ -484,14 +483,11 @@ def purge(store: TableStore) -> TableStore:
 def root_aggregate(store: TableStore, mode: Mode | None):
     """The mode's answer from the root table's solution keys, with None
     a projected count.  The store must have been built for `mode`, since
-    another kind's total would be a wrong answer; DECISION is answered
-    from any store."""
+    another kind's total would be a wrong answer."""
     ntd = store.ntd
     if ntd.nodes[ntd.root].bag != ():
         raise InvariantError("root bag must be empty")
     sols = [v for (_, state), v in store.root_table.items() if _is_solution(state)]
-    if mode is Mode.DECISION:
-        return bool(sols)
     if store.values.mode is not mode:
         kind, asked = (m.value if m else "projected" for m in (store.values.mode, mode))
         raise InvariantError(f"a {kind} store cannot answer {asked}")

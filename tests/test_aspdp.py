@@ -210,7 +210,6 @@ def all_answers(program, decomp, proj, heuristic):
     store, _ = build_store(program, Mode.COUNT, decomp=decomp)
     return (
         root_aggregate(store, Mode.COUNT),
-        root_aggregate(store, Mode.DECISION),
         count_optimal(program, decomp=decomp),
         list(enumerate_answer_sets(program, decomp=decomp)),
         projected_count(program, proj, heuristic=heuristic),
@@ -218,7 +217,7 @@ def all_answers(program, decomp, proj, heuristic):
 
 
 def test_support_masks_answer_as_witness_sets_on_tight_programs(monkeypatch):
-    """COUNT, DECISION, OPTCOUNT, enumeration and projected counts on
+    """COUNT, OPTCOUNT, enumeration and projected counts on
     every tight corpus program among seeds 0-499, from stores built with
     support masks and with witness sets, under both heuristics."""
     rng = random.Random(5)
@@ -340,7 +339,6 @@ def test_atomless_rule_answers_without_a_table(monkeypatch, instance):
     monkeypatch.setattr(aspdp, "traverse", no_table)
     expected = {
         Mode.COUNT: 0,
-        Mode.DECISION: False,
         Mode.OPTCOUNT: (None, 0),
         Mode.WEIGHTED: Fraction(0),
     }

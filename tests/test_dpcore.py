@@ -291,8 +291,6 @@ def test_plan_checks_targets_earliest_forget():
 def test_root_aggregate_modes():
     _, store, _ = build("a :- not b. b :- not a.")
     assert root_aggregate(store, Mode.COUNT) == 2
-    _, store, _ = build("a :- not b. b :- not a.", mode=Mode.DECISION)
-    assert root_aggregate(store, Mode.DECISION) is True
     _, store, _ = build("a :- not a.", mode=Mode.OPTCOUNT)
     assert root_aggregate(store, Mode.OPTCOUNT) == (None, 0)
 
@@ -306,7 +304,6 @@ def test_root_aggregate_rejects_a_store_of_another_mode():
         root_aggregate(store, Mode.OPTCOUNT)
     with pytest.raises(InvariantError):
         root_aggregate(store, Mode.WEIGHTED)
-    assert root_aggregate(store, Mode.DECISION) is True
     _, store, _ = build(text, mode=Mode.OPTCOUNT)
     assert root_aggregate(store, Mode.OPTCOUNT) == (0, 1)
     with pytest.raises(InvariantError):

@@ -22,7 +22,7 @@ from tdcount.treedecomp import decompose
 import corpus
 
 HEURISTICS = ("min-fill", "min-degree")
-PROGRAM_MODES = (Mode.COUNT, Mode.DECISION, Mode.OPTCOUNT)
+PROGRAM_MODES = (Mode.COUNT, Mode.OPTCOUNT)
 CNF_MODES = PROGRAM_MODES + (Mode.WEIGHTED,)
 
 
@@ -80,7 +80,7 @@ def test_lean_pass_builds_no_row_and_keeps_no_child_table(monkeypatch):
         (parse_ground_program("a :- not b. b :- not a. c :- a. #minimize{ 1:c }."), Mode.OPTCOUNT),
         (parse_ground_program("a :- b. b :- a. a :- not c. c :- not a."), Mode.COUNT),
         (weighted_cnf(3), Mode.WEIGHTED),
-        (corpus.banded_cnf(1, 40), Mode.DECISION),
+        (corpus.banded_cnf(1, 40), Mode.COUNT),
     ]:
         decomp = decompose(instance_graph(instance))
         nodes = decomp.ntd.nodes
