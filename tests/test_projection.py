@@ -344,3 +344,21 @@ def test_one_pass_trace_matches_the_row_store():
         projected_count(f, proj, decomp=decomp, trace=one_pass)
         build_store(f, Mode.COUNT, decomp=decomp, trace=row_store)
         assert one_pass.getvalue() == row_store.getvalue(), seed
+
+
+def test_projected_count_matches_the_oracle_on_banded_programs():
+    # corpus programs mostly have at most one answer set, so their
+    # projected counts are mostly 0 or 1; banded programs have many
+    rng = random.Random(412)
+    above_one = cases = nontight = 0
+    for seed in range(60):
+        program = banded_program(seed, rng.randint(10, 14))
+        nontight += not program.is_tight()
+        proj = set(rng.sample(range(program.num_atoms), rng.randint(1, program.num_atoms)))
+        expected = brute_projected_count(program, proj)
+        for heuristic in ("min-fill", "min-degree"):
+            got = projected_count(program, proj, heuristic=heuristic, seed=seed)
+            assert got == expected, (seed, heuristic, sorted(proj))
+            cases += 1
+            above_one += expected > 1
+    assert above_one >= 0.9 * cases and nontight >= 10, (above_one, nontight)
