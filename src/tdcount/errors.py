@@ -38,7 +38,7 @@ class HeaderMismatchError(ParseError):
 
 
 class TooLargeError(TdcountError):
-    """Instance exceeds a brute-force size guard or the projection pass's depth."""
+    """Instance exceeds a brute-force size guard."""
 
 
 class ProjectionOutOfRangeError(TdcountError):
