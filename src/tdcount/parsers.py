@@ -187,13 +187,14 @@ class _SmodelsReader:
         self.atoms: list[Atom] = []
 
     def next_line(self, context):
-        """The next non-blank line and its 1-based number."""
+        """The next non-blank line and its 1-based number; at the end of
+        input, an error that names the last line, if there is one."""
         while self.i < len(self.lines):
             line = self.lines[self.i].strip()
             self.i += 1
             if line:
                 return line, self.i
-        raise FormatError(f"unexpected end of input in {context}", line=self.i)
+        raise FormatError(f"unexpected end of input in {context}", line=self.i or None)
 
     def section(self, context):
         """Each line, with its number, up to the `0` that ends the section."""

@@ -202,6 +202,9 @@ def test_smodels_lenient_truncation_after_symbol_table():
 def test_smodels_truncated_rule_section():
     with pytest.raises(FormatError):
         parse_smodels("1 1 0 0\n")
+    with pytest.raises(FormatError) as info:
+        parse_smodels("")
+    assert (info.value.line, str(info.value)) == (None, "unexpected end of input in rules section")
 
 
 def test_smodels_truncated_compute_section():
