@@ -3,7 +3,8 @@
 Each case runs one command on one corpus instance and keeps two digests
 (`pcount` projects a program onto every second of its atoms, `pmc` a CNF
 onto fixed variables: every second of a corpus CNF's, every third of a
-banded CNF's):
+banded CNF's; an `enumerate` case with `--limit k` is keyed
+`enumerate --limit k:<instance>`):
 `json` hashes the JSON payload (its `elapsed_ms` removed) and the exit
 code, `trace` hashes the trace file.  The digests in
 `golden_digests.json` pin the table pass's observable behaviour: row
@@ -26,9 +27,13 @@ from tdcount.model import render_program
 from tdcount.parsers import parse_ground_program
 
 import corpus
+from test_projection import banded_program
 
 DIGESTS = Path(__file__).with_name("golden_digests.json")
-PROGRAM_COMMANDS = ("count", "optcount", "solve", "pcount")
+PROGRAM_COMMANDS = ("count", "optcount", "solve", "pcount", "enumerate")
+LIMITS = ([], ["--limit", "1"])
+# banded programs with 108-420 answer sets; (1, 16) and (1, 20) are not tight
+BANDED_PROGRAMS = ((1, 16), (2, 18), (1, 20), (0, 24))
 CNF_COMMANDS = ("mc", "wmc", "pmc")
 
 
@@ -78,7 +83,12 @@ def instances():
         ("supports", supports, "b,e,f"),
         ("loops", loops + "a4.\n", "b0,d0,d1,d2,d3"),
     ):
-        out.append((name, ".lp", text, [("pcount", ["--project", project])]))
+        enumerates = [("enumerate", limit) for limit in LIMITS]
+        out.append((name, ".lp", text, [("pcount", ["--project", project]), *enumerates]))
+    for seed, n in BANDED_PROGRAMS:
+        text = render_program(banded_program(seed, n))
+        enumerates = [("enumerate", limit) for limit in (*LIMITS, ["--limit", "7"])]
+        out.append((f"banded-program-{seed}-{n}", ".lp", text, enumerates))
     for seed in range(17):
         formula = corpus.random_cnf(seed, max_vars=15, max_clauses=25, weighted=True)
         out.append(_cnf_case(f"cnf-{seed}", formula, 2))
@@ -106,9 +116,15 @@ def digest(command: str, suffix: str, text: str, extra=()) -> dict[str, str]:
         }
 
 
+def _key(command, name, extra):
+    """`command:name`, naming an `enumerate --limit` too."""
+    label = " ".join([command, *extra]) if command == "enumerate" else command
+    return f"{label}:{name}"
+
+
 def all_digests() -> dict[str, dict[str, str]]:
     return {
-        f"{command}:{name}": digest(command, suffix, text, extra)
+        _key(command, name, extra): digest(command, suffix, text, extra)
         for name, suffix, text, commands in instances()
         for command, extra in commands
     }
@@ -117,7 +133,7 @@ def all_digests() -> dict[str, dict[str, str]]:
 def test_trace_and_json_match_golden_digests():
     expected = json.loads(DIGESTS.read_text())
     actual = all_digests()
-    assert len(actual) == 142
+    assert len(actual) == 178
     assert sorted(actual) == sorted(expected)
     differing = [
         f"{key} {half}"
