@@ -34,7 +34,8 @@ carry sets of check states (`lifted`).
 
 from __future__ import annotations
 
-from itertools import islice, repeat
+import heapq
+from itertools import repeat
 
 from .dpcore import (
     Handlers,
@@ -341,25 +342,40 @@ def count_optimal(program: GroundProgram, **options) -> tuple[int | None, int]:
     return answer(program, Mode.OPTCOUNT, **options)
 
 
-def _materialize(store: TableStore) -> list[frozenset[int]]:
-    """Build each purged row's list of true-atom sets from its
-    derivations' child lists, node by node in the stored post-order, and
-    drop a child's lists once its parent is built.  Join rows recombine
-    only the row pairs that actually joined."""
+def _tuple_order(n: int):
+    """The key that sorts sets of atoms below n, as ints with atom a at
+    bit n-1-a, as their sorted atom tuples sort: by the complement up to
+    the largest atom, whose bit is `low`, then by that atom; the empty
+    set first."""
+    full = (1 << n) - 1
+
+    def key(R):
+        low = R & -R
+        return (full ^ R) & -low, -(low or 1 << n)
+
+    return key
+
+
+def _materialize(store: TableStore, n: int, limit: int | None) -> list[int]:
+    """The first `limit` (all when None) of the root's answer sets as
+    ints, by `_tuple_order`.  Each purged row's list of sets is built
+    from its derivations' child lists, node by node in the stored
+    post-order, dropping a child's lists once its parent is built; join
+    rows recombine only the row pairs that actually joined."""
     ntd = store.ntd
-    sets: list[dict[int, list[frozenset[int]]] | None] = [None] * len(ntd.nodes)
+    sets: list[dict[int, list[int]] | None] = [None] * len(ntd.nodes)
     for i, node in enumerate(ntd.nodes):
-        built: dict[int, list[frozenset[int]]] = {}
+        built: dict[int, list[int]] = {}
         for row in store.tables[i]:
             if node.kind is NodeKind.LEAF:
-                result = [frozenset()]
+                result = [0]
             elif node.kind is NodeKind.INTRODUCE:
                 result = sets[node.children[0]][id(row.origins[0][0])]
                 if row.assignment >> node.bag.index(node.vertex) & 1:
-                    result = [s | {node.vertex} for s in result]
+                    result = [s | 1 << (n - 1 - node.vertex) for s in result]
             elif node.kind is NodeKind.FORGET:
                 child = sets[node.children[0]]
-                gathered: set[frozenset[int]] = set()
+                gathered: set[int] = set()
                 for (ref,) in row.origins:
                     gathered.update(child[id(ref)])
                 result = list(gathered)
@@ -377,10 +393,11 @@ def _materialize(store: TableStore) -> list[frozenset[int]]:
         for c in node.children:
             sets[c] = None
     root = sets[ntd.root]
-    out: set[frozenset[int]] = set()
+    out: set[int] = set()
     for row in solution_rows(store.root_table):
         out.update(root[id(row)])
-    return sorted(out, key=sorted)
+    key = _tuple_order(n)
+    return sorted(out, key=key) if limit is None else heapq.nsmallest(limit, out, key=key)
 
 
 def enumerate_answer_sets(program: GroundProgram, limit: int | None = None, **options):
@@ -391,4 +408,6 @@ def enumerate_answer_sets(program: GroundProgram, limit: int | None = None, **op
     if has_atomless_rule(program):
         return
     store, _ = build_store(program, Mode.COUNT, **options)
-    yield from islice(_materialize(purge(store)), limit)
+    n = program.num_atoms
+    for R in _materialize(purge(store), n, limit):
+        yield frozenset(a for a, bit in enumerate(f"{R:0{n}b}") if bit == "1")

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -29,7 +30,7 @@ from tdcount.dpcore import (
     traverse,
 )
 from tdcount.graphs import primal_graph
-from tdcount.model import GroundProgram
+from tdcount.model import Atom, GroundProgram, Rule
 from tdcount.oracle import brute_answer_sets, brute_optimum
 from tdcount.parsers import parse_dimacs, parse_ground_program
 from tdcount.projection import projected_count
@@ -179,6 +180,64 @@ def test_enumerate_deep_implication_chain():
     td = td_from_ordering(primal_graph(program), list(range(n)))
     decomp = DecompResult(make_nice(td), td, td.width(), 0, "min-fill")
     assert list(enumerate_answer_sets(program, decomp=decomp)) == [frozenset(range(n))]
+
+
+def test_tuple_order_sorts_as_sorted_atom_tuples():
+    rng = random.Random(7)
+    for n in range(71):
+        key = aspdp._tuple_order(n)
+        subsets = [frozenset(), *(frozenset({a}) for a in range(n))]
+        if n > 5:
+            subsets += [frozenset(s) for s in ({3}, {3, 4}, {3, 5}, {3, 4, 5}, {0, 5}, {0, 1})]
+        subsets += [
+            frozenset(a for a in range(n) if rng.random() < rng.random())
+            for _ in range(10_000 // 71)
+        ]
+        subsets = list(set(subsets))
+        as_int = {sum(1 << (n - 1 - a) for a in s): s for s in subsets}
+        assert [as_int[R] for R in sorted(as_int, key=key)] == sorted(subsets, key=sorted), n
+
+
+def test_enumerate_choice_pairs_in_closed_form():
+    # k choices a_i :- not b_i, b_i :- not a_i, with a_i atom 2i: answer
+    # set j picks b_i exactly when bit k-1-i of j is set
+    k = 14
+    rules = []
+    for i in range(k):
+        rules.append(Rule(frozenset({2 * i}), frozenset(), frozenset({2 * i + 1})))
+        rules.append(Rule(frozenset({2 * i + 1}), frozenset(), frozenset({2 * i})))
+    program = GroundProgram([Atom(a, f"{'ab'[a % 2]}{a // 2}") for a in range(2 * k)], rules)
+    expected = [
+        frozenset(2 * i + (j >> (k - 1 - i) & 1) for i in range(k)) for j in range(2**k)
+    ]
+    assert list(enumerate_answer_sets(program, limit=5)) == expected[:5]
+    assert list(enumerate_answer_sets(program)) == expected
+
+
+def alternating_chain(seed, n):
+    """`a_i :- not a_{i+1}` for every i, and `a_{i+2} :- a_i` with
+    probability one half, as the benchmark's chains are built."""
+    rng = random.Random(seed)
+    rules = []
+    for i in range(n - 1):
+        rules.append(Rule(frozenset({i}), frozenset(), frozenset({i + 1})))
+        if i + 2 < n and rng.random() < 0.5:
+            rules.append(Rule(frozenset({i + 2}), frozenset({i}), frozenset()))
+    return GroundProgram([Atom(i, f"a{i}") for i in range(n)], rules)
+
+
+def test_enumerate_with_limit_keeps_no_set_per_answer():
+    # 16,872 answer sets; building each as a frozenset peaked near 47 MB
+    program = alternating_chain(3, 100)
+    assert count_answer_sets(program) == 16_872
+    tracemalloc.start()
+    try:
+        first = list(enumerate_answer_sets(program, limit=10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(first) == 10
+    assert peak < 10_000_000, peak
 
 
 def test_disjunctive_support_needs_the_only_true_head_atom():
