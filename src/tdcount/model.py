@@ -113,7 +113,11 @@ class GroundProgram:
         return removed == len(self.atoms)
 
     def atom_names(self) -> list[str]:
-        """Printable, unique, grammar-safe name per atom."""
+        """A name per atom: its own, else `x<id>` plus `x`s until unused,
+        so they are unique when the atoms' own names are, as both
+        parsers make them.  Names read from the textual grammar are
+        grammar-safe; SModels symbol-table names are kept as given and
+        need not be (`p(1)`)."""
         used = {a.name for a in self.atoms if a.name is not None}
         out = []
         for atom in self.atoms:
@@ -129,8 +133,9 @@ class GroundProgram:
 
 
 def render_program(program: GroundProgram) -> str:
-    """Serialize back to the textual grammar; reparsing yields an
-    structurally identical program when all atom names are grammar-safe."""
+    """Serialize back to the textual grammar; reparsing yields a
+    structurally identical program when all atom names are grammar-safe,
+    which SModels names (`p(1)`) need not be."""
     names = program.atom_names()
     lines = []
     for rule in program.rules:

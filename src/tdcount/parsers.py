@@ -275,11 +275,17 @@ def parse_smodels(data) -> GroundProgram:
         pos = frozenset(reader.intern(a, line_no) for a in lits[nneg:])
         rules.append(Rule(frozenset(head), pos, neg))
 
+    names: set[str] = set()
     for line, line_no in reader.section("symbol table"):
         parts = line.split(maxsplit=1)
         if len(parts) != 2 or not parts[0].isdigit():
             raise FormatError("bad symbol table entry", line=line_no)
         atom = reader.intern(int(parts[0]), line_no)
+        if reader.atoms[atom].name is not None:
+            raise FormatError(f"atom {parts[0]} named twice in symbol table", line=line_no)
+        if parts[1] in names:
+            raise FormatError(f"name {parts[1]!r} given twice in symbol table", line=line_no)
+        names.add(parts[1])
         reader.atoms[atom] = Atom(atom, parts[1])
 
     # compute sections may be absent entirely but must not be cut short

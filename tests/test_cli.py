@@ -506,6 +506,8 @@ SMODELS_ERRORS = [
     ("1 1 0 0\n0\n1 a\n0\nB+\n0\n", 6, 1, "unexpected end of input in compute section"),
     ("1 1 0 0\n0\n1 a\n0\nB+\n0\nB-\n0\nx\n", 9, 1, "non-numeric token in model count"),
     ("1 1 0 0\n0\n1 a\n0\nB+\n0\nB-\n0\n1\n2\n", 10, 1, "trailing content after model count"),
+    ("1 1 0 0\n1 2 0 0\n0\n1 a\n2 a\n0\n", 5, 1, "name 'a' given twice in symbol table"),
+    ("1 1 0 0\n0\n1 a\n1 b\n0\n", 4, 1, "atom 1 named twice in symbol table"),
 ]
 DIMACS_ERRORS = [
     ("p cnf 2 2\n1 0\n", None, 1, "header declares 2 clauses, found 1"),

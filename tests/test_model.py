@@ -217,6 +217,18 @@ def test_smodels_bad_counts():
         parse_smodels("1 1 2 0 5\n0\n0\nB+\n0\nB-\n0\n1\n")
 
 
+def test_smodels_symbol_table_names_each_atom_once():
+    # two atoms printed alike would make `enumerate` output ambiguous and
+    # `pcount --project` pick one of them
+    with pytest.raises(FormatError) as info:
+        parse_smodels("1 1 0 0\n1 2 0 0\n0\n1 a\n2 a\n0\nB+\n0\nB-\n0\n1\n")
+    assert str(info.value) == "line 5: name 'a' given twice in symbol table"
+    # naming an atom again used to rename it silently
+    with pytest.raises(FormatError) as info:
+        parse_smodels("1 1 0 0\n0\n1 a\n1 b\n0\n")
+    assert str(info.value) == "line 4: atom 1 named twice in symbol table"
+
+
 def test_smodels_unnamed_atoms_get_fallback_names():
     p = parse_smodels("1 1 1 0 2\n0\n1 a\n0\nB+\n0\nB-\n0\n1\n")
     assert p.atoms[1].name is None
