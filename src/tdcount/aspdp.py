@@ -35,6 +35,7 @@ carry sets of check states (`lifted`).
 from __future__ import annotations
 
 import heapq
+from functools import cache
 from itertools import repeat
 
 from .dpcore import (
@@ -164,8 +165,10 @@ def lifted(check: CheckState) -> CheckState:
     """`check` on sets of its states, the keys of a projected count:
     introduce and forget map each state, forget dropping the states that
     rule the candidate out and the key when none is left, and join
-    combines the two sets pairwise."""
+    combines the two sets pairwise.  Many keys share a state set, so
+    introduce is memoised for the pass that calls `lifted`."""
 
+    @cache
     def introduce(states, p):
         falses, trues = zip(*map(check.introduce, states, repeat(p)))
         return frozenset(falses), frozenset(trues)
