@@ -1,8 +1,9 @@
 """Answer-set counting, optimization and enumeration over nice tree
 decompositions of the primal graph.
 
-Each row pairs a candidate bag assignment with a check state, chosen
-once per instance (`check_state`):
+Each row pairs a candidate bag assignment with a state whose kind
+(`CheckState`) is chosen once per instance (`check_state`); the kind
+also says which root keys describe solutions and bounds every table:
 
 - A tight program (no positive dependency cycle) has as answer sets
   exactly its supported models (Fages 1994; for disjunctive heads,
@@ -18,12 +19,13 @@ once per instance (`check_state`):
   checked rule of the reduct; `strict` records that it is already
   properly smaller than the candidate on some decided atom.  A root row
   describes answer sets exactly when no strict witness survived.
+- A CNF's rows carry the empty state (`EMPTY`), which no step changes.
 
 Minimize costs, both signs, are charged when their atom is forgotten.
 
 One planner (`dpcore.plan_checks`), one handler set (`make_handlers`),
 one `build_store` and one `answer` serve programs and CNFs alike: a
-CNF's `rules` are its clauses as constraints, run with an empty state.
+CNF's `rules` are its clauses as constraints.
 `answer`, behind every count, decision, optimum and weight, runs the
 handlers on lean tables of the mode's bare values (`mode_values`);
 `build_store`, for enumeration, on `Row` tables that carry the same
@@ -37,6 +39,7 @@ from __future__ import annotations
 import heapq
 from functools import cache
 from itertools import repeat
+from typing import Callable, NamedTuple
 
 from .dpcore import (
     Handlers,
@@ -62,23 +65,39 @@ from .model import CnfFormula, GroundProgram, Rule, has_atomless_rule
 from .treedecomp import DecompResult, NiceTreeDecomposition, NodeKind, decompose
 
 
-class CheckState:
-    """How program rows check stability: the leaf's state and one state
-    step per node kind.  `introduce(state, p)` gives the states of the
-    candidates that set the new bag position p false and true;
-    `forget(due, p)` gives the step `(state, A) -> state | None` of a
-    forget node whose child bag position p goes, with `due` the masks of
-    the rules checked there, for a candidate A that satisfies every due
-    rule, returning None when the state rules A out; `join(left, right)`
-    combines the states of two rows of one assignment."""
+class CheckState(NamedTuple):
+    """How rows check stability: the leaf's state and one state step per
+    node kind, None where states never change (`EMPTY`).
+    `introduce(state, p)` gives the states of the candidates that set the
+    new bag position p false and true; `forget(due, p)` gives the step
+    `(state, A) -> state | None` of a forget node whose child bag position
+    p goes, with `due` the masks of the rules checked there, for a
+    candidate A that satisfies every due rule, returning None when the
+    state rules A out; `join(left, right)` combines the states of two rows
+    of one assignment.  `solution(state)` tells whether a root key with
+    this state describes solutions; `bound(keys, k)` raises InvariantError
+    when a table's keys over a bag of k atoms break the kind's bound."""
 
-    __slots__ = ("start", "introduce", "forget", "join")
+    start: object
+    introduce: Callable | None
+    forget: Callable | None
+    join: Callable | None
+    solution: Callable
+    bound: Callable
 
-    def __init__(self, start, introduce, forget, join):
-        self.start = start
-        self.introduce = introduce
-        self.forget = forget
-        self.join = join
+
+def _always(state):
+    return True
+
+
+def _empty_bound(keys, k):
+    if len(keys) > 1 << k:
+        raise InvariantError("row bound exceeded for witness-free tables")
+
+
+# CNF: models need no stability check, so every key keeps the empty
+# state and a table has at most one key per assignment
+EMPTY = CheckState(frozenset(), None, None, None, _always, _empty_bound)
 
 
 def _support_introduce(mask, p):
@@ -102,9 +121,20 @@ def _support_forget(due, p):
     return step
 
 
+def _support_bound(keys, k):
+    # a support mask lies inside its assignment: at most 3^k keys
+    if len(keys) > 3**k:
+        raise InvariantError("row bound exceeded for support tables")
+    for assignment, mask in keys:
+        if mask & ~assignment:
+            raise InvariantError("support mask outside the assignment")
+
+
 # tight programs: the support mask holds the bag atoms that are the
-# only true head atom of some checked rule whose body holds
-SUPPORT = CheckState(0, _support_introduce, _support_forget, int.__or__)
+# only true head atom of some checked rule whose body holds.  Every true
+# atom was supported when it was forgotten, so every root key is a
+# solution
+SUPPORT = CheckState(0, _support_introduce, _support_forget, int.__or__, _always, _support_bound)
 
 
 def _witness_introduce(ws, p):
@@ -139,10 +169,7 @@ def _witness_forget(due, p):
                 entry = memo[b] = (broken, remove_bit(b, p))
             if not entry[0] & live:
                 kept.append((entry[1], s))
-        kept = frozenset(kept)
-        if (remove_bit(A, p), False) not in kept:
-            raise InvariantError("self-witness lost at forget")
-        return kept
+        return frozenset(kept)
 
     return step
 
@@ -154,10 +181,26 @@ def _witness_join(left, right):
     return frozenset((b, s1 or s2) for b, s1 in left for s2 in flags.get(b, ()))
 
 
+def _no_strict_witness(ws):
+    return not any(strict for _, strict in ws)
+
+
+def _witness_bound(keys, k):
+    cap = 1 << (k + 1)
+    for assignment, ws in keys:
+        if len(ws) > cap:
+            raise InvariantError("witness-set bound exceeded")
+        # the non-strict self-witness must survive every step
+        if (assignment, False) not in ws:
+            raise InvariantError("self-witness lost")
+
+
 # other programs: each witness (B, strict) is a sub-interpretation that
-# still satisfies every checked rule of the reduct
+# still satisfies every checked rule of the reduct, and a root key
+# describes answer sets when no strict witness is left
 WITNESS = CheckState(
-    frozenset({(0, False)}), _witness_introduce, _witness_forget, _witness_join
+    frozenset({(0, False)}), _witness_introduce, _witness_forget, _witness_join,
+    _no_strict_witness, _witness_bound,
 )
 
 
@@ -165,8 +208,10 @@ def lifted(check: CheckState) -> CheckState:
     """`check` on sets of its states, the keys of a projected count:
     introduce and forget map each state, forget dropping the states that
     rule the candidate out and the key when none is left, and join
-    combines the two sets pairwise.  Many keys share a state set, so
-    introduce is memoised for the pass that calls `lifted`."""
+    combines the two sets pairwise.  A set describes solutions when one
+    of its states does, and a table keeps `check`'s bound state by state.
+    Many keys share a state set, so introduce is memoised for the pass
+    that calls `lifted`."""
 
     @cache
     def introduce(states, p):
@@ -180,16 +225,22 @@ def lifted(check: CheckState) -> CheckState:
     def join(left, right):
         return frozenset(check.join(x, y) for x in left for y in right)
 
-    return CheckState(frozenset({check.start}), introduce, forget, join)
+    def solution(states):
+        return any(map(check.solution, states))
+
+    def bound(keys, k):
+        check.bound({(a, state) for a, states in keys for state in states}, k)
+
+    return CheckState(frozenset({check.start}), introduce, forget, join, solution, bound)
 
 
-def check_state(instance: GroundProgram | CnfFormula) -> CheckState | None:
+def check_state(instance: GroundProgram | CnfFormula) -> CheckState:
     """The check state of the instance's rows: support masks for a
     tight program, whose answer sets are its supported models, witness
-    sets for any other program, and none for a CNF, whose models need
-    no stability check."""
+    sets for any other program, and the empty state for a CNF, whose
+    models need no stability check."""
     if isinstance(instance, CnfFormula):
-        return None
+        return EMPTY
     return SUPPORT if instance.is_tight() else WITNESS
 
 
@@ -197,7 +248,7 @@ def make_handlers(
     ntd: NiceTreeDecomposition,
     plan: dict[int, list[Rule]],
     *,
-    check: CheckState | None = WITNESS,
+    check: CheckState = WITNESS,
     values: Values,
 ) -> Handlers:
     """The one handler set, for programs and CNFs alike.  Each handler
@@ -205,8 +256,8 @@ def make_handlers(
     from a key and the child values; `dpcore.traverse` builds the table.
 
     `plan` maps forget nodes to the rules checked there, and `check`
-    gives each key's check state and its steps; with None every key
-    keeps an empty state and only the rules are checked.  `values` is
+    gives each key's check state and its steps; with `EMPTY` every key
+    keeps the empty state and only the rules are checked.  `values` is
     one mode's kind (`dpcore.lean_values`), whose lean tables hold bare
     values, or that kind wrapped by `dpcore.row_values`, whose tables
     hold `Row`s with their derivations.  The kind charges an atom's cost
@@ -215,16 +266,17 @@ def make_handlers(
     weight becomes 0, which contribute nothing."""
 
     def leaf(node_id, node):
-        yield values.leaf((0, check.start if check else frozenset()))
+        yield values.leaf((0, check.start))
 
     def introduce(node_id, node, child):
         p = node.bag.index(node.vertex)
         low, bit = (1 << p) - 1, 1 << p
         carry = values.carry
+        split = check.introduce
         for (A, state), value in child.items():
             s_false = s_true = state
-            if check:
-                s_false, s_true = check.introduce(state, p)
+            if split:
+                s_false, s_true = split(state, p)
             A = (A >> p << (p + 1)) | (A & low)  # the new position set false
             yield carry((A, s_false), value)
             yield carry((A | bit, s_true), value)
@@ -240,7 +292,7 @@ def make_handlers(
         clashes = [
             (head | pos | neg, pos) for head, pos, neg in due if not (head | neg) & pos
         ]
-        step = check.forget(due, p) if check else None
+        step = check.forget and check.forget(due, p)
         charge = values.forget(a)
         for (A, state), value in child.items():
             for span, pos in clashes:
@@ -263,12 +315,13 @@ def make_handlers(
         for (A, state), value in right.items():
             by_assignment.setdefault(A, []).append((state, value))
         product = values.join
+        combine = check.join
         for (A, state), lvalue in left.items():
             for rstate, rvalue in by_assignment.get(A, ()):
-                joined = check.join(state, rstate) if check else state
+                joined = combine(state, rstate) if combine else state
                 yield product((A, joined), lvalue, rvalue)
 
-    return Handlers(leaf, introduce, forget, join, values)
+    return Handlers(leaf, introduce, forget, join, values, check)
 
 
 def mode_values(instance: GroundProgram | CnfFormula, mode: Mode) -> Values:
@@ -299,7 +352,7 @@ def table_pass(
     if decomp is None:
         decomp = decompose(instance_graph(instance), heuristic, seed, seeds)
     check = check_state(instance)
-    if check and values.mode is None:
+    if values.mode is None and check is not EMPTY:
         check = lifted(check)
     handlers = make_handlers(
         decomp.ntd,
@@ -395,10 +448,12 @@ def _materialize(store: TableStore, n: int, limit: int | None) -> list[int]:
         sets[i] = built
         for c in node.children:
             sets[c] = None
-    root = sets[ntd.root]
-    out: set[int] = set()
-    for row in solution_rows(store.root_table):
-        out.update(root[id(row)])
+    # the root bag is empty, so its one solution key holds every answer
+    # set, already deduplicated by the count check
+    sols = solution_rows(store)
+    if len(sols) > 1:
+        raise InvariantError("an empty root bag has at most one solution row")
+    out = sets[ntd.root][id(sols[0])] if sols else []
     key = _tuple_order(n)
     return sorted(out, key=key) if limit is None else heapq.nsmallest(limit, out, key=key)
 

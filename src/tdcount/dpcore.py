@@ -4,8 +4,8 @@
 at one forget node.  A post-order traversal hands each node to a handler,
 which yields the node's table entries, and builds the node's table from
 them.  Every table is keyed by (assignment, state): a bag assignment and
-a check state for stability checking (a support mask for tight programs,
-witness sets for the others, an empty set for CNF).
+a state of the pass's check state (`aspdp.CheckState`), which alone
+knows its format: it bounds each table and tells the root's solutions.
 
 Each mode has one value kind (`Values`, made by `lean_values`), which
 writes once what a key's value is and how it is combined: a count
@@ -54,14 +54,8 @@ class Row:
     """One row of the `Row` store, the only store that keeps derivations.
 
     assignment      bitmask over the sorted bag
-    state           the check state, one of:
-                    - an int, the support mask of a tight program: the
-                      bag atoms already the only true head atom of a
-                      checked rule whose body holds, a subset of the
-                      assignment;
-                    - a frozenset of (bitmask, strict) counter-witness
-                      states, for other programs;
-                    - the empty frozenset, for CNF
+    state           the key's state of the pass's check state
+                    (`aspdp.CheckState`)
     value           the pass's value for the row's key, as its mode's
                     lean kind computes it (`lean_values`): a count, a
                     (cost, count) pair or a weight numerator
@@ -78,7 +72,8 @@ class Row:
         self.value = value
         self.origins = origins
 
-    def __repr__(self):  # compact, deterministic; used by store fingerprints
+    def __repr__(self):
+        """For store fingerprints; reads the state's type, as a report."""
         if isinstance(self.state, int):
             state = f"s={self.state:b}"
         else:
@@ -111,6 +106,8 @@ class DpTable:
 
 
 def _max_witness_set(keys) -> int:
+    """The largest witness set or set of states, for `--trace` and
+    `max_witness_set`; reads the state's type, as a report."""
     return max((len(s) for _, s in keys if not isinstance(s, int)), default=0)
 
 
@@ -337,21 +334,25 @@ def projected_values(projected) -> Values:
 class Handlers:
     """One entry generator per node kind, each named by its `NodeKind`
     value and called with the node id, the node and the child tables;
-    `values` is the value kind that makes their entries and tables."""
+    `values` is the value kind that makes their entries and tables, and
+    `check` the keys' check state (`aspdp.CheckState`)."""
 
     leaf: callable
     introduce: callable
     forget: callable
     join: callable
     values: Values
+    check: object
 
 
 class TableStore:
-    """A pass's tables by node id.  A lean pass keeps only the root's."""
+    """A pass's tables by node id, with the value kind and check state
+    that built them.  A lean pass keeps only the root's."""
 
-    def __init__(self, ntd: NiceTreeDecomposition, values: Values):
+    def __init__(self, ntd: NiceTreeDecomposition, values: Values, check):
         self.ntd = ntd
         self.values = values
+        self.check = check
         self.tables: list = [None] * len(ntd.nodes)
 
     @property
@@ -367,37 +368,9 @@ class TableStore:
         return "\n".join(parts)
 
 
-def _check_table(node, keys) -> None:
-    """Each state kind's bound over a table's (assignment, state) keys:
-    a support mask lies inside its assignment, so a support table has at
-    most 3^|bag| keys; a witness set has at most 2^(|bag|+1) states and
-    keeps the self-witness; a table without either has at most one key
-    per assignment.  One pass builds a table with one state kind, so its
-    first key tells which; a projected count's sets of states are
-    checked state by state."""
-    bag_size = len(node.bag)
-    first = next(iter(keys), None)
-    if first is not None and _is_state_set(first[1]):
-        keys = {(assignment, state) for assignment, states in keys for state in states}
-        first = next(iter(keys))
-    if first is not None and isinstance(first[1], int):
-        if len(keys) > 3**bag_size:
-            raise InvariantError("row bound exceeded for support tables")
-        for assignment, mask in keys:
-            if mask & ~assignment:
-                raise InvariantError("support mask outside the assignment")
-        return
-    if {witnesses for _, witnesses in keys} <= {frozenset()}:
-        if len(keys) > (1 << bag_size):
-            raise InvariantError("row bound exceeded for witness-free tables")
-        return
-    witness_cap = 1 << (bag_size + 1)
-    for assignment, witnesses in keys:
-        if len(witnesses) > witness_cap:
-            raise InvariantError("witness-set bound exceeded")
-        # the non-strict self-witness must survive every step
-        if witnesses and (assignment, False) not in witnesses:
-            raise InvariantError("self-witness lost")
+def _check_table(node, keys, check) -> None:
+    """The check state's bound over a table's (assignment, state) keys."""
+    check.bound(keys, len(node.bag))
 
 
 def traverse(ntd: NiceTreeDecomposition, handlers: Handlers, trace=None) -> TableStore:
@@ -406,7 +379,7 @@ def traverse(ntd: NiceTreeDecomposition, handlers: Handlers, trace=None) -> Tabl
     each child table once its parent is built.  Handler exceptions are
     wrapped in HandlerFailureError with the offending node attached."""
     values = handlers.values
-    store = TableStore(ntd, values)
+    store = TableStore(ntd, values, handlers.check)
     tables = store.tables
     for i, node in enumerate(ntd.nodes):
         try:
@@ -415,7 +388,7 @@ def traverse(ntd: NiceTreeDecomposition, handlers: Handlers, trace=None) -> Tabl
             if node.kind is NodeKind.FORGET:
                 build = values.forget_table(node.vertex)
             table = build(handler(i, node, *(tables[c] for c in node.children)))
-            _check_table(node, table.keys())
+            _check_table(node, table.keys(), handlers.check)
         except Exception as exc:
             raise HandlerFailureError(i, node.kind.value) from exc
         tables[i] = table
@@ -434,25 +407,9 @@ def traverse(ntd: NiceTreeDecomposition, handlers: Handlers, trace=None) -> Tabl
     return store
 
 
-def _is_state_set(state) -> bool:
-    """Whether a key's state is a projected count's set of check states
-    (support masks or witness sets), not one check state."""
-    return isinstance(state, frozenset) and not isinstance(next(iter(state), ()), tuple)
-
-
-def _is_solution(state) -> bool:
-    """A root key with no strict witness left describes solutions.  A
-    support key reaching the root is a solution: every true atom was
-    supported when it was forgotten.  A set of states describes
-    solutions when one of its states does."""
-    if _is_state_set(state):
-        return any(map(_is_solution, state))
-    return isinstance(state, int) or not any(strict for _, strict in state)
-
-
-def solution_rows(table: DpTable) -> list[Row]:
-    """The rows whose state describes solutions."""
-    return [r for r in table if _is_solution(r.state)]
+def solution_rows(store: TableStore) -> list[Row]:
+    """The root rows whose state describes solutions."""
+    return [r for r in store.root_table if store.check.solution(r.state)]
 
 
 def purge(store: TableStore) -> TableStore:
@@ -461,7 +418,7 @@ def purge(store: TableStore) -> TableStore:
     ntd = store.ntd
     marked: list[set[int]] = [set() for _ in ntd.nodes]
     root = ntd.root
-    for row in solution_rows(store.root_table):
+    for row in solution_rows(store):
         marked[root].add(id(row))
     for i in range(root, -1, -1):
         node = ntd.nodes[i]
@@ -474,7 +431,7 @@ def purge(store: TableStore) -> TableStore:
             for derivation in row.origins:
                 for child, ref in zip(node.children, derivation):
                     marked[child].add(id(ref))
-    out = TableStore(ntd, store.values)
+    out = TableStore(ntd, store.values, store.check)
     for i, table in enumerate(store.tables):
         out.tables[i] = DpTable({k: r for k, r in table.items() if id(r) in marked[i]})
     return out
@@ -487,7 +444,7 @@ def root_aggregate(store: TableStore, mode: Mode | None):
     ntd = store.ntd
     if ntd.nodes[ntd.root].bag != ():
         raise InvariantError("root bag must be empty")
-    sols = [v for (_, state), v in store.root_table.items() if _is_solution(state)]
+    sols = [v for (_, state), v in store.root_table.items() if store.check.solution(state)]
     if store.values.mode is not mode:
         kind, asked = (m.value if m else "projected" for m in (store.values.mode, mode))
         raise InvariantError(f"a {kind} store cannot answer {asked}")

@@ -8,12 +8,11 @@ from .model import CnfFormula, GroundProgram
 class Graph:
     """Simple undirected graph on vertices 0..n-1."""
 
-    def __init__(self, num_vertices: int, labels: dict[int, str] | None = None):
+    def __init__(self, num_vertices: int):
         if num_vertices < 0:
             raise ValueError("negative vertex count")
         self.num_vertices = num_vertices
         self.neighbors: list[set[int]] = [set() for _ in range(num_vertices)]
-        self.labels = labels or {}
 
     def add_edge(self, u: int, v: int) -> None:
         if u == v:
@@ -44,19 +43,18 @@ class Graph:
         return len(self.neighbors[v])
 
 
-def _vertices(instance: GroundProgram | CnfFormula) -> tuple[int, dict[int, str] | None]:
+def _vertices(instance: GroundProgram | CnfFormula) -> int:
     """The vertex count of an instance's atoms or variables (DIMACS var
-    v is vertex v-1), and a program's atom names; a CNF's variables have
-    no labels."""
+    v is vertex v-1)."""
     if isinstance(instance, CnfFormula):
-        return instance.num_vars, None
-    return instance.num_atoms, {a.id: a.name for a in instance.atoms if a.name is not None}
+        return instance.num_vars
+    return instance.num_atoms
 
 
 def primal_graph(instance: GroundProgram | CnfFormula) -> Graph:
     """Atoms or variables are vertices; those sharing a rule or clause
     form a clique.  Atoms in no rule stay as isolated vertices."""
-    g = Graph(*_vertices(instance))
+    g = Graph(_vertices(instance))
     for rule in instance.rules:
         g.add_clique(rule.atoms)
     return g
@@ -64,11 +62,9 @@ def primal_graph(instance: GroundProgram | CnfFormula) -> Graph:
 
 def incidence_graph(instance: GroundProgram | CnfFormula) -> Graph:
     """Bipartite graph: atom or variable vertices 0..n-1, then one vertex
-    per rule or clause, labelled `r<i>` for a program."""
-    n, labels = _vertices(instance)
-    if labels is not None:
-        labels.update((n + i, f"r{i}") for i in range(len(instance.rules)))
-    g = Graph(n + len(instance.rules), labels)
+    per rule or clause."""
+    n = _vertices(instance)
+    g = Graph(n + len(instance.rules))
     for i, rule in enumerate(instance.rules):
         for a in rule.atoms:
             g.add_edge(a, n + i)

@@ -31,9 +31,9 @@ outright), so `pmc` walks down without inclusion-exclusion; at a join it
 expands over the row pairs that joined (a join row's derivations),
 because a product of per-child unions would count phantom combinations.
 Intersections take one rule,
-ipmc(node, σ) = Σ_{∅≠S⊆σ} (-1)^{|S|+1} · pmc(node, S), short-cut to 1 at
-a leaf or with no projected forget below, and passed to the child rows
-at an introduce node.
+ipmc(node, σ) = Σ_{∅≠S⊆σ} (-1)^{|S|+1} · pmc(node, S), short-cut to 1
+with no projected forget below (so at every leaf), and passed to the
+child rows at an introduce node.
 """
 
 from __future__ import annotations
@@ -88,9 +88,7 @@ class ProjectionPass:
         if cached is not None:
             return cached
         node = self.ntd.nodes[node_id]
-        if node.kind is NodeKind.LEAF:
-            value = 1
-        elif node.kind is NodeKind.JOIN:
+        if node.kind is NodeKind.JOIN:
             buckets: dict[int, set] = {}
             for row in rows:
                 pairs = buckets.setdefault(self.bucket_of(node_id, row), set())
@@ -135,9 +133,7 @@ class ProjectionPass:
             table[sigma] = 1
             return 1
         node = self.ntd.nodes[node_id]
-        if node.kind is NodeKind.LEAF:
-            value = 1
-        elif node.kind is NodeKind.INTRODUCE:
+        if node.kind is NodeKind.INTRODUCE:
             # an introduce row extends exactly one child row, and rows
             # of one bucket agree on the introduced atom, so the
             # intersection passes through unchanged
@@ -170,7 +166,7 @@ class ProjectionPass:
         return total
 
     def root_value(self) -> int:
-        sols = solution_rows(self.store.root_table)
+        sols = solution_rows(self.store)
         if not sols:
             return 0
         return self.pmc(self.ntd.root, frozenset(sols))

@@ -68,7 +68,7 @@ class NiceTreeDecomposition:
 
     nodes: list[NiceNode]
     num_graph_vertices: int
-    forget_node_of: dict[int, int] = field(default_factory=dict)
+    forget_node_of: dict[int, int] = field(init=False)
 
     def __post_init__(self) -> None:
         for i, node in enumerate(self.nodes):
@@ -76,12 +76,12 @@ class NiceTreeDecomposition:
                 raise ValueError(f"nodes must be post-ordered (node {i})")
         if not self.nodes or self.nodes[-1].bag != ():
             raise ValueError("root bag must be empty")
-        if not self.forget_node_of:
-            for i, node in enumerate(self.nodes):
-                if node.kind is NodeKind.FORGET:
-                    if node.vertex in self.forget_node_of:
-                        raise ValueError(f"vertex {node.vertex} is forgotten twice")
-                    self.forget_node_of[node.vertex] = i
+        self.forget_node_of = {}
+        for i, node in enumerate(self.nodes):
+            if node.kind is NodeKind.FORGET:
+                if node.vertex in self.forget_node_of:
+                    raise ValueError(f"vertex {node.vertex} is forgotten twice")
+                self.forget_node_of[node.vertex] = i
 
     @property
     def root(self) -> int:

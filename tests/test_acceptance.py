@@ -137,7 +137,7 @@ def test_tree_decomposition_suite():
 def assert_reachable_from_root(store):
     ntd = store.ntd
     marked = [set() for _ in ntd.nodes]
-    for row in solution_rows(store.root_table):
+    for row in solution_rows(store):
         marked[ntd.root].add(id(row))
     for i in range(ntd.root, -1, -1):
         node = ntd.nodes[i]

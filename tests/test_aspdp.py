@@ -27,10 +27,11 @@ from tdcount.dpcore import (
     plan_checks,
     root_aggregate,
     row_values,
+    solution_rows,
     traverse,
 )
 from tdcount.graphs import primal_graph
-from tdcount.model import Atom, GroundProgram, Rule
+from tdcount.model import Atom, GroundProgram, Rule, has_atomless_rule
 from tdcount.oracle import brute_answer_sets, brute_optimum
 from tdcount.parsers import parse_dimacs, parse_ground_program
 from tdcount.projection import projected_count
@@ -238,6 +239,23 @@ def test_enumerate_with_limit_keeps_no_set_per_answer():
         tracemalloc.stop()
     assert len(first) == 10
     assert peak < 10_000_000, peak
+
+
+def test_a_store_root_has_at_most_one_solution_row():
+    # the root bag is empty, so enumeration takes its one solution row's
+    # sets as they are
+    instances = [corpus.random_program(seed) for seed in range(120)]
+    instances += [corpus.random_cnf(seed, weighted=False) for seed in range(40)]
+    solved = 0
+    for instance in instances:
+        if has_atomless_rule(instance):
+            continue
+        for heuristic in ("min-fill", "min-degree"):
+            store, _ = build_store(instance, decomp=decompose(primal_graph(instance), heuristic))
+            sols = solution_rows(store)
+            assert len(sols) <= 1, (instance, heuristic)
+            solved += len(sols)
+    assert solved > 100
 
 
 def test_disjunctive_support_needs_the_only_true_head_atom():

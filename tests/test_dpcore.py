@@ -11,6 +11,7 @@ from tdcount.dpcore import (
     Handlers,
     Mode,
     Row,
+    TableStore,
     insert_bit,
     lean_values,
     plan_checks,
@@ -174,7 +175,9 @@ def test_traverse_wraps_handler_errors():
     def boom(*_args):
         raise RuntimeError("boom")
 
-    handlers = Handlers(leaf=boom, introduce=boom, forget=boom, join=boom, values=row_kind())
+    handlers = Handlers(
+        leaf=boom, introduce=boom, forget=boom, join=boom, values=row_kind(), check=aspdp.WITNESS
+    )
     with pytest.raises(HandlerFailureError) as info:
         traverse(decomp.ntd, handlers)
     assert info.value.node_id == 0
@@ -195,10 +198,37 @@ def test_support_tables_are_checked(rows):
     def leaf(*_args):
         yield from rows
 
-    handlers = Handlers(leaf=leaf, introduce=None, forget=None, join=None, values=row_kind())
+    handlers = Handlers(
+        leaf=leaf, introduce=None, forget=None, join=None, values=row_kind(), check=aspdp.SUPPORT
+    )
     with pytest.raises(HandlerFailureError) as info:
         traverse(decomp.ntd, handlers)
     assert isinstance(info.value.__cause__, InvariantError)
+
+
+def _count(text, check):
+    program = parse_ground_program(text)
+    ntd = decompose(primal_graph(program)).ntd
+    handlers = aspdp.make_handlers(
+        ntd, plan_checks(ntd, program.rules), check=check, values=lean_values(Mode.COUNT)
+    )
+    return root_aggregate(traverse(ntd, handlers), Mode.COUNT)
+
+
+def test_the_check_state_decides_which_root_keys_are_solutions():
+    text = "a :- not b. b :- not a. c :- a."
+    assert _count(text, aspdp.SUPPORT) == 2
+    assert _count(text, aspdp.SUPPORT._replace(solution=lambda state: False)) == 0
+
+
+def test_the_check_state_bounds_every_table():
+    def bound(keys, k):
+        raise InvariantError("over the bound")
+
+    with pytest.raises(HandlerFailureError) as info:
+        _count("a :- not b. b :- not a.", aspdp.SUPPORT._replace(bound=bound))
+    assert isinstance(info.value.__cause__, InvariantError)
+    assert (info.value.node_id, info.value.kind) == (0, "leaf")
 
 
 def test_require_same_bag():
@@ -211,7 +241,10 @@ def test_require_same_bag():
 def test_solution_rows_exclude_strict_witnesses():
     good = entry(0, frozenset({(0, False)}), 1, ())
     bad = entry(1, frozenset({(1, False), (0, True)}), 1, ())
-    assert solution_rows(row_kind().table([good, bad])) == [good[1]]
+    ntd = decompose(primal_graph(parse_ground_program("a."))).ntd
+    store = TableStore(ntd, row_kind(), aspdp.WITNESS)
+    store.tables[ntd.root] = row_kind().table([good, bad])
+    assert solution_rows(store) == [good[1]]
 
 
 def test_purge_preserves_root_aggregate():

@@ -41,7 +41,6 @@ def test_primal_graph_cliques_per_rule():
     g = primal_graph(p)
     assert g.num_vertices == 4
     assert sorted(g.edges()) == [(0, 1), (0, 2), (1, 2)]
-    assert g.labels[0] == "a"
 
 
 def test_primal_graph_keeps_isolated_atoms():
@@ -56,7 +55,6 @@ def test_incidence_graph_is_bipartite():
     g = incidence_graph(p)
     assert g.num_vertices == 4
     assert sorted(g.edges()) == [(0, 2), (0, 3), (1, 2), (1, 3)]
-    assert g.labels[2] == "r0"
     for u, v in g.edges():
         assert (u < 2) != (v < 2)
 

@@ -53,7 +53,8 @@ def test_lean_answers_and_traces_match_the_row_store():
         if has_atomless_rule(instance):
             continue  # answered before any table is built
         check = aspdp.check_state(instance)
-        kinds["cnf" if check is None else "support" if check is aspdp.SUPPORT else "witness"] += 1
+        kind = "cnf" if check is aspdp.EMPTY else "support" if check is aspdp.SUPPORT else "witness"
+        kinds[kind] += 1
         for heuristic in HEURISTICS:
             decomp = decompose(instance_graph(instance), heuristic)
             for mode in modes:
@@ -112,7 +113,7 @@ def test_a_failing_handler_in_the_lean_pass_names_its_node():
     handlers = aspdp.make_handlers(
         decomp.ntd,
         dpcore.plan_checks(decomp.ntd, formula.rules),
-        check=None,
+        check=aspdp.EMPTY,
         values=dpcore.lean_values(Mode.WEIGHTED, weights=weights),
     )
     with pytest.raises(HandlerFailureError) as info:
@@ -124,16 +125,16 @@ def test_a_failing_handler_in_the_lean_pass_names_its_node():
 
 def test_lean_table_guards_raise_inside_the_pass():
     decomp = decompose(instance_graph(parse_ground_program("a.")))
-    for entries in (
-        [((0, frozenset()), 0)],  # a count below 1
-        [((a, frozenset()), 1) for a in range(2)],  # 2 keys in an empty bag
-        [((0, 1), 1)],  # a support mask outside its assignment
+    for check, entries in (
+        (aspdp.EMPTY, [((0, frozenset()), 0)]),  # a count below 1
+        (aspdp.EMPTY, [((a, frozenset()), 1) for a in range(2)]),  # 2 keys in an empty bag
+        (aspdp.SUPPORT, [((0, 1), 1)]),  # a support mask outside its assignment
     ):
 
         def leaf(*_args, entries=entries):
             yield from entries
 
-        handlers = dpcore.Handlers(leaf, None, None, None, dpcore.lean_values(Mode.COUNT))
+        handlers = dpcore.Handlers(leaf, None, None, None, dpcore.lean_values(Mode.COUNT), check)
         with pytest.raises(HandlerFailureError) as info:
             traverse(decomp.ntd, handlers)
         assert (info.value.node_id, info.value.kind) == (0, "leaf")

@@ -110,6 +110,22 @@ def test_only_dpcore_builds_tables():
     assert found == []
 
 
+def test_dpcore_reads_no_state_kind_from_a_type():
+    # each check state answers for its own solutions and bounds; only
+    # the two report readers of the `Row` store look at a state's type
+    tree = ast.parse((PACKAGE / "dpcore.py").read_text(encoding="utf-8"))
+    owner = {}
+    for scope in ast.walk(tree):  # outer scopes first, so inner ones win
+        if isinstance(scope, ast.FunctionDef):
+            owner.update(dict.fromkeys(ast.walk(scope), scope.name))
+    callers = [
+        owner.get(node)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+    ]
+    assert sorted(callers) == ["__repr__", "_max_witness_set"]
+
+
 def test_readme_lists_exactly_the_cli_commands():
     # the README's CLI section gives each command one list line, led by the
     # command in backticks; a command is added in the table and there

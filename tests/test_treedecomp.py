@@ -12,6 +12,8 @@ from tdcount.graphs import Graph, primal_graph_cnf
 from tdcount.errors import ParseError
 from tdcount.oracle import brute_treewidth
 from tdcount.treedecomp import (
+    NiceNode,
+    NiceTreeDecomposition,
     NodeKind,
     TreeDecomposition,
     ViolationKind,
@@ -280,3 +282,24 @@ def test_post_order_check_holds_under_python_O():
     )
     assert out.returncode == 1
     assert "ValueError: nodes must be post-ordered" in out.stderr
+
+
+def _forgets_vertex_0_twice():
+    return [
+        NiceNode(NodeKind.LEAF, (), None, ()),
+        NiceNode(NodeKind.INTRODUCE, (0,), 0, (0,)),
+        NiceNode(NodeKind.FORGET, (), 0, (1,)),
+        NiceNode(NodeKind.INTRODUCE, (0,), 0, (2,)),
+        NiceNode(NodeKind.FORGET, (), 0, (3,)),
+    ]
+
+
+def test_a_vertex_forgotten_twice_is_rejected():
+    with pytest.raises(ValueError, match="vertex 0 is forgotten twice"):
+        NiceTreeDecomposition(_forgets_vertex_0_twice(), 1)
+
+
+def test_forget_nodes_are_always_computed():
+    # a caller cannot hand in a forget map and so skip the check above
+    with pytest.raises(TypeError):
+        NiceTreeDecomposition(_forgets_vertex_0_twice(), 1, forget_node_of={0: 2})
