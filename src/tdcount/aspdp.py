@@ -30,15 +30,13 @@ CNF's `rules` are its clauses as constraints.
 handlers on lean tables of the mode's bare values (`mode_values`);
 `build_store`, for enumeration, on `Row` tables that carry the same
 values plus their derivations.  `table_pass` runs them with any value
-kind, as the one pass of projected counting does, whose program keys
-carry sets of check states (`lifted`).
+kind, and with `PROVENANCE` for the pass over sets of rows of projected
+counting.
 """
 
 from __future__ import annotations
 
 import heapq
-from functools import cache
-from itertools import repeat
 from typing import Callable, NamedTuple
 
 from .dpcore import (
@@ -51,6 +49,7 @@ from .dpcore import (
     insert_bit,
     lean_values,
     plan_checks,
+    projected_traverse,
     purge,
     remove_bit,
     require_same_bag,
@@ -204,36 +203,6 @@ WITNESS = CheckState(
 )
 
 
-def lifted(check: CheckState) -> CheckState:
-    """`check` on sets of its states, the keys of a projected count:
-    introduce and forget map each state, forget dropping the states that
-    rule the candidate out and the key when none is left, and join
-    combines the two sets pairwise.  A set describes solutions when one
-    of its states does, and a table keeps `check`'s bound state by state.
-    Many keys share a state set, so introduce is memoised for the pass
-    that calls `lifted`."""
-
-    @cache
-    def introduce(states, p):
-        falses, trues = zip(*map(check.introduce, states, repeat(p)))
-        return frozenset(falses), frozenset(trues)
-
-    def forget(due, p):
-        step = check.forget(due, p)
-        return lambda states, A: frozenset(map(step, states, repeat(A))) - {None} or None
-
-    def join(left, right):
-        return frozenset(check.join(x, y) for x in left for y in right)
-
-    def solution(states):
-        return any(map(check.solution, states))
-
-    def bound(keys, k):
-        check.bound({(a, state) for a, states in keys for state in states}, k)
-
-    return CheckState(frozenset({check.start}), introduce, forget, join, solution, bound)
-
-
 def check_state(instance: GroundProgram | CnfFormula) -> CheckState:
     """The check state of the instance's rows: support masks for a
     tight program, whose answer sets are its supported models, witness
@@ -344,22 +313,22 @@ def table_pass(
     seeds: int = 1,
     trace=None,
     decomp: DecompResult | None = None,
-) -> tuple[TableStore, DecompResult]:
+    projected=None,
+) -> tuple[TableStore | int, DecompResult]:
     """Run the one handler set with the value kind `values`, on lean
-    tables unless it keeps derivations.  The instance picks the keys'
-    check state (`check_state`), which a projected count lifts to sets
-    of states."""
+    tables unless it keeps derivations, with the instance's check state.
+    With `projected` graph vertices and `PROVENANCE`, the pass over sets
+    of rows (`dpcore.projected_traverse`) gives the projected count."""
     if decomp is None:
         decomp = decompose(instance_graph(instance), heuristic, seed, seeds)
-    check = check_state(instance)
-    if values.mode is None and check is not EMPTY:
-        check = lifted(check)
     handlers = make_handlers(
         decomp.ntd,
         plan_checks(decomp.ntd, instance.rules),
-        check=check,
+        check=check_state(instance),
         values=values,
     )
+    if projected is not None:
+        return projected_traverse(decomp.ntd, handlers, projected, trace), decomp
     return traverse(decomp.ntd, handlers, trace), decomp
 
 

@@ -28,7 +28,7 @@ from .errors import (
 from .graphs import instance_graph
 from .model import CnfFormula, GroundProgram
 from .parsers import parse_dimacs, parse_ground_program, parse_smodels
-from .projection import projected_count, projection_vertices
+from .projection import projected_count
 from .treedecomp import decompose, lowest_width, seeded_decompositions, validate_td
 
 EXIT_OK = 0
@@ -139,11 +139,7 @@ def _run_command(command, args, instance, trace):
     oracle, showing a list of answer sets by its length.  Returns
     (result-for-json, text-lines, width, seed, exit-code)."""
     keywords = command.keywords(instance, args)
-    projection = keywords.get("projection")
-    defer = () if projection is None else projection_vertices(instance, projection)
-    decomp = decompose(
-        instance_graph(instance), args.heuristic, args.resolved_seed, args.seeds, defer=defer
-    )
+    decomp = decompose(instance_graph(instance), args.heuristic, args.resolved_seed, args.seeds)
     value = command.answer(instance, decomp=decomp, trace=trace, **keywords)
     result, lines, code = command.output(instance, value)
     if args.oracle_check:

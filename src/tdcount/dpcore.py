@@ -12,12 +12,9 @@ writes once what a key's value is and how it is combined: a count
 (COUNT), a (cost, count) pair (OPTCOUNT) or a weight numerator
 over the product of each forgotten variable's common weight denominator
 (WEIGHTED); the charges at forget nodes, the product at joins, the merge
-rule of two values of one key and the root total.  `projected_values`
-is one more kind, a projected count, whose keys carry sets of check
-states and whose forget nodes build their tables by the atom they
-forget: a union of state sets for an unprojected atom, a SUM for a
-projected one.  A lean pass maps each key to its bare value and drops
-each child table once its parent is built.  `row_values` wraps a mode's
+rule of two values of one key and the root total.  A lean pass maps
+each key to its bare value and drops each child table once its parent
+is built.  `row_values` wraps a mode's
 kind into `Row`s that carry the same value plus their derivations, each
 with one row per child, so that later passes (purge, enumeration,
 projection) walk the derivation structure instead of materializing
@@ -28,6 +25,9 @@ equal cost merge, so above the leaves a count is the sum over a key's
 derivations of the product of their counts.  Outside optimization there
 is no cost and merging is plain summing.  `root_aggregate` maps the
 root's solution keys to the answer.
+
+`projected_traverse`, the pass of projected counts, maps sets of rows
+to counts of projections, from entries of the kind `PROVENANCE`.
 """
 
 from __future__ import annotations
@@ -106,8 +106,7 @@ class DpTable:
 
 
 def _max_witness_set(keys) -> int:
-    """The largest witness set or set of states, for `--trace` and
-    `max_witness_set`; reads the state's type, as a report."""
+    """The largest witness set, for `--trace`; reads the state's type."""
     return max((len(s) for _, s in keys if not isinstance(s, int)), default=0)
 
 
@@ -125,19 +124,16 @@ class Values:
     table, which must be at least 1, and `total(values)` the answer from
     the root's solution values.  `table(entries)` builds a table from
     (key, value) entries: a dict from key to value, or with
-    `derivations` a `DpTable` of `Row`s; `forget_table(atom)` is the
-    builder of the node forgetting `atom`, `table` unless the kind
-    supplies its own.  `mode` is the `Mode` whose answer `total` gives,
-    None for a projected count, whose keys carry sets of check states."""
+    `derivations` a `DpTable` of `Row`s.  `mode` is the `Mode` whose
+    answer `total` gives, None for `PROVENANCE`, which no table holds."""
 
     __slots__ = (
         "leaf", "carry", "forget", "join", "merge", "least", "total", "derivations",
-        "mode", "table", "forget_table",
+        "mode", "table",
     )
 
     def __init__(
-        self, leaf, carry, forget, join, merge, least, total,
-        derivations=False, mode=None, forget_table=None,
+        self, leaf, carry, forget, join, merge, least, total, derivations=False, mode=None
     ):
         self.leaf = leaf
         self.carry = carry
@@ -148,8 +144,7 @@ class Values:
         self.total = total
         self.derivations = derivations
         self.mode = mode
-        table = self.table = _lean_table(merge, least, DpTable if derivations else None)
-        self.forget_table = forget_table or (lambda atom: table)
+        self.table = _lean_table(merge, least, DpTable if derivations else None)
 
 
 def _lean_table(merge, least, wrap=None):
@@ -211,6 +206,10 @@ def row_values(lean: Values) -> Values:
 
 
 def _pair(key, value):
+    return key, value
+
+
+def _keep(key, value, bit):
     return key, value
 
 
@@ -277,10 +276,7 @@ def lean_values(mode: Mode, costs=None, weights=None) -> Values:
 
     else:
 
-        def forget(atom):
-            return lambda key, value, bit: (key, value)
-
-        total = sum
+        forget, total = lambda atom: _keep, sum
     return Values(
         lambda key: (key, 1),
         _pair,
@@ -293,41 +289,12 @@ def lean_values(mode: Mode, costs=None, weights=None) -> Values:
     )
 
 
-def _union_table(entries) -> dict:
-    """The table of a projected count's forget of an unprojected atom:
-    the keys of one assignment merge into one key whose state set is the
-    union of theirs.  No projected atom is forgotten below, so every
-    value is 1."""
-    states: dict = {}
-    for (assignment, state), value in entries:
-        if value != 1:
-            raise InvariantError("an unprojected forget takes values of 1")
-        states[assignment] = states.get(assignment, state) | state
-    return dict.fromkeys(states.items(), 1)
-
-
-def projected_values(projected) -> Values:
-    """The projected count's kind, for a pass on a decomposition where
-    no unprojected forget has a projected forget below it (the path
-    condition).  A program's keys carry sets of check states
-    (`aspdp.table_pass` lifts its check state); a CNF's keep the empty
-    state.  A key's value is the number of distinct projections, onto
-    the atoms of `projected` forgotten below, whose extensions of the
-    key's assignment reach exactly the key's states.  A forget of an
-    unprojected atom merges the keys of each assignment by the union of
-    their state sets (`_union_table`).  A forget of a projected atom
-    takes the SUM, since its two values project apart.  A join takes
-    the product, since its two sides forget disjoint atoms, and the
-    total is the sum of the root's solution values."""
-    count = lean_values(Mode.COUNT)
-
-    def forget_table(atom):
-        return count.table if atom in projected else _union_table
-
-    return Values(
-        count.leaf, count.carry, count.forget, count.join, count.merge, count.least,
-        count.total, forget_table=forget_table,
-    )
+# the kind of `projected_traverse`, whose entries name their preimage:
+# the child row's number, or the (left, right) pair of numbers at a join
+PROVENANCE = Values(
+    lambda key: (key, None), _pair, lambda atom: _keep,
+    lambda key, left, right: (key, (left, right)), None, None, None,
+)
 
 
 @dataclass
@@ -384,10 +351,7 @@ def traverse(ntd: NiceTreeDecomposition, handlers: Handlers, trace=None) -> Tabl
     for i, node in enumerate(ntd.nodes):
         try:
             handler = getattr(handlers, node.kind.value)
-            build = values.table
-            if node.kind is NodeKind.FORGET:
-                build = values.forget_table(node.vertex)
-            table = build(handler(i, node, *(tables[c] for c in node.children)))
+            table = values.table(handler(i, node, *(tables[c] for c in node.children)))
             _check_table(node, table.keys(), handlers.check)
         except Exception as exc:
             raise HandlerFailureError(i, node.kind.value) from exc
@@ -396,15 +360,133 @@ def traverse(ntd: NiceTreeDecomposition, handlers: Handlers, trace=None) -> Tabl
             for c in node.children:
                 tables[c] = None
         if trace is not None:
-            record = {
-                "node": i,
-                "type": node.kind.value,
-                "bag": list(node.bag),
-                "rows": len(table),
-                "max_witness_set": _max_witness_set(table.keys()),
-            }
-            trace.write(json.dumps(record, sort_keys=True) + "\n")
+            _write_trace(trace, i, node, len(table), _max_witness_set(table.keys()))
     return store
+
+
+def _write_trace(trace, i, node, rows, widest) -> None:
+    record = {
+        "node": i, "type": node.kind.value, "bag": list(node.bag), "rows": rows,
+        "max_witness_set": widest,
+    }
+    trace.write(json.dumps(record, sort_keys=True) + "\n")
+
+
+def projected_forget_below(ntd: NiceTreeDecomposition, vertices) -> list[bool]:
+    """Per node, whether a forget of a vertex of `vertices` lies at or below it."""
+    below: list[bool] = []
+    for node in ntd.nodes:
+        forgets = node.kind is NodeKind.FORGET and node.vertex in vertices
+        below.append(forgets or any(below[c] for c in node.children))
+    return below
+
+
+def projected_traverse(ntd: NiceTreeDecomposition, handlers: Handlers, projected, trace=None):
+    """The number of projections of the solutions onto the vertices
+    `projected`, by one forward pass over sets of rows on any
+    decomposition (Fichte, Hecher, Morak and Woltran, SAT 2018).  A
+    node's row index numbers its distinct (assignment, state) rows; its
+    table maps each set of rows that agree on the projected bag positions
+    to the number of projections, onto the projected vertices forgotten
+    below, whose compatible rows are exactly that set.  Nodes with no
+    projected forget below keep only their row index (`_sets`).  `trace`
+    records the number of sets (`rows`) and the largest set."""
+    below = projected_forget_below(ntd, projected)
+    passes: list = [None] * len(ntd.nodes)  # (table, or None if not below; row index)
+    for i, node in enumerate(ntd.nodes):
+        children = [passes[c] for c in node.children]
+        try:
+            entries = getattr(handlers, node.kind.value)(i, node, *(r for _, r in children))
+            rows: dict = {}  # row -> number, in the order first yielded
+            table = None
+            if below[i]:
+                bags = [ntd.nodes[c].bag for c in node.children]
+                table = _set_table(node, entries, rows, children, bags, projected)
+            else:
+                for key, _ in entries:
+                    rows.setdefault(key, len(rows))
+            _check_table(node, rows.keys(), handlers.check)
+        except Exception as exc:
+            raise HandlerFailureError(i, node.kind.value) from exc
+        passes[i] = table, rows
+        for c in node.children:
+            passes[c] = None
+        if trace is not None:
+            table = _sets(table, rows, node.bag, projected)
+            _write_trace(trace, i, node, len(table), max(map(len, table), default=0))
+    table, rows = passes[ntd.root]
+    solutions = {n for (_, state), n in rows.items() if handlers.check.solution(state)}
+    table = _sets(table, rows, (), projected)
+    return sum(value for S, value in table.items() if not solutions.isdisjoint(S))
+
+
+def _projected_mask(bag, projected) -> int:
+    return sum(1 << k for k, v in enumerate(bag) if v in projected)
+
+
+def _sets(table, rows: dict, bag, projected) -> dict:
+    """`table`, or if None, as no projected vertex is forgotten below,
+    the set of every row of each projected bag assignment, which the one
+    empty projection is compatible with."""
+    if table is not None:
+        return table
+    mask = _projected_mask(bag, projected)
+    groups: dict = {}
+    for (A, _), n in rows.items():
+        groups.setdefault(A & mask, []).append(n)
+    return dict.fromkeys(map(frozenset, groups.values()), 1)
+
+
+def _set_table(node, entries, rows, children, bags, projected) -> dict:
+    """The table of sets from the child (table, row index) pairs and bags,
+    each set mapped to the image of its rows, numbering the new rows of
+    `entries` in `rows`.  An introduce splits a set by the new vertex's
+    truth if it is projected, a forget drops the rows the step kills, and
+    a join pairs the sets of equal projected bag positions, joins their
+    rows of equal assignment and multiplies.  Sets with one image add up;
+    an empty image is dropped."""
+    (child, child_rows), *other = [
+        (_sets(t, r, bag, projected), r) for (t, r), bag in zip(children, bags)
+    ]
+    number = rows.setdefault
+    if node.kind is NodeKind.INTRODUCE:
+        p = node.bag.index(node.vertex)
+        halves = ([None] * len(child_rows), [None] * len(child_rows))
+        for key, src in entries:
+            halves[key[0] >> p & 1][src] = number(key, len(rows))
+        low, high = (half.__getitem__ for half in halves)
+        if node.vertex in projected:
+            images = ((frozenset(map(h, S)), v) for S, v in child.items() for h in (low, high))
+        else:
+            images = ((frozenset((*map(low, S), *map(high, S))), v) for S, v in child.items())
+    elif node.kind is NodeKind.FORGET:
+        image = [None] * len(child_rows)  # None: the step kills the row
+        for key, src in entries:
+            image[src] = number(key, len(rows))
+        images = ((frozenset(map(image.__getitem__, S)) - _KILLED, v) for S, v in child.items())
+    else:
+        ((right, right_rows),) = other
+        partners: list = [{} for _ in child_rows]  # left -> {right: joined}
+        for key, (left, right_num) in entries:
+            partners[left][right_num] = number(key, len(rows))
+        mask = _projected_mask(node.bag, projected)
+        left_bits, right_bits = ([A & mask for A, _ in r] for r in (child_rows, right_rows))
+        by_bits: dict = {}
+        for R, value in right.items():
+            by_bits.setdefault(right_bits[next(iter(R))], []).append((R, value))
+        images = (
+            (frozenset(j for l in L for r, j in partners[l].items() if r in R), lvalue * rvalue)
+            for L, lvalue in child.items()
+            for R, rvalue in by_bits.get(left_bits[next(iter(L))], ())
+        )
+    table: dict = {}
+    for S, value in images:
+        if S:
+            table[S] = table.get(S, 0) + value
+    return table
+
+
+_KILLED = frozenset({None})
 
 
 def solution_rows(store: TableStore) -> list[Row]:
@@ -437,17 +519,16 @@ def purge(store: TableStore) -> TableStore:
     return out
 
 
-def root_aggregate(store: TableStore, mode: Mode | None):
-    """The mode's answer from the root table's solution keys, with None
-    a projected count.  The store must have been built for `mode`, since
-    another kind's total would be a wrong answer."""
+def root_aggregate(store: TableStore, mode: Mode):
+    """The mode's answer from the root table's solution keys.  The store
+    must have been built for `mode`, since another kind's total would be
+    a wrong answer."""
     ntd = store.ntd
     if ntd.nodes[ntd.root].bag != ():
         raise InvariantError("root bag must be empty")
     sols = [v for (_, state), v in store.root_table.items() if store.check.solution(state)]
     if store.values.mode is not mode:
-        kind, asked = (m.value if m else "projected" for m in (store.values.mode, mode))
-        raise InvariantError(f"a {kind} store cannot answer {asked}")
+        raise InvariantError(f"a {store.values.mode.value} store cannot answer {mode.value}")
     return store.values.total(sols)
 
 

@@ -1,20 +1,16 @@
-"""Projected counting, by one of two passes.
+"""Projected counting.
 
-On a decomposition that meets the path condition (`one_pass_holds`: no
-forget of an unprojected vertex has a forget of a projected one below
-it), one lean table pass counts the projections of a program's answer
-sets or a CNF's models (Fichte, Hecher, Morak and Woltran, SAT 2018):
-a key's value is the number of distinct projections onto the projected
-vertices forgotten below, taken as the union of a program's sets of
-check states at an unprojected forget, the SUM at a projected forget and
-the product at a join (`dpcore.projected_values`).  The decomposition
-`projected_count` builds eliminates the projected vertices last, so it
-meets the condition.
+`projected_count` counts the projections of a program's answer sets or
+a CNF's models in one forward pass over sets of rows, on any
+decomposition (Fichte, Hecher, Morak and Woltran, SAT 2018): a key is a
+set of rows that agree on the projected bag atoms, and its value the
+number of projections, onto the projected vertices forgotten below,
+whose compatible rows are exactly that set (`dpcore.projected_traverse`).
 
-A caller-given decomposition that fails the condition takes
-`ProjectionPass`: a pass from the root's solution rows of the `Row`
-store down their derivations, so it reads only rows some solution uses
-and needs no purge.
+`ProjectionPass` is an independent second algorithm, which the tests
+compare the pass with: from the root's solution rows of the `Row` store
+down their derivations, so it reads only rows some solution uses and
+needs no purge.
 
 For a set of rows O at a node, `pmc` is the number of distinct
 projections of extensions compatible with at least one row of O, and
@@ -41,11 +37,10 @@ from __future__ import annotations
 from itertools import combinations
 
 from . import aspdp
-from .dpcore import Mode, Row, TableStore, projected_values, root_aggregate, solution_rows
+from .dpcore import PROVENANCE, Row, TableStore, projected_forget_below, solution_rows
 from .errors import InvariantError, ProjectionOutOfRangeError
-from .graphs import instance_graph
 from .model import CnfFormula, GroundProgram, has_atomless_rule
-from .treedecomp import NiceTreeDecomposition, NodeKind, decompose
+from .treedecomp import NodeKind
 
 
 def _subsets(items):
@@ -70,7 +65,7 @@ class ProjectionPass:
         # projects to the row's own projected bag assignment, so the
         # counts are immediate: distinct buckets for a union, 1 for an
         # intersection
-        self._pforget_below = _projected_forget_below(self.ntd, self.proj)
+        self._pforget_below = projected_forget_below(self.ntd, self.proj)
         self._pmc_cache: dict[tuple[int, frozenset], int] = {}
         self._pairs_cache: dict[tuple[int, frozenset], int] = {}
 
@@ -189,48 +184,10 @@ def projection_vertices(instance, projection) -> set[int]:
     raise TypeError(f"cannot project a {type(instance).__name__}")
 
 
-def _projected_forget_below(ntd: NiceTreeDecomposition, vertices) -> list[bool]:
-    """Per node, whether a forget of a vertex of `vertices` lies at or
-    below it."""
-    below: list[bool] = []
-    for node in ntd.nodes:
-        below.append(
-            (node.kind is NodeKind.FORGET and node.vertex in vertices)
-            or any(below[c] for c in node.children)
-        )
-    return below
-
-
-def one_pass_holds(ntd: NiceTreeDecomposition, vertices) -> bool:
-    """The path condition of the one pass: no forget of a vertex outside
-    `vertices` has a forget of one inside below it."""
-    below = _projected_forget_below(ntd, vertices)
-    return not any(
-        node.kind is NodeKind.FORGET and node.vertex not in vertices and below[node.children[0]]
-        for node in ntd.nodes
-    )
-
-
 def projected_count(instance, projection, **options) -> int:
     """Number of distinct projections of answer sets (programs, atom
     ids) or models (CNF, 1-based variables) onto `projection`."""
     vertices = projection_vertices(instance, projection)
     if has_atomless_rule(instance):
         return 0
-    if options.get("decomp") is None:
-        # Eliminating the projected vertices last makes forgets follow the
-        # elimination order along every branch: every unprojected forget
-        # lies below every projected one, the one pass's path condition,
-        # for programs and CNFs alike
-        options["decomp"] = decompose(
-            instance_graph(instance),
-            options.pop("heuristic", "min-fill"),
-            options.pop("seed", 0),
-            options.pop("seeds", 1),
-            defer=vertices,
-        )
-    if one_pass_holds(options["decomp"].ntd, vertices):
-        store, _ = aspdp.table_pass(instance, projected_values(vertices), **options)
-        return root_aggregate(store, None)
-    store, _ = aspdp.build_store(instance, Mode.COUNT, **options)
-    return ProjectionPass(store, vertices).root_value()
+    return aspdp.table_pass(instance, PROVENANCE, projected=vertices, **options)[0]

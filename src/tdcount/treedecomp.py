@@ -321,13 +321,13 @@ class DecompResult:
     heuristic: str
 
 
-def seeded_decompositions(graph: Graph, heuristic: str, seed: int, tries: int, defer=()):
+def seeded_decompositions(graph: Graph, heuristic: str, seed: int, tries: int):
     """Yield (seed, width, decomposition) for `tries` consecutive seeds
     from `seed`, one elimination pass each."""
     if tries < 1:
         raise ValueError("tries must be positive")
     for s in range(seed, seed + tries):
-        td = _eliminate(graph, lambda adj: _greedy(adj, heuristic, s, defer))[1]
+        td = _eliminate(graph, lambda adj: _greedy(adj, heuristic, s, ()))[1]
         yield s, td.width(), td
 
 
@@ -338,15 +338,11 @@ def lowest_width(tried):
 
 
 def decompose(
-    graph: Graph,
-    heuristic: str = "min-fill",
-    seed: int = 0,
-    tries: int = 1,
-    defer=(),
+    graph: Graph, heuristic: str = "min-fill", seed: int = 0, tries: int = 1
 ) -> DecompResult:
     """Run `tries` seeded orderings and keep the best: lowest width,
     breaking ties toward the lowest seed."""
-    s, w, td = lowest_width(seeded_decompositions(graph, heuristic, seed, tries, defer))
+    s, w, td = lowest_width(seeded_decompositions(graph, heuristic, seed, tries))
     return DecompResult(make_nice(td), td, w, s, heuristic)
 
 

@@ -1,8 +1,10 @@
-"""Projected counting: one table pass for programs and CNFs on
-decompositions that meet its path condition, and otherwise
-inclusion-exclusion down the derivations of the root's solution rows."""
+"""Projected counting: one pass over sets of rows for programs and CNFs
+on any decomposition, checked against the oracle and against
+`ProjectionPass`, inclusion-exclusion down the derivations of the root's
+solution rows."""
 
 import io
+import json
 import random
 
 import pytest
@@ -14,19 +16,30 @@ from tdcount.graphs import instance_graph
 from tdcount.oracle import brute_projected_count
 from tdcount.model import Atom, GroundProgram, Rule, has_atomless_rule
 from tdcount.parsers import parse_dimacs, parse_ground_program
-from tdcount.projection import (
-    ProjectionPass,
-    one_pass_holds,
-    projected_count,
-    projection_vertices,
-)
+from tdcount.projection import ProjectionPass, projected_count, projection_vertices
 from tdcount.satdp import count_models
-from tdcount.treedecomp import NodeKind, decompose
+from tdcount.treedecomp import (
+    DecompResult,
+    NodeKind,
+    decompose,
+    elimination_ordering,
+    make_nice,
+    td_from_ordering,
+)
 
 import corpus
 
 
 SUPPORTS = "b :- c. b :- not e. c :- not d. d :- not c. e :- not f. f :- not e."
+
+
+def deferred_decomposition(instance, vertices, heuristic="min-fill", seed=0):
+    """The decomposition of an ordering that eliminates `vertices` last,
+    so that every forget of another vertex lies below every forget of
+    one of them."""
+    graph = instance_graph(instance)
+    td = td_from_ordering(graph, elimination_ordering(graph, heuristic, seed, vertices))
+    return DecompResult(make_nice(td), td, td.width(), seed, heuristic)
 
 
 def test_projection_frozen_example():
@@ -102,9 +115,8 @@ def test_cnf_projections_match_oracle():
 
 
 def test_non_deferred_decompositions_match_oracle():
-    # projected_count defers the projected vertices when it decomposes,
-    # which leaves ipmc's inclusion-exclusion at forget and join nodes
-    # mostly idle; a plain decomposition exercises it
+    # caller-given plain decompositions, as projected_count builds them,
+    # forget projected and unprojected vertices in any order
     rng = random.Random(407)
     for heuristic in ("min-fill", "min-degree"):
         for seed in range(30):
@@ -177,9 +189,10 @@ def test_projection_pass_reads_only_rows_purge_keeps():
         ):
             proj = set(rng.sample(ids, rng.randint(0, len(ids))))
             vertices = projection_vertices(instance, proj)
-            graph = instance_graph(instance)
-            for defer in (vertices, ()):
-                decomp = decompose(graph, defer=defer)
+            for decomp in (
+                deferred_decomposition(instance, vertices),
+                decompose(instance_graph(instance)),
+            ):
                 store, _ = build_store(instance, Mode.COUNT, decomp=decomp)
                 built = ProjectionPass(store, vertices)
                 purged = ProjectionPass(purge(store), vertices)
@@ -202,8 +215,8 @@ def test_given_decomposition_builds_no_graph(monkeypatch):
 
     program = parse_ground_program("a :- not b. b :- not a. c :- a.")
     formula = parse_dimacs("p cnf 3 2\n1 -2 0\n2 3 0\n")
-    program_decomp = decompose(graphs.primal_graph(program), defer={2})
-    formula_decomp = decompose(graphs.primal_graph_cnf(formula), defer={0, 2})
+    program_decomp = deferred_decomposition(program, {2})
+    formula_decomp = deferred_decomposition(formula, {0, 2})
 
     def no_graph(*args, **kwargs):
         raise AssertionError("a graph was built")
@@ -232,44 +245,42 @@ def test_projected_count_runs_no_purge(monkeypatch):
 
 
 def test_cnf_projections_match_oracle_on_both_paths():
-    # deferred decompositions, built by projected_count, meet the path
-    # condition and take the one pass; caller-given plain ones take it
-    # when they happen to meet it, and ProjectionPass otherwise
+    # the one pass on plain decompositions, as projected_count builds
+    # them, and on caller-given ones that eliminate the projected
+    # variables last
     rng = random.Random(409)
-    paths = {True: 0, False: 0}
     for heuristic in ("min-fill", "min-degree"):
         for seed in range(160):
             f = corpus.random_cnf(seed, weighted=False)
             n = f.num_vars
             proj = set(rng.sample(range(1, n + 1), rng.randint(0, n)))
             expected = brute_projected_count(f, proj)
-            vertices = projection_vertices(f, proj)
-            graph = instance_graph(f)
-            deferred = decompose(graph, heuristic, seed, defer=vertices)
-            assert one_pass_holds(deferred.ntd, vertices)
             got = projected_count(f, proj, heuristic=heuristic, seed=seed)
             assert got == expected, (heuristic, seed, sorted(proj))
-            plain = decompose(graph, heuristic, seed)
-            paths[one_pass_holds(plain.ntd, vertices)] += 1
-            got = projected_count(f, proj, decomp=plain)
+            deferred = deferred_decomposition(
+                f, projection_vertices(f, proj), heuristic, seed
+            )
+            got = projected_count(f, proj, decomp=deferred)
             assert got == expected, (heuristic, seed, sorted(proj))
-    assert min(paths.values()) >= 100, paths
 
 
-def test_decomposition_failing_the_path_condition_takes_the_fallback(monkeypatch):
-    # deferring the unprojected variables forgets the projected one
-    # first, below them: one table pass would merge counts above 1 at
-    # an unprojected forget
-    from tdcount import projection
+def test_decomposition_failing_the_path_condition_takes_the_one_pass(monkeypatch):
+    # eliminating the unprojected variables last forgets the projected
+    # one below them, which a pass keyed by one assignment and its
+    # states could not count; the sets-of-rows pass needs no Row store
+    # and no inclusion-exclusion
+    from tdcount import aspdp, projection
 
     f = parse_dimacs("p cnf 3 2\n1 -2 0\n2 3 0\n")
-    decomp = decompose(instance_graph(f), defer={0, 2})
-    assert not one_pass_holds(decomp.ntd, {1})
+    decomp = deferred_decomposition(f, {0, 2})
+    forgets = [node.vertex for node in decomp.ntd.nodes if node.kind is NodeKind.FORGET]
+    assert forgets.index(1) < forgets.index(0) and forgets.index(1) < forgets.index(2)
 
-    def no_one_pass(*args, **kwargs):
-        raise AssertionError("the one pass ran")
+    def no_fallback(*args, **kwargs):
+        raise AssertionError("a Row store or projection pass was built")
 
-    monkeypatch.setattr(projection, "projected_values", no_one_pass)
+    monkeypatch.setattr(aspdp, "build_store", no_fallback)
+    monkeypatch.setattr(projection, "ProjectionPass", no_fallback)
     assert projected_count(f, {2}, decomp=decomp) == brute_projected_count(f, {2}) == 2
 
 
@@ -316,34 +327,43 @@ def banded_program(seed, n):
 def test_one_pass_matches_the_projection_pass_past_the_oracle():
     # 21-32 atoms, more than the brute-force oracle takes: the one pass
     # and the inclusion-exclusion pass count on the same deferred
-    # decomposition
+    # decomposition, and the one pass on the plain one too
     rng = random.Random(411)
     tight = {True: 0, False: 0}
     for heuristic in ("min-fill", "min-degree"):
         for seed in range(25):
             program = banded_program(seed, rng.randint(21, 32))
             proj = set(rng.sample(range(program.num_atoms), rng.randint(4, 12)))
-            decomp = decompose(instance_graph(program), heuristic, seed, defer=proj)
+            decomp = deferred_decomposition(program, proj, heuristic, seed)
             store, _ = build_store(program, Mode.COUNT, decomp=decomp)
             expected = ProjectionPass(store, proj).root_value()
             got = projected_count(program, proj, decomp=decomp)
+            assert got == expected, (heuristic, seed, sorted(proj))
+            got = projected_count(program, proj, heuristic=heuristic, seed=seed)
             assert got == expected, (heuristic, seed, sorted(proj))
             tight[program.is_tight()] += 1
     assert min(tight.values()) >= 15, tight
 
 
 def test_one_pass_trace_matches_the_row_store():
-    # the one pass keeps the Row store's keys; only the values differ
+    # projected onto every variable, a CNF's set of rows compatible with
+    # one projection is the one row of its assignment, so each node has
+    # as many sets as the Row store has rows, each of one row
     for seed in range(40):
         f = corpus.random_cnf(seed, weighted=False)
         if has_atomless_rule(f):
             continue
-        proj = set(range(1, f.num_vars + 1, 3))
-        decomp = decompose(instance_graph(f), defer=projection_vertices(f, proj))
+        decomp = decompose(instance_graph(f))
         one_pass, row_store = io.StringIO(), io.StringIO()
-        projected_count(f, proj, decomp=decomp, trace=one_pass)
+        projected_count(f, range(1, f.num_vars + 1), decomp=decomp, trace=one_pass)
         build_store(f, Mode.COUNT, decomp=decomp, trace=row_store)
-        assert one_pass.getvalue() == row_store.getvalue(), seed
+        records = [
+            [json.loads(line) for line in out.getvalue().splitlines()]
+            for out in (one_pass, row_store)
+        ]
+        assert len(records[0]) == len(records[1]) == len(decomp.ntd.nodes)
+        for sets, rows in zip(*records):
+            assert sets == dict(rows, max_witness_set=min(rows["rows"], 1)), seed
 
 
 def test_projected_count_matches_the_oracle_on_banded_programs():
