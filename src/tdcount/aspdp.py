@@ -229,10 +229,12 @@ def make_handlers(
     keeps the empty state and only the rules are checked.  `values` is
     one mode's kind (`dpcore.lean_values`), whose lean tables hold bare
     values, or that kind wrapped by `dpcore.row_values`, whose tables
-    hold `Row`s with their derivations.  The kind charges an atom's cost
-    and weight when the atom is forgotten, which happens exactly once, so
-    joins combine them without correction, and it drops entries whose
-    weight becomes 0, which contribute nothing."""
+    hold `Row`s with their derivations, or `dpcore.PROVENANCE`, whose
+    entries name their preimage for the pass over sets of rows.  The
+    kind charges an atom's cost and weight when the atom is forgotten,
+    which happens exactly once, so joins combine them without
+    correction, and it drops entries whose weight becomes 0, which
+    contribute nothing."""
 
     def leaf(node_id, node):
         yield values.leaf((0, check.start))

@@ -275,7 +275,6 @@ def lean_values(mode: Mode, costs=None, weights=None) -> Values:
             return Fraction(sum(values), denominator)
 
     else:
-
         forget, total = lambda atom: _keep, sum
     return Values(
         lambda key: (key, 1),
@@ -400,8 +399,7 @@ def projected_traverse(ntd: NiceTreeDecomposition, handlers: Handlers, projected
             rows: dict = {}  # row -> number, in the order first yielded
             table = None
             if below[i]:
-                bags = [ntd.nodes[c].bag for c in node.children]
-                table = _set_table(node, entries, rows, children, bags, projected)
+                table = _set_table(ntd, node, entries, rows, children, projected)
             else:
                 for key, _ in entries:
                     rows.setdefault(key, len(rows))
@@ -437,16 +435,16 @@ def _sets(table, rows: dict, bag, projected) -> dict:
     return dict.fromkeys(map(frozenset, groups.values()), 1)
 
 
-def _set_table(node, entries, rows, children, bags, projected) -> dict:
-    """The table of sets from the child (table, row index) pairs and bags,
-    each set mapped to the image of its rows, numbering the new rows of
+def _set_table(ntd, node, entries, rows, children, projected) -> dict:
+    """The table of sets from the child (table, row index) pairs, each
+    set mapped to the image of its rows, numbering the new rows of
     `entries` in `rows`.  An introduce splits a set by the new vertex's
     truth if it is projected, a forget drops the rows the step kills, and
     a join pairs the sets of equal projected bag positions, joins their
     rows of equal assignment and multiplies.  Sets with one image add up;
     an empty image is dropped."""
     (child, child_rows), *other = [
-        (_sets(t, r, bag, projected), r) for (t, r), bag in zip(children, bags)
+        (_sets(t, r, ntd.nodes[c].bag, projected), r) for (t, r), c in zip(children, node.children)
     ]
     number = rows.setdefault
     if node.kind is NodeKind.INTRODUCE:
@@ -463,7 +461,7 @@ def _set_table(node, entries, rows, children, bags, projected) -> dict:
         image = [None] * len(child_rows)  # None: the step kills the row
         for key, src in entries:
             image[src] = number(key, len(rows))
-        images = ((frozenset(map(image.__getitem__, S)) - _KILLED, v) for S, v in child.items())
+        images = ((frozenset(map(image.__getitem__, S)) - {None}, v) for S, v in child.items())
     else:
         ((right, right_rows),) = other
         partners: list = [{} for _ in child_rows]  # left -> {right: joined}
@@ -484,9 +482,6 @@ def _set_table(node, entries, rows, children, bags, projected) -> dict:
         if S:
             table[S] = table.get(S, 0) + value
     return table
-
-
-_KILLED = frozenset({None})
 
 
 def solution_rows(store: TableStore) -> list[Row]:

@@ -334,6 +334,36 @@ def test_td_stats(tmp_path, capsys):
     assert lines[-1] == "best seed=0 width=1"
 
 
+def test_projected_commands_report_the_best_of_their_seeds(tmp_path, capsys):
+    # pcount and pmc decompose the primal graph as td-stats does: --seeds
+    # keeps the lowest width, ties to the lowest seed.  On these inputs
+    # seed 0 is not the best one
+    import corpus
+
+    def constraints(formula):
+        # the clauses as constraints, on the same graph up to atom order
+        return "".join(
+            ":- " + ", ".join(("" if lit > 0 else "not ") + f"x{abs(lit)}" for lit in clause)
+            + ".\n"
+            for clause in (sorted(c, key=abs) for c in formula.clauses)
+        )
+
+    cases = [
+        ("pmc", "f.cnf", corpus.dimacs_text(corpus.banded_cnf(seed, 60)), "--project-vars", "1,8")
+        for seed in (2, 17)
+    ]
+    cases.append(("pcount", "p.lp", constraints(corpus.banded_cnf(21, 60)), "--project", "x1,x8"))
+    for command, name, text, *projection in cases:
+        path = write(tmp_path, name, text)
+        code, out, _ = run(capsys, "td-stats", path, "--json", "--seeds", "3")
+        stats = json.loads(out)["result"]
+        assert code == 0 and stats["best_seed"] != 0
+        code, out, _ = run(capsys, command, path, *projection, "--json", "--seeds", "3")
+        payload = json.loads(out)
+        assert code == 0
+        assert (payload["width"], payload["seed"]) == (stats["best_width"], stats["best_seed"])
+
+
 def test_td_stats_incidence(tmp_path, capsys):
     prog = write(tmp_path, "p.lp", PROG)
     code, out, _ = run(capsys, "td-stats", prog, "--graph", "incidence")

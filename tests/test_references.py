@@ -1,0 +1,77 @@
+"""Projected counts far past the brute-force oracles, against the
+benchmark's references (`perfbench/references.py`), which count banded
+CNFs by a sliding window and tight programs by a frontier pass, without
+tdcount."""
+
+import random
+import sys
+import time
+from pathlib import Path
+
+import pytest
+
+from tdcount.parsers import parse_dimacs, parse_ground_program
+from tdcount.projection import projected_count
+
+import corpus
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import instances  # noqa: E402
+import references  # noqa: E402
+
+
+# each count takes well under 1 s on a 2-CPU machine; the bound is loose,
+# so that a shared machine does not fail it, and still catches a return
+# of the blow-up that deferring the projected vertices caused
+SECONDS = 10
+
+
+def _timed_count(instance, projection):
+    started = time.perf_counter()
+    count = projected_count(instance, projection)
+    return count, time.perf_counter() - started
+
+
+@pytest.mark.parametrize("n", [400, 1000])
+def test_pmc_matches_the_window_reference_on_banded_cnfs(n):
+    # eliminating the projected variables last gave these a width far
+    # above the plain decomposition's 7 or 8, and the pass ran out of
+    # memory
+    cnf = instances.banded_cnf(random.Random(f"pmc:{n}"), n)
+    formula = parse_dimacs(instances.cnf_text(cnf))
+    projection = range(1, n + 1, 7)
+    count, seconds = _timed_count(formula, projection)
+    assert count == references.cnf_projected_count(cnf, projection)
+    assert seconds < SECONDS, seconds
+
+
+def test_pmc_matches_the_window_reference_on_the_corpus_banded_cnf():
+    # every clause of corpus.banded_cnf lies within 8 consecutive
+    # variables, the reference's window
+    formula = corpus.banded_cnf(1, 120)
+    clauses = tuple(tuple(sorted(clause, key=abs)) for clause in formula.clauses)
+    cnf = instances.Cnf(formula.num_vars, clauses, (0,) * (formula.num_vars + 1))
+    projection = range(1, 121, 7)
+    count, seconds = _timed_count(formula, projection)
+    assert count == references.cnf_projected_count(cnf, projection) > 1
+    assert seconds < SECONDS, seconds
+
+
+@pytest.mark.parametrize("rows, cols", [(4, 20), (5, 20), (4, 30)])
+def test_pcount_matches_the_frontier_reference_on_tight_grid_programs(rows, cols):
+    rng = random.Random(f"pcount:{rows}x{cols}")
+    prog = instances.grid_program(rng, rows, cols)
+    program = parse_ground_program(instances.program_text(prog))
+    assert program.is_tight()
+    ids = {name: a for a, name in enumerate(program.atom_names())}
+    grid = [a for a, name in enumerate(prog.names) if name.startswith("g")]
+    for size in (5, 10, 20):
+        projection = instances.contiguous(rng, grid, size)
+        expected = references.program_projected_count(prog, projection)
+        count, seconds = _timed_count(program, {ids[prog.names[a]] for a in projection})
+        assert count == expected, (size, projection)
+        assert seconds < SECONDS, seconds
+    everything = range(len(prog.names))
+    assert projected_count(program, set(ids.values())) == references.program_projected_count(
+        prog, everything
+    )
