@@ -10,7 +10,7 @@ import random
 import pytest
 
 from tdcount.aspdp import build_store, count_answer_sets
-from tdcount.dpcore import Mode, purge
+from tdcount.dpcore import Mode, projected_forget_below, purge
 from tdcount.errors import ProjectionOutOfRangeError
 from tdcount.graphs import instance_graph
 from tdcount.oracle import brute_projected_count
@@ -244,24 +244,39 @@ def test_projected_count_runs_no_purge(monkeypatch):
     assert projected_count(formula, {1, 3}) == 3
 
 
+def forgets_projected_below_unprojected(ntd, vertices) -> bool:
+    """Whether a forget of a vertex outside `vertices` has a forget of
+    one inside below it, which no pass keyed by one assignment and its
+    states could count."""
+    below = projected_forget_below(ntd, vertices)
+    return any(
+        node.kind is NodeKind.FORGET and node.vertex not in vertices and below[node.children[0]]
+        for node in ntd.nodes
+    )
+
+
 def test_cnf_projections_match_oracle_on_both_paths():
     # the one pass on plain decompositions, as projected_count builds
     # them, and on caller-given ones that eliminate the projected
-    # variables last
+    # variables last; both kinds of plain decomposition occur often
     rng = random.Random(409)
+    paths = {True: 0, False: 0}
     for heuristic in ("min-fill", "min-degree"):
         for seed in range(160):
             f = corpus.random_cnf(seed, weighted=False)
             n = f.num_vars
             proj = set(rng.sample(range(1, n + 1), rng.randint(0, n)))
             expected = brute_projected_count(f, proj)
+            vertices = projection_vertices(f, proj)
             got = projected_count(f, proj, heuristic=heuristic, seed=seed)
             assert got == expected, (heuristic, seed, sorted(proj))
-            deferred = deferred_decomposition(
-                f, projection_vertices(f, proj), heuristic, seed
-            )
+            plain = decompose(instance_graph(f), heuristic, seed)
+            paths[forgets_projected_below_unprojected(plain.ntd, vertices)] += 1
+            deferred = deferred_decomposition(f, vertices, heuristic, seed)
+            assert not forgets_projected_below_unprojected(deferred.ntd, vertices)
             got = projected_count(f, proj, decomp=deferred)
             assert got == expected, (heuristic, seed, sorted(proj))
+    assert min(paths.values()) >= 100, paths
 
 
 def test_decomposition_failing_the_path_condition_takes_the_one_pass(monkeypatch):
@@ -273,8 +288,7 @@ def test_decomposition_failing_the_path_condition_takes_the_one_pass(monkeypatch
 
     f = parse_dimacs("p cnf 3 2\n1 -2 0\n2 3 0\n")
     decomp = deferred_decomposition(f, {0, 2})
-    forgets = [node.vertex for node in decomp.ntd.nodes if node.kind is NodeKind.FORGET]
-    assert forgets.index(1) < forgets.index(0) and forgets.index(1) < forgets.index(2)
+    assert forgets_projected_below_unprojected(decomp.ntd, {1})
 
     def no_fallback(*args, **kwargs):
         raise AssertionError("a Row store or projection pass was built")
