@@ -31,7 +31,10 @@ handlers on lean tables of the mode's bare values (`mode_values`);
 `build_store`, for enumeration, on `Row` tables that carry the same
 values plus their derivations.  `table_pass` runs them with any value
 kind, and with `PROVENANCE` for the pass over sets of rows of projected
-counting.
+counting.  A CNF's lean COUNT and WEIGHTED kinds, whose keys all keep
+`EMPTY`, skip the handlers: `table_pass` gives them to
+`dpcore.vector_traverse`, which holds each table as a dense vector over
+the bag assignments, with the same answers and traces.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from .dpcore import (
     Mode,
     TableStore,
     Values,
+    clash_masks,
     constraint_masks,
     empty_answer,
     insert_bit,
@@ -57,6 +61,7 @@ from .dpcore import (
     row_values,
     solution_rows,
     traverse,
+    vector_traverse,
 )
 from .errors import InvariantError
 from .graphs import instance_graph
@@ -258,11 +263,7 @@ def make_handlers(
         p = child_bag.index(a)
         low = (1 << p) - 1
         due = constraint_masks(plan.get(node_id, []), child_bag)
-        # A violates (head, pos, neg) exactly when A & (head|pos|neg) ==
-        # pos, unless pos meets head or neg and nothing violates it
-        clashes = [
-            (head | pos | neg, pos) for head, pos, neg in due if not (head | neg) & pos
-        ]
+        clashes = clash_masks(due)
         step = check.forget and check.forget(due, p)
         charge = values.forget(a)
         for (A, state), value in child.items():
@@ -320,15 +321,17 @@ def table_pass(
     """Run the one handler set with the value kind `values`, on lean
     tables unless it keeps derivations, with the instance's check state.
     With `projected` graph vertices and `PROVENANCE`, the pass over sets
-    of rows (`dpcore.projected_traverse`) gives the projected count."""
+    of rows (`dpcore.projected_traverse`) gives the projected count.  A
+    CNF's lean COUNT or WEIGHTED kind, the only kinds with weight factors
+    (`Values.scale`), runs on dense vector tables
+    (`dpcore.vector_traverse`) instead of the handlers."""
     if decomp is None:
         decomp = decompose(instance_graph(instance), heuristic, seed, seeds)
-    handlers = make_handlers(
-        decomp.ntd,
-        plan_checks(decomp.ntd, instance.rules),
-        check=check_state(instance),
-        values=values,
-    )
+    plan = plan_checks(decomp.ntd, instance.rules)
+    check = check_state(instance)
+    if projected is None and check is EMPTY and values.scale is not None:
+        return vector_traverse(decomp.ntd, plan, values, check, trace), decomp
+    handlers = make_handlers(decomp.ntd, plan, check=check, values=values)
     if projected is not None:
         return projected_traverse(decomp.ntd, handlers, projected, trace), decomp
     return traverse(decomp.ntd, handlers, trace), decomp

@@ -11,6 +11,7 @@ and 20 when inconsistent.  Each error is one `error:` line on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -243,6 +244,7 @@ COMMANDS = {
 EXPECTS = {GroundProgram: "a ground program", CnfFormula: "a DIMACS formula"}
 
 
+@functools.cache  # one parser per process: building it costs milliseconds
 def _build_parser() -> _Parser:
     parser = _Parser(prog="tdcount", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -14,7 +14,11 @@ over the product of each forgotten variable's common weight denominator
 (WEIGHTED); the charges at forget nodes, the product at joins, the merge
 rule of two values of one key and the root total.  A lean pass maps
 each key to its bare value and drops each child table once its parent
-is built.  `row_values` wraps a mode's
+is built.  A CNF's lean COUNT and WEIGHTED passes, whose keys carry no
+state, run on dense tables instead (`vector_traverse`): a list of
+2^|bag| values indexed by the bag assignment, 0 for a missing key,
+scaled by the same kind's weight factors (`Values.scale`).
+`row_values` wraps a mode's
 kind into `Row`s that carry the same value plus their derivations, each
 with one row per child, so that later passes (purge, enumeration,
 projection) walk the derivation structure instead of materializing
@@ -125,15 +129,20 @@ class Values:
     the root's solution values.  `table(entries)` builds a table from
     (key, value) entries: a dict from key to value, or with
     `derivations` a `DpTable` of `Row`s.  `mode` is the `Mode` whose
-    answer `total` gives, None for `PROVENANCE`, which no table holds."""
+    answer `total` gives, None for `PROVENANCE`, which no table holds.
+    `scale(atom)`, given only by the lean COUNT and WEIGHTED kinds, is
+    the pair of integer factors (if false, if true) by which forgetting
+    `atom` multiplies a value; their `forget` charges through it, and
+    so does `vector_traverse`."""
 
     __slots__ = (
         "leaf", "carry", "forget", "join", "merge", "least", "total", "derivations",
-        "mode", "table",
+        "mode", "table", "scale",
     )
 
     def __init__(
-        self, leaf, carry, forget, join, merge, least, total, derivations=False, mode=None
+        self, leaf, carry, forget, join, merge, least, total, derivations=False, mode=None,
+        scale=None,
     ):
         self.leaf = leaf
         self.carry = carry
@@ -144,6 +153,7 @@ class Values:
         self.total = total
         self.derivations = derivations
         self.mode = mode
+        self.scale = scale
         self.table = _lean_table(merge, least, DpTable if derivations else None)
 
 
@@ -258,12 +268,15 @@ def lean_values(mode: Mode, costs=None, weights=None) -> Values:
     if mode is Mode.WEIGHTED:
         denominator = 1
 
-        def forget(atom):
+        def scale(atom):
             nonlocal denominator
             pair = [Fraction(w) for w in weights(atom)]
             d = math.lcm(*(w.denominator for w in pair))
             denominator *= d
-            factor = [int(w * d) for w in pair]
+            return [w.numerator * (d // w.denominator) for w in pair]
+
+        def forget(atom):
+            factor = scale(atom)
 
             def step(key, value, bit):
                 value *= factor[bit]
@@ -275,7 +288,7 @@ def lean_values(mode: Mode, costs=None, weights=None) -> Values:
             return Fraction(sum(values), denominator)
 
     else:
-        forget, total = lambda atom: _keep, sum
+        forget, total, scale = lambda atom: _keep, sum, _unit
     return Values(
         lambda key: (key, 1),
         _pair,
@@ -285,7 +298,12 @@ def lean_values(mode: Mode, costs=None, weights=None) -> Values:
         min,
         total,
         mode=mode,
+        scale=scale,
     )
+
+
+def _unit(atom):
+    return 1, 1
 
 
 # the kind of `projected_traverse`, whose entries name their preimage:
@@ -361,6 +379,105 @@ def traverse(ntd: NiceTreeDecomposition, handlers: Handlers, trace=None) -> Tabl
         if trace is not None:
             _write_trace(trace, i, node, len(table), _max_witness_set(table.keys()))
     return store
+
+
+def vector_traverse(ntd: NiceTreeDecomposition, plan, values: Values, check, trace=None):
+    """The lean pass of a CNF's COUNT or WEIGHTED kind `values` on dense
+    tables, as gpusat keeps them (Fichte, Hecher, Woltran and Zisser, ESA
+    2018): a node's table is a list of 2^|bag| ints indexed by the bag
+    assignment, 0 where the dict pass has no key, since values are never
+    negative and a value of 0 drops its key.  `plan` maps forget nodes to
+    their clauses as rules (`plan_checks`), and `check` is the empty
+    check state.  Answers, handler failures and `trace` records equal
+    `traverse`'s, with `rows` the nonzero entries; each child table is
+    dropped once its parent is built, and the root's becomes the dict
+    `{(0, check.start): value}` that `root_aggregate` reads."""
+    store = TableStore(ntd, values, check)
+    tables = store.tables
+    nodes = ntd.nodes
+    for i, node in enumerate(nodes):
+        kids = node.children
+        try:
+            if node.kind is NodeKind.LEAF:
+                table = [1]
+            elif node.kind is NodeKind.INTRODUCE:
+                table = _spread(tables[kids[0]], node.bag.index(node.vertex))
+            elif node.kind is NodeKind.FORGET:
+                bag = nodes[kids[0]].bag
+                clashes = clash_masks(constraint_masks(plan.get(i, []), bag))
+                factors = values.scale(node.vertex)
+                table = _fold(tables[kids[0]], bag.index(node.vertex), clashes, factors)
+            else:
+                require_same_bag(node, nodes[kids[0]].bag, nodes[kids[1]].bag)
+                table = list(map(operator.mul, tables[kids[0]], tables[kids[1]]))
+        except Exception as exc:
+            raise HandlerFailureError(i, node.kind.value) from exc
+        tables[i] = table
+        for c in kids:
+            tables[c] = None
+        if trace is not None:
+            _write_trace(trace, i, node, len(table) - table.count(0), 0)
+    (value,) = tables[ntd.root]
+    tables[ntd.root] = {(0, check.start): value} if value else {}
+    return store
+
+
+def _spread(child: list, p: int) -> list:
+    """The table after introducing bag position p: each block of 2^p
+    entries twice, with the new position false and then true.  The loop
+    runs over the blocks, or over the offsets in a block when there are
+    fewer."""
+    block, n = 1 << p, len(child)
+    if block * block >= n:
+        out: list = []
+        for s in range(0, n, block):
+            chunk = child[s : s + block]
+            out += chunk
+            out += chunk
+        return out
+    out = [0] * (2 * n)
+    step = 2 * block
+    for o in range(block):
+        column = child[o::block]
+        out[o::step] = column
+        out[o + block :: step] = column
+    return out
+
+
+def _fold(child: list, p: int, clashes, factors) -> list:
+    """The table after forgetting bag position p: the entries whose
+    assignment A breaks a clause (A & span == pos, `clash_masks`) are
+    zeroed in `child`, then each assignment's entries with the position
+    false and true are scaled by `factors` and added."""
+    n = len(child)
+    for span, pos in clashes:
+        free = (n - 1) & ~span
+        sub = free
+        while True:
+            child[pos | sub] = 0
+            if not sub:
+                break
+            sub = (sub - 1) & free
+    times_false, times_true = (f.__mul__ if f != 1 else None for f in factors)
+    block = 1 << p
+    step = 2 * block
+
+    def added(low, high):
+        if times_false:
+            low = map(times_false, low)
+        if times_true:
+            high = map(times_true, high)
+        return map(operator.add, low, high)
+
+    if block * block >= n // 2:
+        out: list = []
+        for s in range(0, n, step):
+            out += added(child[s : s + block], child[s + block : s + step])
+        return out
+    out = [0] * (n // 2)
+    for o in range(block):
+        out[o::block] = added(child[o::step], child[o + block :: step])
+    return out
 
 
 def _write_trace(trace, i, node, rows, widest) -> None:
@@ -562,6 +679,14 @@ def constraint_masks(constraints: list[Rule], bag: tuple[int, ...]) -> list[tupl
         return sum(1 << pos_of[a] for a in atoms)
 
     return [(mask(c.head), mask(c.body_pos), mask(c.body_neg)) for c in constraints]
+
+
+def clash_masks(due: list[tuple[int, int, int]]) -> list[tuple[int, int]]:
+    """(span, pos) per constraint mask (head, pos, neg) that some
+    assignment violates: A violates it exactly when A & span == pos,
+    with span = head | pos | neg, unless pos meets head or neg and
+    nothing violates it."""
+    return [(head | pos | neg, pos) for head, pos, neg in due if not (head | neg) & pos]
 
 
 def require_same_bag(node, left_bag, right_bag) -> None:

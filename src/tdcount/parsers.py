@@ -312,6 +312,15 @@ def parse_smodels(data) -> GroundProgram:
 # --- DIMACS CNF with optional weight lines ---
 
 
+def _weight(text: str) -> Fraction:
+    """`Fraction(text)`, skipping its regex when the numerator and any
+    denominator are ASCII digits: the same value, or the same error."""
+    num, slash, den = text.partition("/")
+    if num.isascii() and num.isdigit() and (not slash or den.isascii() and den.isdigit()):
+        return Fraction(int(num), int(den) if slash else 1)
+    return Fraction(text)
+
+
 def parse_dimacs(text: str) -> CnfFormula:
     """Parse DIMACS CNF.  Weight lines `w <lit> <num>/<den> 0` must
     precede the clauses; clause and variable counts must match the header."""
@@ -347,12 +356,12 @@ def parse_dimacs(text: str) -> CnfFormula:
                 raise ParseError("malformed weight line; expected 'w <lit> <weight> 0'", line_no)
             try:
                 lit = int(parts[1])
-                value = Fraction(parts[2])
+                value = _weight(parts[2])
             except (ValueError, ZeroDivisionError):
                 raise ParseError("malformed weight value", line_no) from None
             if lit == 0 or abs(lit) > num_vars:
                 raise ParseError(f"weight literal {lit} out of range", line_no)
-            if value < 0:
+            if value.numerator < 0:
                 raise ParseError("negative weight", line_no)
             if lit in weights:
                 raise ParseError(f"duplicate weight for literal {lit}", line_no)

@@ -1,8 +1,10 @@
 """Model counting and weighted model counting for CNF.
 
 A CNF's `rules` are its clauses as constraints, so it runs `aspdp`'s one
-path without witness states: at most one row per bag assignment, and
-literal weights charged when their variable is forgotten.
+path without witness states: at most one value per bag assignment, so
+the counting pass holds each table as a dense vector indexed by the
+assignment (`dpcore.vector_traverse`), and literal weights charged when
+their variable is forgotten.
 """
 
 from __future__ import annotations

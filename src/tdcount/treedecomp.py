@@ -109,6 +109,22 @@ def _min_fill_score(adj, v):
     return missing // 2  # each non-adjacent pair was counted from both ends
 
 
+def _fill_lowered(adj, v) -> dict[int, int]:
+    """Per vertex x outside N(v) ∪ {v}, the number of fill edges of
+    eliminating v (the non-adjacent pairs of N(v)) whose ends are both
+    adjacent to x: each lowers x's min-fill score by one, while x's
+    neighbors stay the same."""
+    ns = adj[v]
+    lowered: dict[int, int] = {}
+    for u in ns:
+        for w in ns - adj[u]:
+            if u < w:
+                for x in (adj[u] & adj[w]) - ns:
+                    if x != v:
+                        lowered[x] = lowered.get(x, 0) + 1
+    return lowered
+
+
 def _greedy(adj, heuristic: str, seed: int, defer):
     """Yield a greedy ordering while the caller eliminates each yielded
     vertex from `adj`: the lowest score among the live vertices outside
@@ -118,16 +134,18 @@ def _greedy(adj, heuristic: str, seed: int, defer):
     without a draw, so it leaves the generator's state alone.
 
     Each live vertex keeps its score, indexed by (deferred, score) in a
-    bucket kept sorted, so a draw needs no sort of the ties.  Only
-    the vertices whose score eliminating v can change are re-scored once
-    the caller has eliminated v: N(v) under min-degree, N(v) ∪ N(N(v))
-    minus v under min-fill (fill-in edges join two vertices of N(v))."""
+    bucket kept sorted, so a draw needs no sort of the ties.  Once the
+    caller has eliminated v, N(v) is re-scored.  Under min-fill the fill
+    edges, which v's own score counts, also lower the score of each other
+    vertex adjacent to both of their ends (`_fill_lowered`); they are
+    found before the yield, since the caller then changes `adj`."""
     if heuristic == "min-fill":
         score = _min_fill_score
     elif heuristic == "min-degree":
         score = _min_degree_score
     else:
         raise ValueError(f"unknown heuristic {heuristic!r}")
+    fill = score is _min_fill_score
     deferred = frozenset(defer)
     rng = random.Random(seed)
     key = {}  # live vertex -> (deferred, score); False sorts first
@@ -149,18 +167,19 @@ def _greedy(adj, heuristic: str, seed: int, defer):
     while index:
         ties = index[min(index)]
         v = ties[0] if len(ties) == 1 else rng.choice(ties)
+        lowered = _fill_lowered(adj, v) if fill and key[v][1] else {}
         unplace(v)
-        touched = set(adj[v])
-        if heuristic == "min-fill":
-            for u in adj[v]:
-                touched |= adj[u]
-            touched.discard(v)
+        touched = list(adj[v])
         yield v
         for u in touched:
             k = (u in deferred, score(adj, u))
             if k != key[u]:
                 unplace(u)
                 place(u, k)
+        for x, fewer in lowered.items():
+            deferred_x, old = key[x]
+            unplace(x)
+            place(x, (deferred_x, old - fewer))
 
 
 def _eliminate(graph: Graph, vertices) -> tuple[list[int], TreeDecomposition]:
@@ -204,8 +223,9 @@ def elimination_ordering(
     taken without a draw, so repeated calls with identical arguments
     agree.  Vertices in `defer` are eliminated only once every other
     vertex is gone.  After each elimination only the vertices whose score
-    it can change are re-scored: the eliminated vertex's neighbors, plus
-    their neighbors under min-fill."""
+    it can change are re-scored: the eliminated vertex's neighbors, and
+    under min-fill the vertices adjacent to both ends of a fill edge,
+    whose scores fall by one per such edge."""
     return _eliminate(graph, lambda adj: _greedy(adj, heuristic, seed, defer))[0]
 
 

@@ -199,8 +199,11 @@ def test_td_stats_widths_match_reference(tmp_path, capsys, kind):
 
 def test_orderings_match_reference_on_larger_graphs():
     """Banded CNFs and a grid are large enough for big tie buckets and
-    for fill-in that changes the scores of N(N(v))."""
+    for fill-in that changes the scores of N(N(v)); seed 1's banded CNF
+    is the benchmark's family, where min-fill lowers those scores by the
+    fill edges whose ends they are adjacent to."""
     graphs = [primal_graph_cnf(corpus.banded_cnf(n, n)) for n in (200, 400)]
+    graphs.append(primal_graph_cnf(corpus.banded_cnf(1, 150)))
     graphs.append(corpus.grid_graph(5, 20))
     for index, graph in enumerate(graphs):
         n = graph.num_vertices

@@ -16,6 +16,7 @@ from tdcount.errors import HandlerFailureError
 from tdcount.graphs import instance_graph
 from tdcount.model import CnfFormula, has_atomless_rule
 from tdcount.parsers import parse_ground_program
+from tdcount.projection import projected_count
 from tdcount.satdp import count_models
 from tdcount.treedecomp import decompose
 
@@ -173,3 +174,76 @@ def test_lean_pass_memory_stays_flat():
         tracemalloc.stop()
     assert count > 2**1000
     assert peak < 5_000_000, peak
+
+
+def random_3cnf(seed: int, n: int, m: int) -> CnfFormula:
+    """m random 3-clauses over n variables, every literal weighted."""
+    rng = random.Random(seed)
+    clauses = [
+        frozenset(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), 3))
+        for _ in range(m)
+    ]
+    weights = {
+        lit: Fraction(rng.randint(1, 5), rng.randint(1, 4))
+        for v in range(1, n + 1)
+        for lit in (v, -v)
+    }
+    return CnfFormula(n, clauses, weights)
+
+
+def test_vector_pass_matches_the_row_store_past_the_corpus_width():
+    # width 14: dense tables of 2^15 entries, a width the corpus's CNFs
+    # of at most 10 variables never reach
+    formula = random_3cnf(4, 24, 70)
+    decomp = decompose(instance_graph(formula))
+    assert decomp.width == 14
+    for mode in (Mode.COUNT, Mode.WEIGHTED):
+        got, vector_trace = traced(aspdp.answer, formula, mode, decomp=decomp)
+        (store, _), row_trace = traced(aspdp.build_store, formula, mode, decomp=decomp)
+        expected = root_aggregate(store, mode)
+        assert got == expected and type(got) is type(expected), mode
+        assert got
+        assert vector_trace == row_trace, mode
+
+
+def test_a_failing_weight_in_the_vector_pass_names_its_node():
+    formula = corpus.banded_cnf(2, 30)
+    decomp = decompose(instance_graph(formula))
+    charges = formula.charges
+
+    def weights(v):
+        if v == 17:
+            raise RuntimeError("boom")
+        return charges(v)
+
+    formula.charges = weights
+    with pytest.raises(HandlerFailureError) as info:
+        aspdp.answer(formula, Mode.WEIGHTED, decomp=decomp)
+    assert info.value.node_id == decomp.ntd.forget_node_of[17]
+    assert info.value.kind == "forget"
+    assert str(info.value.__cause__) == "boom"
+
+
+def test_only_lean_cnf_counts_and_weights_skip_the_handler_pass(monkeypatch):
+    class Reached(Exception):
+        pass
+
+    def refuse(*args, **kwargs):
+        raise Reached
+
+    formula = weighted_cnf(5)
+    program = parse_ground_program("a :- not b. b :- not a.")
+    expected = {mode: aspdp.answer(formula, mode) for mode in CNF_MODES}
+    monkeypatch.setattr(aspdp, "traverse", refuse)
+    monkeypatch.setattr(aspdp, "projected_traverse", refuse)
+    assert count_models(formula) == expected[Mode.COUNT]
+    assert aspdp.answer(formula, Mode.WEIGHTED) == expected[Mode.WEIGHTED]
+    for run in (
+        lambda: aspdp.answer(formula, Mode.OPTCOUNT),
+        lambda: aspdp.count_answer_sets(program),
+        lambda: aspdp.build_store(formula, Mode.COUNT),
+        lambda: aspdp.build_store(formula, Mode.WEIGHTED),
+        lambda: projected_count(formula, {1}),
+    ):
+        with pytest.raises(Reached):
+            run()

@@ -12,7 +12,7 @@ from tdcount.errors import (
     VariableTokenError,
 )
 from tdcount.model import Atom, GroundProgram, Rule, render_program
-from tdcount.parsers import parse_dimacs, parse_ground_program, parse_smodels
+from tdcount.parsers import _weight, parse_dimacs, parse_ground_program, parse_smodels
 
 import corpus
 
@@ -251,6 +251,46 @@ def test_dimacs_weight_lines():
     f = parse_dimacs("p cnf 2 1\nw 1 1/2 0\nw -1 1/2 0\n1 2 0\n")
     assert f.literal_weight(1) == Fraction(1, 2)
     assert f.literal_weight(2) == Fraction(1)
+
+
+WEIGHT_TOKENS = [  # (token, its weight, or the ParseError message)
+    ("3/10", Fraction(3, 10)),
+    ("0", Fraction(0)),
+    ("7", Fraction(7)),
+    ("0.5", Fraction(1, 2)),
+    ("1e-3", Fraction(1, 1000)),
+    ("-1/2", "line 2: negative weight"),
+    ("+3/4", Fraction(3, 4)),
+    ("1/0", "line 2: malformed weight value"),
+    ("1_0/3", Fraction(10, 3)),
+    ("\u0663/4", Fraction(3, 4)),  # an Arabic-Indic digit three
+    ("x", "line 2: malformed weight value"),
+]
+
+
+@pytest.mark.parametrize("token, expected", WEIGHT_TOKENS)
+def test_dimacs_weight_tokens_read_as_fractions_do(token, expected):
+    # ASCII digit tokens skip `Fraction`'s string parser; every token
+    # gives the value or the error that parsing it as a Fraction gives
+    text = f"p cnf 1 0\nw 1 {token} 0\n"
+    if isinstance(expected, str):
+        with pytest.raises(ParseError) as info:
+            parse_dimacs(text)
+        assert str(info.value) == expected
+    else:
+        weight = parse_dimacs(text).literal_weight(1)
+        assert weight == expected and type(weight) is Fraction
+
+
+def test_dimacs_weight_reader_agrees_with_fraction():
+    for token in [t for t, _ in WEIGHT_TOKENS] + [" 3/4", "3/", "/4", "007/010", "1/-2"]:
+        try:
+            expected = Fraction(token)
+        except (ValueError, ZeroDivisionError) as exc:
+            with pytest.raises(type(exc)):
+                _weight(token)
+        else:
+            assert _weight(token) == expected, token
 
 
 def test_dimacs_weight_after_clause_rejected():
