@@ -30,11 +30,14 @@ CNF's `rules` are its clauses as constraints.
 handlers on lean tables of the mode's bare values (`mode_values`);
 `build_store`, for enumeration, on `Row` tables that carry the same
 values plus their derivations.  `table_pass` runs them with any value
-kind, and with `PROVENANCE` for the pass over sets of rows of projected
-counting.  A CNF's lean COUNT and WEIGHTED kinds, whose keys all keep
-`EMPTY`, skip the handlers: `table_pass` gives them to
+kind, and with `PROVENANCE` for the pass over sets of rows of a
+program's projected counting.  A CNF's keys all keep `EMPTY`, so two of
+its passes skip the handlers, with the same answers and traces:
+`table_pass` gives its lean COUNT and WEIGHTED kinds to
 `dpcore.vector_traverse`, which holds each table as a dense vector over
-the bag assignments, with the same answers and traces.
+the bag assignments, and its projected count to
+`dpcore.projected_bitset_traverse`, which holds each set of rows as a
+bitset over the unprojected bag assignments.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ from .dpcore import (
     insert_bit,
     lean_values,
     plan_checks,
+    projected_bitset_traverse,
     projected_traverse,
     purge,
     remove_bit,
@@ -322,14 +326,18 @@ def table_pass(
     tables unless it keeps derivations, with the instance's check state.
     With `projected` graph vertices and `PROVENANCE`, the pass over sets
     of rows (`dpcore.projected_traverse`) gives the projected count.  A
-    CNF's lean COUNT or WEIGHTED kind, the only kinds with weight factors
-    (`Values.scale`), runs on dense vector tables
-    (`dpcore.vector_traverse`) instead of the handlers."""
+    CNF, whose check state is `EMPTY`, runs no handlers in two passes:
+    its projected count runs on bitset sets of rows
+    (`dpcore.projected_bitset_traverse`), and its lean COUNT or WEIGHTED
+    kind, the only kinds with weight factors (`Values.scale`), on dense
+    vector tables (`dpcore.vector_traverse`)."""
     if decomp is None:
         decomp = decompose(instance_graph(instance), heuristic, seed, seeds)
     plan = plan_checks(decomp.ntd, instance.rules)
     check = check_state(instance)
-    if projected is None and check is EMPTY and values.scale is not None:
+    if check is EMPTY and projected is not None:
+        return projected_bitset_traverse(decomp.ntd, plan, projected, trace), decomp
+    if check is EMPTY and values.scale is not None:
         return vector_traverse(decomp.ntd, plan, values, check, trace), decomp
     handlers = make_handlers(decomp.ntd, plan, check=check, values=values)
     if projected is not None:

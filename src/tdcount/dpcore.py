@@ -31,7 +31,12 @@ is no cost and merging is plain summing.  `root_aggregate` maps the
 root's solution keys to the answer.
 
 `projected_traverse`, the pass of projected counts, maps sets of rows
-to counts of projections, from entries of the kind `PROVENANCE`.
+to counts of projections, from entries of the kind `PROVENANCE`.  A
+CNF's projected count, whose rows carry no state, runs on bitsets
+instead (`projected_bitset_traverse`): each set of rows is one int
+that holds the set's unprojected bag assignments as bits, under the
+projected bag bits its rows share, so one big-int operation works on a
+whole set.
 """
 
 from __future__ import annotations
@@ -451,13 +456,8 @@ def _fold(child: list, p: int, clashes, factors) -> list:
     false and true are scaled by `factors` and added."""
     n = len(child)
     for span, pos in clashes:
-        free = (n - 1) & ~span
-        sub = free
-        while True:
-            child[pos | sub] = 0
-            if not sub:
-                break
-            sub = (sub - 1) & free
+        for A in _clashing(span, pos, n):
+            child[A] = 0
     times_false, times_true = (f.__mul__ if f != 1 else None for f in factors)
     block = 1 << p
     step = 2 * block
@@ -478,6 +478,18 @@ def _fold(child: list, p: int, clashes, factors) -> list:
     for o in range(block):
         out[o::block] = added(child[o::step], child[o + block :: step])
     return out
+
+
+def _clashing(span: int, pos: int, n: int):
+    """The assignments A < n that break a clause, A & span == pos
+    (`clash_masks`): pos with each subset of the free bits."""
+    free = (n - 1) & ~span
+    sub = free
+    while True:
+        yield pos | sub
+        if not sub:
+            return
+        sub = (sub - 1) & free
 
 
 def _write_trace(trace, i, node, rows, widest) -> None:
@@ -601,6 +613,216 @@ def _set_table(ntd, node, entries, rows, children, projected) -> dict:
     return table
 
 
+def projected_bitset_traverse(ntd: NiceTreeDecomposition, plan, projected, trace=None) -> int:
+    """The number of projections of a CNF's models onto the vertices
+    `projected`: `projected_traverse`'s pass over sets of rows for the
+    empty check state, whose rows carry no state, with each set of rows
+    one int, so that one big-int operation works on a whole set.  A
+    node's bag splits into its k_P projected and k_U unprojected
+    vertices, each in bag order; a key holds in bits [0, 2^k_U) the set
+    u of unprojected assignments whose row (pa, u) is in the set, and
+    above them pa, the projected bag bits that all of its rows share.
+    `plan` maps forget nodes to their clauses as rules (`plan_checks`).
+    Answers and `trace` records equal `projected_traverse`'s, with
+    `max_witness_set` the largest u, and a node that fails raises
+    HandlerFailureError naming it; each child table is dropped once its
+    parent is built.  No table is checked against a bound: a key's u
+    ranges over the 2^k_U unprojected assignments of its one pa, so a
+    set holds at most the 2^k rows that bound a table of the empty
+    state."""
+    nodes = ntd.nodes
+    tables: list = [None] * len(nodes)
+    memo: dict = {}  # this pass's masks and steps that move u's blocks
+    for i, node in enumerate(nodes):
+        kids = node.children
+        try:
+            if node.kind is NodeKind.LEAF:
+                table = {1: 1}
+            elif node.kind is NodeKind.JOIN:
+                require_same_bag(node, nodes[kids[0]].bag, nodes[kids[1]].bag)
+                k = _unprojected(node.bag, projected)
+                table = _bitset_join(tables[kids[0]], tables[kids[1]], k)
+            else:
+                introduce = node.kind is NodeKind.INTRODUCE
+                bag = node.bag if introduce else nodes[kids[0]].bag
+                inside = [v in projected for v in bag]
+                p = bag.index(node.vertex)
+                # projected or not, the index among its kind, and k_U
+                place = inside[p], inside[:p].count(inside[p]), inside.count(False)
+                if introduce:
+                    table = _bitset_introduce(tables[kids[0]], *place, memo)
+                else:
+                    due = _split_clauses(plan.get(i), bag, inside)
+                    table = _bitset_forget(tables[kids[0]], *place, due, memo)
+        except Exception as exc:
+            raise HandlerFailureError(i, node.kind.value) from exc
+        tables[i] = table
+        for c in kids:
+            tables[c] = None
+        if trace is not None:
+            u_bits = (1 << (1 << _unprojected(node.bag, projected))) - 1
+            widest = max(((key & u_bits).bit_count() for key in table), default=0)
+            _write_trace(trace, i, node, len(table), widest)
+    # the root bag is empty and every row of the empty state is a solution
+    return sum(tables[ntd.root].values())
+
+
+def _unprojected(bag, projected) -> int:
+    return sum(v not in projected for v in bag)
+
+
+def _alternating(j: int, e: int, memo: dict) -> int:
+    """The bits below 2^e whose index has bit j clear: blocks of 2^j
+    ones and 2^j zeros."""
+    mask = memo.get(("alternating", j, e))
+    if mask is None:
+        block = 1 << j
+        mask, period = (1 << block) - 1, 2 * block
+        while period < 1 << e:
+            mask |= mask << period
+            period *= 2
+        memo["alternating", j, e] = mask
+    return mask
+
+
+def _u_steps(k: int, q: int, spread: bool, memo: dict) -> list:
+    """The (shift, mask) steps that move the u blocks of 2^q bits, over
+    k unprojected vertices, one block apart (`spread`, k - 1 - q steps
+    from k - 1 vertices), or that merge each pair of blocks into one
+    (k - q steps, k vertices to k - 1)."""
+    steps = memo.get(("steps", k, q, spread))
+    if steps is None:
+        if spread:
+            steps = [(1 << j, _alternating(j, k, memo)) for j in range(k - 2, q - 1, -1)]
+        else:
+            steps = [(1 << q, _alternating(q, k, memo))]
+            steps += [(1 << j, _alternating(j + 1, k, memo)) for j in range(q, k - 1)]
+        memo["steps", k, q, spread] = steps
+    return steps
+
+
+def _bitset_introduce(child: dict, inside: bool, q: int, k: int, memo: dict) -> dict:
+    """Introduce a vertex at index q among the bag's projected vertices
+    (`inside`) or its k unprojected ones.  A projected vertex inserts bit
+    q into pa, giving two keys; an unprojected one moves the blocks of
+    2^q bits of u one block apart (k - 1 - q shift-and-mask steps) and
+    fills the gaps with the same sets: u's assignments with the new bit
+    true."""
+    table: dict = {}
+    if inside:
+        at = (1 << k) + q
+        low, bit = (1 << at) - 1, 1 << at
+        for key, value in child.items():
+            key = (key >> at << (at + 1)) | (key & low)
+            table[key] = table[key | bit] = value
+        return table
+    width = 1 << (k - 1)  # the child's u bits
+    full, block = (1 << width) - 1, 1 << q
+    steps = _u_steps(k, q, True, memo)
+    for key, value in child.items():
+        u = key & full
+        for shift, mask in steps:
+            u = (u | u << shift) & mask
+        table[(key >> width << (2 * width)) | u | u << block] = value
+    return table
+
+
+def _split_clauses(rules, bag, inside: list) -> list:
+    """Per due clause over the child bag, whose positions are projected
+    where `inside` says so: its projected (span, pos) (`clash_masks`) and
+    the set of unprojected assignments that clash, as a u."""
+    if not rules:
+        return []
+    clauses = clash_masks(constraint_masks(rules, bag))
+    if True not in inside:  # every clause is all unprojected
+        width = 1 << len(bag)
+        return [(0, 0, _clash_set(span, pos, width)) for span, pos in clauses]
+    places, count = [], [0, 0]  # per bag position: (projected, its bit)
+    for flag in inside:
+        places.append((flag, 1 << count[flag]))
+        count[flag] += 1
+    width = 1 << count[False]
+    due = []
+    for span, pos in clauses:
+        parts = [0, 0, 0, 0]  # unprojected and projected span, then pos
+        while span:
+            low = span & -span
+            flag, bit = places[low.bit_length() - 1]
+            parts[flag] |= bit
+            if pos & low:
+                parts[2 + flag] |= bit
+            span ^= low
+        span_u, span_p, pos_u, pos_p = parts
+        due.append((span_p, pos_p, _clash_set(span_u, pos_u, width)))
+    return due
+
+
+def _clash_set(span: int, pos: int, n: int) -> int:
+    """The int with bit A set for each assignment A < n that clashes,
+    A & span == pos."""
+    digits = bytearray(b"0") * n
+    for A in _clashing(span, pos, n):
+        digits[n - 1 - A] = 49  # "1"
+    return int(digits, 2)
+
+
+def _bitset_forget(child: dict, inside: bool, q: int, k: int, due: list, memo: dict) -> dict:
+    """Forget a vertex at index q among the child bag's projected vertices
+    (`inside`) or its k unprojected ones.  Each u loses the assignments
+    that break a `due` clause (`_split_clauses`) whose projected part
+    matches its pa, memoised per pa, and an empty u drops its key.  A
+    projected vertex leaves pa; for an unprojected one each pair of u
+    blocks of 2^q bits merges into one (the inverse steps of
+    `_bitset_introduce`).  Keys that become equal add."""
+    width = 1 << k
+    full = (1 << width) - 1
+    steps = None if inside else _u_steps(k, q, False, memo)
+    low = (1 << q) - 1
+    allowed: dict = {}
+    table: dict = {}
+    get = table.get
+    for key, value in child.items():
+        pa, u = key >> width, key & full
+        if due:
+            ok = allowed.get(pa)
+            if ok is None:
+                bad = 0
+                for span, pos, clash in due:
+                    if pa & span == pos:
+                        bad |= clash
+                ok = allowed[pa] = full ^ bad
+            u &= ok
+            if not u:
+                continue
+        if steps is None:
+            key = ((pa >> (q + 1) << q) | (pa & low)) << width | u
+        else:
+            for shift, mask in steps:
+                u = (u | u >> shift) & mask
+            key = pa << (width >> 1) | u
+        table[key] = get(key, 0) + value
+    return table
+
+
+def _bitset_join(left: dict, right: dict, k: int) -> dict:
+    """Pair the keys of equal pa over a bag of k unprojected vertices and
+    add the product of their values to the intersection of their sets of
+    rows, when it is not empty."""
+    width = 1 << k
+    full = (1 << width) - 1
+    by_pa: dict = {}
+    for key, value in right.items():
+        by_pa.setdefault(key >> width, []).append((key, value))
+    table: dict = {}
+    get = table.get
+    for key, lvalue in left.items():
+        for other, rvalue in by_pa.get(key >> width, ()):
+            both = key & other
+            if both & full:
+                table[both] = get(both, 0) + lvalue * rvalue
+    return table
+
+
 def solution_rows(store: TableStore) -> list[Row]:
     """The root rows whose state describes solutions."""
     return [r for r in store.root_table if store.check.solution(r.state)]
@@ -673,10 +895,13 @@ def constraint_masks(constraints: list[Rule], bag: tuple[int, ...]) -> list[tupl
     """(head, body_pos, body_neg) bitmasks over the sorted bag.  An
     assignment A violates (head, pos, neg) when pos & A == pos,
     neg & A == 0 and head & A == 0."""
-    pos_of = {a: i for i, a in enumerate(bag)}
+    bit_of = {a: 1 << i for i, a in enumerate(bag)}
 
     def mask(atoms):
-        return sum(1 << pos_of[a] for a in atoms)
+        found = 0
+        for a in atoms:
+            found |= bit_of[a]
+        return found
 
     return [(mask(c.head), mask(c.body_pos), mask(c.body_neg)) for c in constraints]
 

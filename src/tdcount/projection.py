@@ -5,7 +5,9 @@ a CNF's models in one forward pass over sets of rows, on any
 decomposition (Fichte, Hecher, Morak and Woltran, SAT 2018): a key is a
 set of rows that agree on the projected bag atoms, and its value the
 number of projections, onto the projected vertices forgotten below,
-whose compatible rows are exactly that set (`dpcore.projected_traverse`).
+whose compatible rows are exactly that set (`dpcore.projected_traverse`
+for programs, `dpcore.projected_bitset_traverse` with each set a bitset
+for CNFs).
 
 `ProjectionPass` is an independent second algorithm, which the tests
 compare the pass with: from the root's solution rows of the `Row` store

@@ -231,19 +231,39 @@ def test_only_lean_cnf_counts_and_weights_skip_the_handler_pass(monkeypatch):
     def refuse(*args, **kwargs):
         raise Reached
 
+    # a CNF's lean counts and weights run on dense vectors and its
+    # projected counts on bitset sets of rows; every other call reaches
+    # the handler passes
     formula = weighted_cnf(5)
     program = parse_ground_program("a :- not b. b :- not a.")
     expected = {mode: aspdp.answer(formula, mode) for mode in CNF_MODES}
+    projected = projected_count(formula, {1})
     monkeypatch.setattr(aspdp, "traverse", refuse)
     monkeypatch.setattr(aspdp, "projected_traverse", refuse)
     assert count_models(formula) == expected[Mode.COUNT]
     assert aspdp.answer(formula, Mode.WEIGHTED) == expected[Mode.WEIGHTED]
+    assert projected_count(formula, {1}) == projected
     for run in (
         lambda: aspdp.answer(formula, Mode.OPTCOUNT),
         lambda: aspdp.count_answer_sets(program),
         lambda: aspdp.build_store(formula, Mode.COUNT),
         lambda: aspdp.build_store(formula, Mode.WEIGHTED),
-        lambda: projected_count(formula, {1}),
+        lambda: projected_count(program, {0}),
     ):
         with pytest.raises(Reached):
             run()
+
+
+def test_cnf_pmc_builds_no_handlers(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "f.cnf"
+    path.write_text("p cnf 4 3\n1 -2 0\n2 3 -4 0\n-1 4 0\n", encoding="utf-8")
+    argv = ["pmc", str(path), "--project-vars", "1,3"]
+    assert cli.run(argv) == 0
+    expected = capsys.readouterr()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("handlers were built")
+
+    monkeypatch.setattr(aspdp, "make_handlers", refuse)
+    assert cli.run(argv) == 0
+    assert capsys.readouterr() == expected

@@ -1,7 +1,8 @@
 """Projected counting: one pass over sets of rows for programs and CNFs
 on any decomposition, checked against the oracle and against
 `ProjectionPass`, inclusion-exclusion down the derivations of the root's
-solution rows."""
+solution rows, and a CNF's pass on bitset sets of rows against the
+handler pass over numbered rows."""
 
 import io
 import json
@@ -9,12 +10,21 @@ import random
 
 import pytest
 
-from tdcount.aspdp import build_store, count_answer_sets
-from tdcount.dpcore import Mode, projected_forget_below, purge
-from tdcount.errors import ProjectionOutOfRangeError
+from tdcount import cli, dpcore
+from tdcount.aspdp import EMPTY, build_store, count_answer_sets, make_handlers
+from tdcount.dpcore import (
+    PROVENANCE,
+    Mode,
+    plan_checks,
+    projected_bitset_traverse,
+    projected_forget_below,
+    projected_traverse,
+    purge,
+)
+from tdcount.errors import HandlerFailureError, ProjectionOutOfRangeError
 from tdcount.graphs import instance_graph
 from tdcount.oracle import brute_projected_count
-from tdcount.model import Atom, GroundProgram, Rule, has_atomless_rule
+from tdcount.model import Atom, CnfFormula, GroundProgram, Rule, has_atomless_rule
 from tdcount.parsers import parse_dimacs, parse_ground_program
 from tdcount.projection import ProjectionPass, projected_count, projection_vertices
 from tdcount.satdp import count_models
@@ -396,3 +406,77 @@ def test_projected_count_matches_the_oracle_on_banded_programs():
             cases += 1
             above_one += expected > 1
     assert above_one >= 0.9 * cases and nontight >= 10, (above_one, nontight)
+
+
+def random_3cnf(rng, n, m) -> CnfFormula:
+    """m clauses, each over 3 distinct of the n variables, each literal
+    negative when `rng.random() >= 0.5`."""
+    clauses = []
+    for _ in range(m):
+        chosen = rng.sample(range(1, n + 1), 3)
+        clauses.append(frozenset(v if rng.random() < 0.5 else -v for v in chosen))
+    return CnfFormula(n, clauses)
+
+
+def test_bitset_pass_matches_the_handler_pass_past_the_oracle():
+    # 18-26 variables, more than the brute-force oracle takes: a CNF's
+    # pass on bitset sets of rows and the handler pass over numbered rows
+    # give equal counts and trace records, on plain and deferred
+    # decompositions, with empty, partial and full projections
+    rng = random.Random(413)
+    counts = []
+    for case in range(8):
+        n = rng.randint(18, 26)
+        formula = random_3cnf(rng, n, 3 * n // 2)
+        size = (0, n)[case] if case < 2 else rng.randint(1, n - 1)
+        vertices = set(rng.sample(range(n), size))
+        for decomp in (
+            decompose(instance_graph(formula), "min-fill", case),
+            decompose(instance_graph(formula), "min-degree", case),
+            deferred_decomposition(formula, vertices, "min-fill", case),
+        ):
+            plan = plan_checks(decomp.ntd, formula.rules)
+            handlers = make_handlers(decomp.ntd, plan, check=EMPTY, values=PROVENANCE)
+            bitset_trace, handler_trace = io.StringIO(), io.StringIO()
+            got = projected_bitset_traverse(decomp.ntd, plan, vertices, bitset_trace)
+            expected = projected_traverse(decomp.ntd, handlers, vertices, handler_trace)
+            assert got == expected, (case, decomp.heuristic, sorted(vertices))
+            assert bitset_trace.getvalue() == handler_trace.getvalue(), case
+            counts.append(expected)
+        if case == 1:  # every variable projected: the model count
+            assert counts[-3:] == [count_models(formula)] * 3
+    assert counts[:3] == [1] * 3  # nothing projected: satisfiable
+    assert sum(count > 100 for count in counts) >= 12, counts
+
+
+def test_width_twenty_projected_count_agrees_across_decompositions():
+    # widths 20-21; on min-fill seed 0 the handler pass over numbered
+    # rows counted the same 13186 projections in about 35 s and 940 MB of
+    # peak RSS (Python 3.11, 2-CPU machine)
+    formula = random_3cnf(random.Random(0), 40, 90)
+    for heuristic, seed in (("min-fill", 0), ("min-degree", 0), ("min-degree", 1)):
+        decomp = decompose(instance_graph(formula), heuristic, seed)
+        assert decomp.width >= 20, (heuristic, seed)
+        assert projected_count(formula, range(1, 41, 2), decomp=decomp) == 13186
+
+
+def test_out_of_memory_in_the_bitset_pass_names_its_forget_node(tmp_path, capsys, monkeypatch):
+    text = "p cnf 6 5\n1 -2 3 0\n-1 4 0\n2 -5 6 0\n-3 5 0\n4 -6 0\n"
+    formula = parse_dimacs(text)
+    decomp = decompose(instance_graph(formula))
+    first = min(plan_checks(decomp.ntd, formula.rules))  # its first forget node with a clause
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(dpcore, "_clashing", no_memory)
+    with pytest.raises(HandlerFailureError) as info:
+        projected_count(formula, {1, 4}, decomp=decomp)
+    assert (info.value.node_id, info.value.kind) == (first, "forget")
+    assert isinstance(info.value.__cause__, MemoryError)
+    path = tmp_path / "f.cnf"
+    path.write_text(text, encoding="utf-8")
+    assert cli.run(["pmc", str(path), "--project-vars", "1,4", "--seed", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: out of memory (handler failed at node {first} (forget))\n"
