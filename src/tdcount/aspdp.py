@@ -51,7 +51,6 @@ from .dpcore import (
     TableStore,
     Values,
     clash_masks,
-    constraint_masks,
     empty_answer,
     insert_bit,
     lean_values,
@@ -60,7 +59,6 @@ from .dpcore import (
     projected_traverse,
     purge,
     remove_bit,
-    require_same_bag,
     root_aggregate,
     row_values,
     solution_rows,
@@ -68,8 +66,8 @@ from .dpcore import (
     vector_traverse,
 )
 from .errors import InvariantError
-from .graphs import instance_graph
-from .model import CnfFormula, GroundProgram, Rule, has_atomless_rule
+from .graphs import instance_graph, vertex_count
+from .model import CnfFormula, GroundProgram, has_atomless_rule
 from .treedecomp import DecompResult, NiceTreeDecomposition, NodeKind, decompose
 
 
@@ -224,7 +222,7 @@ def check_state(instance: GroundProgram | CnfFormula) -> CheckState:
 
 def make_handlers(
     ntd: NiceTreeDecomposition,
-    plan: dict[int, list[Rule]],
+    plan: dict[int, list[tuple]],
     *,
     check: CheckState = WITNESS,
     values: Values,
@@ -233,17 +231,17 @@ def make_handlers(
     yields its node's table entries, made by the value kind `values`
     from a key and the child values; `dpcore.traverse` builds the table.
 
-    `plan` maps forget nodes to the rules checked there, and `check`
-    gives each key's check state and its steps; with `EMPTY` every key
-    keeps the empty state and only the rules are checked.  `values` is
-    one mode's kind (`dpcore.lean_values`), whose lean tables hold bare
-    values, or that kind wrapped by `dpcore.row_values`, whose tables
-    hold `Row`s with their derivations, or `dpcore.PROVENANCE`, whose
-    entries name their preimage for the pass over sets of rows.  The
-    kind charges an atom's cost and weight when the atom is forgotten,
-    which happens exactly once, so joins combine them without
-    correction, and it drops entries whose weight becomes 0, which
-    contribute nothing."""
+    `plan` maps forget nodes to the masks of the rules checked there
+    (`dpcore.plan_checks`), and `check` gives each key's check state and
+    its steps; with `EMPTY` every key keeps the empty state and only the
+    rules are checked.  `values` is one mode's kind
+    (`dpcore.lean_values`), whose lean tables hold bare values, or that
+    kind wrapped by `dpcore.row_values`, whose tables hold `Row`s with
+    their derivations, or `dpcore.PROVENANCE`, whose entries name their
+    preimage for the pass over sets of rows.  The kind charges an atom's
+    cost and weight when the atom is forgotten, which happens exactly
+    once, so joins combine them without correction, and it drops entries
+    whose weight becomes 0, which contribute nothing."""
 
     def leaf(node_id, node):
         yield values.leaf((0, check.start))
@@ -263,10 +261,9 @@ def make_handlers(
 
     def forget(node_id, node, child):
         a = node.vertex
-        child_bag = ntd.nodes[node.children[0]].bag
-        p = child_bag.index(a)
+        p = ntd.nodes[node.children[0]].bag.index(a)
         low = (1 << p) - 1
-        due = constraint_masks(plan.get(node_id, []), child_bag)
+        due = plan.get(node_id, ())
         clashes = clash_masks(due)
         step = check.forget and check.forget(due, p)
         charge = values.forget(a)
@@ -284,9 +281,6 @@ def make_handlers(
                     yield entry
 
     def join(node_id, node, left, right):
-        left_bag = ntd.nodes[node.children[0]].bag
-        right_bag = ntd.nodes[node.children[1]].bag
-        require_same_bag(node, left_bag, right_bag)
         by_assignment: dict[int, list] = {}
         for (A, state), value in right.items():
             by_assignment.setdefault(A, []).append((state, value))
@@ -330,9 +324,12 @@ def table_pass(
     its projected count runs on bitset sets of rows
     (`dpcore.projected_bitset_traverse`), and its lean COUNT or WEIGHTED
     kind, the only kinds with weight factors (`Values.scale`), on dense
-    vector tables (`dpcore.vector_traverse`)."""
+    vector tables (`dpcore.vector_traverse`).  A given `decomp` must
+    forget exactly the instance's vertices, else ValueError."""
     if decomp is None:
         decomp = decompose(instance_graph(instance), heuristic, seed, seeds)
+    if set(decomp.ntd.forget_node_of) != set(range(vertex_count(instance))):
+        raise ValueError("the decomposition must forget exactly the instance's vertices")
     plan = plan_checks(decomp.ntd, instance.rules)
     check = check_state(instance)
     if check is EMPTY and projected is not None:

@@ -1,28 +1,29 @@
 """Generic table-passing engine over nice tree decompositions.
 
 `plan_checks` places each rule, program rule or clause constraint alike,
-at one forget node.  A post-order traversal hands each node to a handler,
-which yields the node's table entries, and builds the node's table from
-them.  Every table is keyed by (assignment, state): a bag assignment and
-a state of the pass's check state (`aspdp.CheckState`), which alone
+at one forget node, as its (head, body_pos, body_neg) masks over the
+node's child bag.  One post-order loop (`_post_order`) runs every pass,
+each of which gives only its per-node `build` and its trace `report`;
+`traverse` builds each node's table from the entries its handler
+yields.  Every table is keyed by (assignment, state): a bag assignment
+and a state of the pass's check state (`aspdp.CheckState`), which alone
 knows its format: it bounds each table and tells the root's solutions.
 
 Each mode has one value kind (`Values`, made by `lean_values`), which
 writes once what a key's value is and how it is combined: a count
-(COUNT), a (cost, count) pair (OPTCOUNT) or a weight numerator
-over the product of each forgotten variable's common weight denominator
+(COUNT), a (cost, count) pair (OPTCOUNT) or a weight numerator over the
+product of each forgotten variable's common weight denominator
 (WEIGHTED); the charges at forget nodes, the product at joins, the merge
-rule of two values of one key and the root total.  A lean pass maps
-each key to its bare value and drops each child table once its parent
-is built.  A CNF's lean COUNT and WEIGHTED passes, whose keys carry no
+rule of two values of one key and the root total.  A lean pass maps each
+key to its bare value and drops each child table once its parent is
+built.  A CNF's lean COUNT and WEIGHTED passes, whose keys carry no
 state, run on dense tables instead (`vector_traverse`): a list of
 2^|bag| values indexed by the bag assignment, 0 for a missing key,
-scaled by the same kind's weight factors (`Values.scale`).
-`row_values` wraps a mode's
-kind into `Row`s that carry the same value plus their derivations, each
-with one row per child, so that later passes (purge, enumeration,
-projection) walk the derivation structure instead of materializing
-solutions; every `Row` table is kept until the pass ends.
+scaled by the same kind's weight factors (`Values.scale`).  `row_values`
+wraps a mode's kind into `Row`s that carry the same value plus their
+derivations, each with one row per child, so that later passes (purge,
+enumeration, projection) walk the derivation structure instead of
+materializing solutions; every `Row` table is kept until the pass ends.
 
 A table keeps one value per key, of the cheapest cost seen: values of
 equal cost merge, so above the leaves a count is the sum over a key's
@@ -80,14 +81,6 @@ class Row:
         self.state = state
         self.value = value
         self.origins = origins
-
-    def __repr__(self):
-        """For store fingerprints; reads the state's type, as a report."""
-        if isinstance(self.state, int):
-            state = f"s={self.state:b}"
-        else:
-            state = f"w={sorted(self.state)}"
-        return f"Row(a={self.assignment:b}, {state}, v={self.value})"
 
 
 class DpTable:
@@ -348,41 +341,57 @@ class TableStore:
     def root_table(self):
         return self.tables[self.ntd.root]
 
-    def fingerprint(self) -> str:
-        """Deterministic textual form of every table, for equality checks."""
-        parts = []
-        for i, table in enumerate(self.tables):
-            rows = sorted(repr(r) for r in table) if table is not None else []
-            parts.append(f"node {i}: " + "; ".join(rows))
-        return "\n".join(parts)
-
 
 def _check_table(node, keys, check) -> None:
     """The check state's bound over a table's (assignment, state) keys."""
     check.bound(keys, len(node.bag))
 
 
-def traverse(ntd: NiceTreeDecomposition, handlers: Handlers, trace=None) -> TableStore:
-    """Fill a table for every node in post-order from the entries its
-    handler yields, through the handlers' value kind.  A lean pass drops
-    each child table once its parent is built.  Handler exceptions are
-    wrapped in HandlerFailureError with the offending node attached."""
-    values = handlers.values
-    store = TableStore(ntd, values, handlers.check)
-    tables = store.tables
-    for i, node in enumerate(ntd.nodes):
+def _post_order(ntd: NiceTreeDecomposition, tables: list, build, report, trace, keep=False):
+    """The one node loop of every pass: in post-order, fill `tables[i]`,
+    in place, with `build(i, node)`, which reads the child tables there,
+    after checking that a join's children share its bag.  Any exception
+    becomes a HandlerFailureError naming the node.  Unless `keep`, each
+    child table is dropped once its parent is built; then `trace` gets
+    the node's record, with the rows and largest witness set that
+    `report(node, table)` gives."""
+    nodes = ntd.nodes
+    for i, node in enumerate(nodes):
+        kids = node.children
         try:
-            handler = getattr(handlers, node.kind.value)
-            table = values.table(handler(i, node, *(tables[c] for c in node.children)))
-            _check_table(node, table.keys(), handlers.check)
+            if node.kind is NodeKind.JOIN:
+                require_same_bag(node, nodes[kids[0]].bag, nodes[kids[1]].bag)
+            table = build(i, node)
         except Exception as exc:
             raise HandlerFailureError(i, node.kind.value) from exc
         tables[i] = table
-        if not values.derivations:  # lean: only the root's total is read
-            for c in node.children:
+        if not keep:
+            for c in kids:
                 tables[c] = None
         if trace is not None:
-            _write_trace(trace, i, node, len(table), _max_witness_set(table.keys()))
+            rows, widest = report(node, table)
+            record = {"node": i, "type": node.kind.value, "bag": list(node.bag), "rows": rows}
+            record["max_witness_set"] = widest
+            trace.write(json.dumps(record, sort_keys=True) + "\n")
+
+
+def traverse(ntd: NiceTreeDecomposition, handlers: Handlers, trace=None) -> TableStore:
+    """Fill a table for every node from the entries its handler yields,
+    through the handlers' value kind; a lean pass keeps only the root's."""
+    values, check = handlers.values, handlers.check
+    store = TableStore(ntd, values, check)
+    tables = store.tables
+
+    def build(i, node):
+        handler = getattr(handlers, node.kind.value)
+        table = values.table(handler(i, node, *(tables[c] for c in node.children)))
+        _check_table(node, table.keys(), check)
+        return table
+
+    def report(node, table):
+        return len(table), _max_witness_set(table.keys())
+
+    _post_order(ntd, tables, build, report, trace, keep=values.derivations)
     return store
 
 
@@ -392,36 +401,29 @@ def vector_traverse(ntd: NiceTreeDecomposition, plan, values: Values, check, tra
     2018): a node's table is a list of 2^|bag| ints indexed by the bag
     assignment, 0 where the dict pass has no key, since values are never
     negative and a value of 0 drops its key.  `plan` maps forget nodes to
-    their clauses as rules (`plan_checks`), and `check` is the empty
-    check state.  Answers, handler failures and `trace` records equal
+    their clauses' masks (`plan_checks`), and `check` is the empty check
+    state.  Answers, handler failures and `trace` records equal
     `traverse`'s, with `rows` the nonzero entries; each child table is
     dropped once its parent is built, and the root's becomes the dict
     `{(0, check.start): value}` that `root_aggregate` reads."""
     store = TableStore(ntd, values, check)
     tables = store.tables
-    nodes = ntd.nodes
-    for i, node in enumerate(nodes):
-        kids = node.children
-        try:
-            if node.kind is NodeKind.LEAF:
-                table = [1]
-            elif node.kind is NodeKind.INTRODUCE:
-                table = _spread(tables[kids[0]], node.bag.index(node.vertex))
-            elif node.kind is NodeKind.FORGET:
-                bag = nodes[kids[0]].bag
-                clashes = clash_masks(constraint_masks(plan.get(i, []), bag))
-                factors = values.scale(node.vertex)
-                table = _fold(tables[kids[0]], bag.index(node.vertex), clashes, factors)
-            else:
-                require_same_bag(node, nodes[kids[0]].bag, nodes[kids[1]].bag)
-                table = list(map(operator.mul, tables[kids[0]], tables[kids[1]]))
-        except Exception as exc:
-            raise HandlerFailureError(i, node.kind.value) from exc
-        tables[i] = table
-        for c in kids:
-            tables[c] = None
-        if trace is not None:
-            _write_trace(trace, i, node, len(table) - table.count(0), 0)
+
+    def build(i, node):
+        if node.kind is NodeKind.LEAF:
+            return [1]
+        child = tables[node.children[0]]
+        if node.kind is NodeKind.INTRODUCE:
+            return _spread(child, node.bag.index(node.vertex))
+        if node.kind is NodeKind.JOIN:
+            return list(map(operator.mul, child, tables[node.children[1]]))
+        p = ntd.nodes[node.children[0]].bag.index(node.vertex)
+        return _fold(child, p, clash_masks(plan.get(i, ())), values.scale(node.vertex))
+
+    def report(node, table):
+        return len(table) - table.count(0), 0
+
+    _post_order(ntd, tables, build, report, trace)
     (value,) = tables[ntd.root]
     tables[ntd.root] = {(0, check.start): value} if value else {}
     return store
@@ -492,14 +494,6 @@ def _clashing(span: int, pos: int, n: int):
         sub = (sub - 1) & free
 
 
-def _write_trace(trace, i, node, rows, widest) -> None:
-    record = {
-        "node": i, "type": node.kind.value, "bag": list(node.bag), "rows": rows,
-        "max_witness_set": widest,
-    }
-    trace.write(json.dumps(record, sort_keys=True) + "\n")
-
-
 def projected_forget_below(ntd: NiceTreeDecomposition, vertices) -> list[bool]:
     """Per node, whether a forget of a vertex of `vertices` lies at or below it."""
     below: list[bool] = []
@@ -520,29 +514,29 @@ def projected_traverse(ntd: NiceTreeDecomposition, handlers: Handlers, projected
     projected forget below keep only their row index (`_sets`).  `trace`
     records the number of sets (`rows`) and the largest set."""
     below = projected_forget_below(ntd, projected)
+    check = handlers.check
     passes: list = [None] * len(ntd.nodes)  # (table, or None if not below; row index)
-    for i, node in enumerate(ntd.nodes):
+
+    def build(i, node):
         children = [passes[c] for c in node.children]
-        try:
-            entries = getattr(handlers, node.kind.value)(i, node, *(r for _, r in children))
-            rows: dict = {}  # row -> number, in the order first yielded
-            table = None
-            if below[i]:
-                table = _set_table(ntd, node, entries, rows, children, projected)
-            else:
-                for key, _ in entries:
-                    rows.setdefault(key, len(rows))
-            _check_table(node, rows.keys(), handlers.check)
-        except Exception as exc:
-            raise HandlerFailureError(i, node.kind.value) from exc
-        passes[i] = table, rows
-        for c in node.children:
-            passes[c] = None
-        if trace is not None:
-            table = _sets(table, rows, node.bag, projected)
-            _write_trace(trace, i, node, len(table), max(map(len, table), default=0))
+        entries = getattr(handlers, node.kind.value)(i, node, *(r for _, r in children))
+        rows: dict = {}  # row -> number, in the order first yielded
+        table = None
+        if below[i]:
+            table = _set_table(ntd, node, entries, rows, children, projected)
+        else:
+            for key, _ in entries:
+                rows.setdefault(key, len(rows))
+        _check_table(node, rows.keys(), check)
+        return table, rows
+
+    def report(node, pair):
+        table = _sets(*pair, node.bag, projected)
+        return len(table), max(map(len, table), default=0)
+
+    _post_order(ntd, passes, build, report, trace)
     table, rows = passes[ntd.root]
-    solutions = {n for (_, state), n in rows.items() if handlers.check.solution(state)}
+    solutions = {n for (_, state), n in rows.items() if check.solution(state)}
     table = _sets(table, rows, (), projected)
     return sum(value for S, value in table.items() if not solutions.isdisjoint(S))
 
@@ -622,7 +616,7 @@ def projected_bitset_traverse(ntd: NiceTreeDecomposition, plan, projected, trace
     vertices, each in bag order; a key holds in bits [0, 2^k_U) the set
     u of unprojected assignments whose row (pa, u) is in the set, and
     above them pa, the projected bag bits that all of its rows share.
-    `plan` maps forget nodes to their clauses as rules (`plan_checks`).
+    `plan` maps forget nodes to their clauses' masks (`plan_checks`).
     Answers and `trace` records equal `projected_traverse`'s, with
     `max_witness_set` the largest u, and a node that fails raises
     HandlerFailureError naming it; each child table is dropped once its
@@ -630,39 +624,31 @@ def projected_bitset_traverse(ntd: NiceTreeDecomposition, plan, projected, trace
     ranges over the 2^k_U unprojected assignments of its one pa, so a
     set holds at most the 2^k rows that bound a table of the empty
     state."""
-    nodes = ntd.nodes
-    tables: list = [None] * len(nodes)
+    tables: list = [None] * len(ntd.nodes)
     memo: dict = {}  # this pass's masks and steps that move u's blocks
-    for i, node in enumerate(nodes):
-        kids = node.children
-        try:
-            if node.kind is NodeKind.LEAF:
-                table = {1: 1}
-            elif node.kind is NodeKind.JOIN:
-                require_same_bag(node, nodes[kids[0]].bag, nodes[kids[1]].bag)
-                k = _unprojected(node.bag, projected)
-                table = _bitset_join(tables[kids[0]], tables[kids[1]], k)
-            else:
-                introduce = node.kind is NodeKind.INTRODUCE
-                bag = node.bag if introduce else nodes[kids[0]].bag
-                inside = [v in projected for v in bag]
-                p = bag.index(node.vertex)
-                # projected or not, the index among its kind, and k_U
-                place = inside[p], inside[:p].count(inside[p]), inside.count(False)
-                if introduce:
-                    table = _bitset_introduce(tables[kids[0]], *place, memo)
-                else:
-                    due = _split_clauses(plan.get(i), bag, inside)
-                    table = _bitset_forget(tables[kids[0]], *place, due, memo)
-        except Exception as exc:
-            raise HandlerFailureError(i, node.kind.value) from exc
-        tables[i] = table
-        for c in kids:
-            tables[c] = None
-        if trace is not None:
-            u_bits = (1 << (1 << _unprojected(node.bag, projected))) - 1
-            widest = max(((key & u_bits).bit_count() for key in table), default=0)
-            _write_trace(trace, i, node, len(table), widest)
+
+    def build(i, node):
+        if node.kind is NodeKind.LEAF:
+            return {1: 1}
+        child = tables[node.children[0]]
+        if node.kind is NodeKind.JOIN:
+            return _bitset_join(child, tables[node.children[1]], _unprojected(node.bag, projected))
+        introduce = node.kind is NodeKind.INTRODUCE
+        bag = node.bag if introduce else ntd.nodes[node.children[0]].bag
+        inside = [v in projected for v in bag]
+        p = bag.index(node.vertex)
+        # projected or not, the index among its kind, and k_U
+        place = inside[p], inside[:p].count(inside[p]), inside.count(False)
+        if introduce:
+            return _bitset_introduce(child, *place, memo)
+        due = _split_clauses(plan.get(i), bag, inside)
+        return _bitset_forget(child, *place, due, memo)
+
+    def report(node, table):
+        u_bits = (1 << (1 << _unprojected(node.bag, projected))) - 1
+        return len(table), max(((key & u_bits).bit_count() for key in table), default=0)
+
+    _post_order(ntd, tables, build, report, trace)
     # the root bag is empty and every row of the empty state is a solution
     return sum(tables[ntd.root].values())
 
@@ -727,13 +713,14 @@ def _bitset_introduce(child: dict, inside: bool, q: int, k: int, memo: dict) -> 
     return table
 
 
-def _split_clauses(rules, bag, inside: list) -> list:
-    """Per due clause over the child bag, whose positions are projected
-    where `inside` says so: its projected (span, pos) (`clash_masks`) and
-    the set of unprojected assignments that clash, as a u."""
-    if not rules:
+def _split_clauses(due, bag, inside: list) -> list:
+    """Per clause mask (`plan_checks`) in `due` over the child bag, whose
+    positions are projected where `inside` says so: its projected (span,
+    pos) (`clash_masks`) and the set of unprojected assignments that
+    clash, as a u."""
+    if not due:
         return []
-    clauses = clash_masks(constraint_masks(rules, bag))
+    clauses = clash_masks(due)
     if True not in inside:  # every clause is all unprojected
         width = 1 << len(bag)
         return [(0, 0, _clash_set(span, pos, width)) for span, pos in clauses]
@@ -871,39 +858,35 @@ def empty_answer(mode: Mode):
     return lean_values(mode).total([])
 
 
-def plan_checks(ntd: NiceTreeDecomposition, rules: list[Rule]) -> dict[int, list[Rule]]:
-    """Map each forget node to the rules (program rules or clause
+def plan_checks(ntd: NiceTreeDecomposition, rules: list[Rule]) -> dict[int, list[tuple]]:
+    """Map each forget node to the (head, body_pos, body_neg) bitmasks,
+    over its child's sorted bag, of the rules (program rules or clause
     constraints) checked there: each rule once, at the forget node of its
     earliest-forgotten atom, whose child bag holds all of the rule's atoms
-    (checked here).  An atomless rule is always violated and has no forget
-    node, so it raises ValueError: callers answer such instances first."""
-    plan: dict[int, list[Rule]] = {}
+    (checked here).  An assignment A violates (head, pos, neg) when
+    pos & A == pos, neg & A == 0 and head & A == 0.  An atomless rule is
+    always violated and has no forget node, so it raises ValueError:
+    callers answer such instances first."""
+    nodes, forget_node_of = ntd.nodes, ntd.forget_node_of
+    bits: dict[int, dict[int, int]] = {}  # per forget node: child bag atom -> bit
+    plan: dict[int, list[tuple]] = {}
     for idx, rule in enumerate(rules):
         atoms = rule.atoms
         if not atoms:
             raise ValueError(f"constraint {idx} has no atoms and is always violated")
-        node_id = min(ntd.forget_node_of[a] for a in atoms)
-        node = ntd.nodes[node_id]
-        child_bag = ntd.nodes[node.children[0]].bag
-        if not atoms <= set(child_bag):
-            raise InvariantError("constraint atoms must share the child bag")
-        plan.setdefault(node_id, []).append(rule)
+        node_id = min(map(forget_node_of.__getitem__, atoms))
+        bit_of = bits.get(node_id)
+        if bit_of is None:
+            child_bag = nodes[nodes[node_id].children[0]].bag
+            bit_of = bits[node_id] = {a: 1 << k for k, a in enumerate(child_bag)}
+        bit = bit_of.__getitem__
+        head, pos, neg = rule.head, rule.body_pos, rule.body_neg
+        try:
+            masks = sum(map(bit, head)), sum(map(bit, pos)), sum(map(bit, neg))
+        except KeyError:
+            raise InvariantError("constraint atoms must share the child bag") from None
+        plan.setdefault(node_id, []).append(masks)
     return plan
-
-
-def constraint_masks(constraints: list[Rule], bag: tuple[int, ...]) -> list[tuple[int, int, int]]:
-    """(head, body_pos, body_neg) bitmasks over the sorted bag.  An
-    assignment A violates (head, pos, neg) when pos & A == pos,
-    neg & A == 0 and head & A == 0."""
-    bit_of = {a: 1 << i for i, a in enumerate(bag)}
-
-    def mask(atoms):
-        found = 0
-        for a in atoms:
-            found |= bit_of[a]
-        return found
-
-    return [(mask(c.head), mask(c.body_pos), mask(c.body_neg)) for c in constraints]
 
 
 def clash_masks(due: list[tuple[int, int, int]]) -> list[tuple[int, int]]:

@@ -43,7 +43,7 @@ class Graph:
         return len(self.neighbors[v])
 
 
-def _vertices(instance: GroundProgram | CnfFormula) -> int:
+def vertex_count(instance: GroundProgram | CnfFormula) -> int:
     """The vertex count of an instance's atoms or variables (DIMACS var
     v is vertex v-1)."""
     if isinstance(instance, CnfFormula):
@@ -54,7 +54,7 @@ def _vertices(instance: GroundProgram | CnfFormula) -> int:
 def primal_graph(instance: GroundProgram | CnfFormula) -> Graph:
     """Atoms or variables are vertices; those sharing a rule or clause
     form a clique.  Atoms in no rule stay as isolated vertices."""
-    g = Graph(_vertices(instance))
+    g = Graph(vertex_count(instance))
     for rule in instance.rules:
         g.add_clique(rule.atoms)
     return g
@@ -63,7 +63,7 @@ def primal_graph(instance: GroundProgram | CnfFormula) -> Graph:
 def incidence_graph(instance: GroundProgram | CnfFormula) -> Graph:
     """Bipartite graph: atom or variable vertices 0..n-1, then one vertex
     per rule or clause."""
-    n = _vertices(instance)
+    n = vertex_count(instance)
     g = Graph(n + len(instance.rules))
     for i, rule in enumerate(instance.rules):
         for a in rule.atoms:

@@ -430,3 +430,27 @@ def test_atomless_rule_answers_without_a_table(monkeypatch, instance):
     else:
         assert count_models(instance) == 0
         assert weighted_count(instance) == Fraction(0)
+
+
+def test_a_decomposition_over_other_vertices_is_refused():
+    # as with an elimination ordering that is not a permutation of the
+    # vertices, a given decomposition must forget exactly the instance's
+    # vertices: with more, the extra ones counted as free variables (12
+    # models for 3); with fewer, an atom had no forget node (KeyError)
+    formula = parse_dimacs("p cnf 2 1\n1 2 0\n")
+    program = parse_ground_program("a :- not b. b :- not a. c :- a.")
+    wider = decompose(primal_graph(parse_dimacs("p cnf 4 1\n1 2 3 4 0\n")))
+    narrower = decompose(primal_graph(parse_ground_program("a.")))
+    calls = {  # by the entry point each one runs
+        "count_models": lambda decomp: count_models(formula, decomp=decomp),
+        "count_answer_sets": lambda decomp: count_answer_sets(program, decomp=decomp),
+        "projected_count cnf": lambda decomp: projected_count(formula, {1}, decomp=decomp),
+        "projected_count program": lambda decomp: projected_count(program, {0}, decomp=decomp),
+        "enumerate_answer_sets": lambda decomp: [*enumerate_answer_sets(program, decomp=decomp)],
+    }
+    for call in calls.values():
+        for decomp in (wider, narrower):
+            with pytest.raises(ValueError, match="exactly the instance's vertices"):
+                call(decomp)
+    assert count_models(formula, decomp=decompose(primal_graph(formula))) == 3
+    assert count_answer_sets(program, decomp=decompose(primal_graph(program))) == 2

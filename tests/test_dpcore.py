@@ -8,6 +8,7 @@ import pytest
 
 from tdcount import aspdp
 from tdcount.dpcore import (
+    PROVENANCE,
     Handlers,
     Mode,
     Row,
@@ -15,6 +16,8 @@ from tdcount.dpcore import (
     insert_bit,
     lean_values,
     plan_checks,
+    projected_bitset_traverse,
+    projected_traverse,
     purge,
     remove_bit,
     require_same_bag,
@@ -22,11 +25,12 @@ from tdcount.dpcore import (
     row_values,
     solution_rows,
     traverse,
+    vector_traverse,
 )
 from tdcount.errors import BagMismatchError, HandlerFailureError, InvariantError
 from tdcount.graphs import primal_graph
-from tdcount.parsers import parse_ground_program
-from tdcount.treedecomp import decompose
+from tdcount.parsers import parse_dimacs, parse_ground_program
+from tdcount.treedecomp import NiceNode, NiceTreeDecomposition, NodeKind, decompose
 
 import corpus
 
@@ -238,6 +242,45 @@ def test_require_same_bag():
         require_same_bag(node, (0,), (1,))
 
 
+def mismatched_join_ntd():
+    """Atoms 0 and 1 introduced on two branches whose join claims the
+    left branch's bag (0,) while the right branch holds (1,)."""
+    nodes = [
+        NiceNode(NodeKind.LEAF, (), None, ()),
+        NiceNode(NodeKind.INTRODUCE, (0,), 0, (0,)),
+        NiceNode(NodeKind.LEAF, (), None, ()),
+        NiceNode(NodeKind.INTRODUCE, (1,), 1, (2,)),
+        NiceNode(NodeKind.JOIN, (0,), None, (1, 3)),
+        NiceNode(NodeKind.INTRODUCE, (0, 1), 1, (4,)),
+        NiceNode(NodeKind.FORGET, (1,), 0, (5,)),
+        NiceNode(NodeKind.FORGET, (), 1, (6,)),
+    ]
+    return NiceTreeDecomposition(nodes, 2)
+
+
+@pytest.mark.parametrize("kind", ["traverse", "vector", "projected", "bitset"])
+def test_every_pass_refuses_a_join_of_other_bags(kind):
+    # the node loop under every pass checks a join's bags: without that
+    # check none of the four passes notices the mismatch
+    ntd = mismatched_join_ntd()
+    program_plan = plan_checks(ntd, parse_ground_program("a :- not b. b :- not a.").rules)
+    cnf_plan = plan_checks(ntd, parse_dimacs("p cnf 2 1\n1 2 0\n").rules)
+
+    def handlers(values):
+        return aspdp.make_handlers(ntd, program_plan, check=aspdp.SUPPORT, values=values)
+
+    passes = {
+        "traverse": lambda: traverse(ntd, handlers(lean_values(Mode.COUNT))),
+        "vector": lambda: vector_traverse(ntd, cnf_plan, lean_values(Mode.COUNT), aspdp.EMPTY),
+        "projected": lambda: projected_traverse(ntd, handlers(PROVENANCE), {0}),
+        "bitset": lambda: projected_bitset_traverse(ntd, cnf_plan, {0}),
+    }
+    with pytest.raises(HandlerFailureError) as info:
+        passes[kind]()
+    assert (info.value.node_id, info.value.kind) == (4, "join")
+    assert isinstance(info.value.__cause__, BagMismatchError)
+
+
 def test_solution_rows_exclude_strict_witnesses():
     good = entry(0, frozenset({(0, False)}), 1, ())
     bad = entry(1, frozenset({(1, False), (0, True)}), 1, ())
@@ -286,18 +329,6 @@ def test_purge_of_inconsistent_program_empties_every_table():
     assert all(len(t) == 0 for t in purged.tables)
 
 
-def test_fingerprint_is_deterministic():
-    _, store_a, _ = build("a :- not b. b :- not a. c :- a.")
-    _, store_b, _ = build("a :- not b. b :- not a. c :- a.")
-    assert store_a.fingerprint() == store_b.fingerprint()
-
-
-def test_fingerprint_distinguishes_programs():
-    _, store_a, _ = build("a :- not b. b :- not a.")
-    _, store_b, _ = build("a. b :- a.")
-    assert store_a.fingerprint() != store_b.fingerprint()
-
-
 def test_trace_records_every_node():
     buf = io.StringIO()
     _, store, decomp = build("a :- not b. b :- not a.", trace=buf)
@@ -310,15 +341,31 @@ def test_trace_records_every_node():
 
 
 def test_plan_checks_targets_earliest_forget():
-    program = parse_ground_program("a :- b, c.")
+    program = parse_ground_program("a :- b, not c.")
     decomp = decompose(primal_graph(program))
     plan = plan_checks(decomp.ntd, program.rules)
     (node_id,) = plan
-    assert plan[node_id] == program.rules
     node = decomp.ntd.nodes[node_id]
     child_bag = decomp.ntd.nodes[node.children[0]].bag
     assert {0, 1, 2} <= set(child_bag)
     assert node_id == min(decomp.ntd.forget_node_of[a] for a in (0, 1, 2))
+    # the rule's (head, body_pos, body_neg) masks over the child bag
+    bit = {a: 1 << k for k, a in enumerate(child_bag)}
+    assert plan[node_id] == [(bit[0], bit[1], bit[2])]
+
+
+def test_plan_checks_refuses_a_rule_outside_its_forget_nodes_bag():
+    # atoms 0 and 1 never share a bag, so `a :- b.` has no forget node
+    # whose child bag holds both
+    nodes = [
+        NiceNode(NodeKind.LEAF, (), None, ()),
+        NiceNode(NodeKind.INTRODUCE, (0,), 0, (0,)),
+        NiceNode(NodeKind.FORGET, (), 0, (1,)),
+        NiceNode(NodeKind.INTRODUCE, (1,), 1, (2,)),
+        NiceNode(NodeKind.FORGET, (), 1, (3,)),
+    ]
+    with pytest.raises(InvariantError, match="share the child bag"):
+        plan_checks(NiceTreeDecomposition(nodes, 2), parse_ground_program("a :- b.").rules)
 
 
 def test_root_aggregate_modes():

@@ -112,18 +112,50 @@ def test_only_dpcore_builds_tables():
 
 def test_dpcore_reads_no_state_kind_from_a_type():
     # each check state answers for its own solutions and bounds; only
-    # the two report readers of the `Row` store look at a state's type
+    # the trace's report of the largest witness set looks at a state's type
     tree = ast.parse((PACKAGE / "dpcore.py").read_text(encoding="utf-8"))
-    owner = {}
-    for scope in ast.walk(tree):  # outer scopes first, so inner ones win
-        if isinstance(scope, ast.FunctionDef):
-            owner.update(dict.fromkeys(ast.walk(scope), scope.name))
+    owner = _owners(tree)
     callers = [
         owner.get(node)
         for node in ast.walk(tree)
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
     ]
-    assert sorted(callers) == ["__repr__", "_max_witness_set"]
+    assert callers == ["_max_witness_set"]
+
+
+def _owners(tree) -> dict:
+    """Each node of a module's tree mapped to its innermost function."""
+    owner = {}
+    for scope in ast.walk(tree):  # outer scopes first, so inner ones win
+        if isinstance(scope, ast.FunctionDef):
+            owner.update(dict.fromkeys(ast.walk(scope), scope.name))
+    return owner
+
+
+def test_one_node_loop_and_one_planner():
+    # every table pass runs in `dpcore._post_order`, the one place that
+    # checks a join's bags and names a failing node; and `plan_checks`
+    # alone turns rules into masks, once per rule, for every pass.  The
+    # model defines and prints rules, and the brute-force oracle reads
+    # them on its own, apart from the passes it checks
+    wrapped, bag_checks, rule_readers = [], [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        owner = _owners(tree)
+        for node in ast.walk(tree):
+            called = getattr(node.func, "id", None) if isinstance(node, ast.Call) else None
+            where = f"{path.name}:{owner.get(node)}"
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+                if getattr(node.exc.func, "id", None) == "HandlerFailureError":
+                    wrapped.append(where)
+            elif called == "require_same_bag":
+                bag_checks.append(where)
+            elif isinstance(node, ast.Attribute) and node.attr in ("head", "body_pos", "body_neg"):
+                if path.name not in ("model.py", "oracle.py"):
+                    rule_readers.add(where)
+    assert wrapped == ["dpcore.py:_post_order"]
+    assert bag_checks == ["dpcore.py:_post_order"]
+    assert rule_readers == {"dpcore.py:plan_checks"}
 
 
 def test_readme_lists_exactly_the_cli_commands():
