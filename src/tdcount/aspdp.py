@@ -37,7 +37,12 @@ its passes skip the handlers, with the same answers and traces:
 `dpcore.vector_traverse`, which holds each table as a dense vector over
 the bag assignments, and its projected count to
 `dpcore.projected_bitset_traverse`, which holds each set of rows as a
-bitset over the unprojected bag assignments.
+bitset over the unprojected bag assignments.  A tight program's lean
+COUNT and OPTCOUNT kinds, behind its count, consistency and optimum,
+skip them too: `dpcore.packed_traverse` runs the steps of `SUPPORT` on
+keys packed into one int, assignment and support mask side by side.
+Its enumeration (`build_store`) and projected count still run the
+handlers.
 """
 
 from __future__ import annotations
@@ -54,6 +59,7 @@ from .dpcore import (
     empty_answer,
     insert_bit,
     lean_values,
+    packed_traverse,
     plan_checks,
     projected_bitset_traverse,
     projected_traverse,
@@ -324,8 +330,11 @@ def table_pass(
     its projected count runs on bitset sets of rows
     (`dpcore.projected_bitset_traverse`), and its lean COUNT or WEIGHTED
     kind, the only kinds with weight factors (`Values.scale`), on dense
-    vector tables (`dpcore.vector_traverse`).  A given `decomp` must
-    forget exactly the instance's vertices, else ValueError."""
+    vector tables (`dpcore.vector_traverse`).  A tight program, whose
+    check state is `SUPPORT`, runs no handlers for its lean COUNT or
+    OPTCOUNT kind either: those run on packed int keys
+    (`dpcore.packed_traverse`).  A given `decomp` must forget exactly the
+    instance's vertices, else ValueError."""
     if decomp is None:
         decomp = decompose(instance_graph(instance), heuristic, seed, seeds)
     if set(decomp.ntd.forget_node_of) != set(range(vertex_count(instance))):
@@ -336,6 +345,9 @@ def table_pass(
         return projected_bitset_traverse(decomp.ntd, plan, projected, trace), decomp
     if check is EMPTY and values.scale is not None:
         return vector_traverse(decomp.ntd, plan, values, check, trace), decomp
+    # `PROVENANCE`, the kind of projected counts, has no mode
+    if check is SUPPORT and not values.derivations and values.mode in (Mode.COUNT, Mode.OPTCOUNT):
+        return packed_traverse(decomp.ntd, plan, values, check, trace), decomp
     handlers = make_handlers(decomp.ntd, plan, check=check, values=values)
     if projected is not None:
         return projected_traverse(decomp.ntd, handlers, projected, trace), decomp

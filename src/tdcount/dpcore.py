@@ -19,7 +19,11 @@ key to its bare value and drops each child table once its parent is
 built.  A CNF's lean COUNT and WEIGHTED passes, whose keys carry no
 state, run on dense tables instead (`vector_traverse`): a list of
 2^|bag| values indexed by the bag assignment, 0 for a missing key,
-scaled by the same kind's weight factors (`Values.scale`).  `row_values`
+scaled by the same kind's weight factors (`Values.scale`).  A tight
+program's lean COUNT and OPTCOUNT passes, whose keys carry a support
+mask, run on packed int keys (`packed_traverse`): the key (A, M) is the
+one int A | M << width, so that a node's steps are a few int operations
+per key, with OPTCOUNT's costs added by `Values.charges`.  `row_values`
 wraps a mode's kind into `Row`s that carry the same value plus their
 derivations, each with one row per child, so that later passes (purge,
 enumeration, projection) walk the derivation structure instead of
@@ -131,16 +135,19 @@ class Values:
     `scale(atom)`, given only by the lean COUNT and WEIGHTED kinds, is
     the pair of integer factors (if false, if true) by which forgetting
     `atom` multiplies a value; their `forget` charges through it, and
-    so does `vector_traverse`."""
+    so does `vector_traverse`.  `charges(atom)`, given only by the lean
+    OPTCOUNT kind, is the pair of costs (if false, if true) that
+    forgetting `atom` adds; its `forget` charges through it, and so does
+    `packed_traverse`."""
 
     __slots__ = (
         "leaf", "carry", "forget", "join", "merge", "least", "total", "derivations",
-        "mode", "table", "scale",
+        "mode", "table", "scale", "charges",
     )
 
     def __init__(
         self, leaf, carry, forget, join, merge, least, total, derivations=False, mode=None,
-        scale=None,
+        scale=None, charges=None,
     ):
         self.leaf = leaf
         self.carry = carry
@@ -152,6 +159,7 @@ class Values:
         self.derivations = derivations
         self.mode = mode
         self.scale = scale
+        self.charges = charges
         self.table = _lean_table(merge, least, DpTable if derivations else None)
 
 
@@ -162,11 +170,16 @@ def _lean_table(merge, least, wrap=None):
         for key, value in entries:
             old = get(key)
             out[key] = value if old is None else merge(old, value)
-        if out and least(out.values()) < 1:
-            raise ValueError("row count must be positive")
+        _check_counts(out.values(), least)
         return out if wrap is None else wrap(out)
 
     return table
+
+
+def _check_counts(values, least) -> None:
+    """A table's counts, read by its kind's `least`, must be at least 1."""
+    if values and least(values) < 1:
+        raise ValueError("row count must be positive")
 
 
 def row_values(lean: Values) -> Values:
@@ -232,6 +245,14 @@ def _cheapest(old, new):
     return old
 
 
+def _cost_product(left, right):
+    """The (cost, count) value of a joined pair."""
+    return left[0] + right[0], left[1] * right[1]
+
+
+_count_of = operator.itemgetter(1)  # the count of a (cost, count) value
+
+
 def _optimum(values):
     if not values:
         return (None, 0)
@@ -249,19 +270,23 @@ def lean_values(mode: Mode, costs=None, weights=None) -> Values:
     those denominators."""
     if mode is Mode.OPTCOUNT:
 
+        def charges(atom):
+            return costs(atom) if costs else (0, 0)
+
         def forget(atom):
-            charge = costs(atom) if costs else (0, 0)
+            charge = charges(atom)
             return lambda key, value, bit: (key, (value[0] + charge[bit], value[1]))
 
         return Values(
             lambda key: (key, (0, 1)),
             _pair,
             forget,
-            lambda key, left, right: (key, (left[0] + right[0], left[1] * right[1])),
+            lambda key, left, right: (key, _cost_product(left, right)),
             _cheapest,
-            lambda values: min(count for _, count in values),
+            lambda values: min(map(_count_of, values)),
             _optimum,
             mode=mode,
+            charges=charges,
         )
     if mode is Mode.WEIGHTED:
         denominator = 1
@@ -492,6 +517,158 @@ def _clashing(span: int, pos: int, n: int):
         if not sub:
             return
         sub = (sub - 1) & free
+
+
+def packed_traverse(ntd: NiceTreeDecomposition, plan, values: Values, check, trace=None):
+    """The lean pass of a tight program's COUNT or OPTCOUNT kind `values`
+    on packed int keys, as gpusat keeps bit-level tables (Fichte, Hecher,
+    Woltran and Zisser, ESA 2018): the key (A, M) of the support check
+    state `check` (`aspdp.SUPPORT`), a bag assignment A and a support
+    mask M, is the one int A | M << width, with width the largest bag
+    size plus one.  `plan` maps forget nodes to their rules' masks
+    (`plan_checks`).  An introduce inserts a false bit into both fields
+    of each key, and gives it once more with the new atom true; a forget
+    looks up, memoised on the bits of A its due rules read, either a
+    classical clash or the support the rules add, drops a true and
+    unsupported atom and removes its bit from both fields; a join pairs
+    keys of equal A and ORs them.  Answers, handler failures and `trace`
+    records equal `traverse`'s; every table is checked against the
+    support bound read off packed keys (`_PackedSupport`), and its
+    counts must be at least 1.  Each child table is dropped once its
+    parent is built, and the root's becomes the dict `{(0, check.start):
+    value}` that `root_aggregate` reads."""
+    store = TableStore(ntd, values, check)
+    tables = store.tables
+    nodes = ntd.nodes
+    width = max(len(node.bag) for node in nodes) + 1
+    bound = _PackedSupport(width)
+    merge, least, charges = values.merge, values.least, values.charges
+    times = _cost_product if values.mode is Mode.OPTCOUNT else operator.mul
+    one = values.leaf((0, check.start))[1]
+
+    def build(i, node):
+        kind, kids = node.kind, node.children
+        if kind is NodeKind.LEAF:
+            table = {0: one}
+        elif kind is NodeKind.INTRODUCE:
+            table = _packed_introduce(tables[kids[0]], node.bag.index(node.vertex), width)
+        elif kind is NodeKind.FORGET:
+            p = nodes[kids[0]].bag.index(node.vertex)
+            cost = charges and charges(node.vertex)  # None outside OPTCOUNT
+            table = _packed_forget(tables[kids[0]], p, width, plan.get(i, ()), cost, merge)
+        else:
+            table = _packed_join(tables[kids[0]], tables[kids[1]], width, times, merge)
+        _check_table(node, table.keys(), bound)
+        _check_counts(table.values(), least)
+        return table
+
+    def report(node, table):
+        return len(table), 0
+
+    _post_order(ntd, tables, build, report, trace)
+    # the root bag is empty, so its one key, if any, is 0
+    tables[ntd.root] = {(0, check.start): value for value in tables[ntd.root].values()}
+    return store
+
+
+class _PackedSupport:
+    """The bound of the support check state over packed keys A | M << width:
+    at most 3^k keys over a bag of k atoms, and no mask bit outside its
+    assignment (`aspdp.SUPPORT`)."""
+
+    __slots__ = ("width",)
+
+    def __init__(self, width: int):
+        self.width = width
+
+    def bound(self, keys, k):
+        if len(keys) > 3**k:
+            raise InvariantError("row bound exceeded for support tables")
+        width = self.width
+        for x in keys:
+            if x >> width & ~x:
+                raise InvariantError("support mask outside the assignment")
+
+
+def _packed_introduce(child: dict, p: int, width: int) -> dict:
+    """Insert a false bit at position p of both fields of each key, and
+    give each key once more with the new atom true: its mask bit stays
+    false, since a new atom starts unsupported.  No two keys meet."""
+    keep = (1 << p) - 1
+    move = ~(keep | keep << width)
+    bit = 1 << p
+    table: dict = {}
+    for x, value in child.items():
+        x += x & move  # the bits at and above p of both fields move up
+        table[x] = value
+        table[x | bit] = value
+    return table
+
+
+def _packed_forget(child: dict, p: int, width: int, due, charges, merge) -> dict:
+    """Forget position p.  Per the bits of A that the due rules read,
+    memoised: the support mask, in the M field, of the only true head
+    atom of each due rule whose body A satisfies, or for a classical
+    clash the A field's spare top bit, which no key sets and whose mask
+    bit is never set.  A key with the atom or that spare bit true and
+    its mask bit false is dropped; the others lose bit p of both fields,
+    and OPTCOUNT values are charged the atom's `charges` (if false, if
+    true).  Keys that become equal merge."""
+    reads = 0
+    for head, pos, neg in due:
+        reads |= head | pos | neg
+    spare = 1 << (width - 1)
+    kill = 1 << p | spare
+    keep = (1 << p) - 1
+    keep |= keep << width
+    high = (spare - 1) & ~((1 << p) - 1)
+    high |= high << width
+    if charges is not None and not any(charges):
+        charges = None
+    memo: dict = {}
+    table: dict = {}
+    get = table.get
+    for x, value in child.items():
+        A = x & reads
+        support = memo.get(A)
+        if support is None:
+            support = 0
+            for head, pos, neg in due:
+                if pos & A == pos and not neg & A:
+                    true_head = head & A
+                    if not true_head:
+                        support = spare  # the rule is broken classically
+                        break
+                    if not true_head & (true_head - 1):
+                        support |= true_head << width  # its only true head atom
+            memo[A] = support
+        x |= support
+        if x & ~(x >> width) & kill:
+            continue  # a clash, or a true atom that leaves without support
+        key = (x & keep) | ((x >> 1) & high)
+        if charges is not None:
+            value = (value[0] + charges[x >> p & 1], value[1])
+        old = get(key)
+        table[key] = value if old is None else merge(old, value)
+    return table
+
+
+def _packed_join(left: dict, right: dict, width: int, times, merge) -> dict:
+    """Pair the keys of equal assignment, OR them, and merge the product
+    `times` of their values."""
+    assignment = (1 << width) - 1
+    by_assignment: dict = {}
+    for x, value in right.items():
+        by_assignment.setdefault(x & assignment, []).append((x, value))
+    table: dict = {}
+    get = table.get
+    for x, lvalue in left.items():
+        for y, rvalue in by_assignment.get(x & assignment, ()):
+            key = x | y
+            value = times(lvalue, rvalue)
+            old = get(key)
+            table[key] = value if old is None else merge(old, value)
+    return table
 
 
 def projected_forget_below(ntd: NiceTreeDecomposition, vertices) -> list[bool]:

@@ -18,15 +18,17 @@ class Atom:
 
 @dataclass(frozen=True)
 class Rule:
-    """head <- body_pos, not body_neg.  Empty head encodes a constraint."""
+    """head <- body_pos, not body_neg.  Empty head encodes a constraint.
+    `atoms`, every atom of the rule, is built once with the rule and is
+    left out of its equality, hash and repr."""
 
     head: frozenset[int]
     body_pos: frozenset[int]
     body_neg: frozenset[int]
+    atoms: frozenset[int] = field(init=False, repr=False, compare=False)
 
-    @property
-    def atoms(self) -> frozenset[int]:
-        return self.head | self.body_pos | self.body_neg
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "atoms", self.head | self.body_pos | self.body_neg)
 
 
 def has_atomless_rule(instance: GroundProgram | CnfFormula) -> bool:

@@ -12,7 +12,7 @@ import pytest
 
 from tdcount import aspdp, cli, dpcore
 from tdcount.dpcore import Mode, root_aggregate, traverse
-from tdcount.errors import HandlerFailureError
+from tdcount.errors import HandlerFailureError, InvariantError
 from tdcount.graphs import instance_graph
 from tdcount.model import CnfFormula, has_atomless_rule
 from tdcount.parsers import parse_ground_program
@@ -155,11 +155,49 @@ def test_out_of_memory_in_the_lean_pass_names_its_node(tmp_path, capsys, monkeyp
 
     monkeypatch.setattr(aspdp, "lean_values", failing)
     path = tmp_path / "p.lp"
-    path.write_text("a :- not b. b :- not a.\n", encoding="utf-8")
+    # not tight (a and b support each other), so the handler pass counts it
+    path.write_text("a :- b. b :- a. a :- not c. c :- not a.\n", encoding="utf-8")
     assert cli.run(["count", str(path)]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: out of memory (handler failed at node 0 (leaf))\n"
+
+
+@pytest.mark.parametrize("command", ["count", "optcount"])
+def test_out_of_memory_in_the_packed_pass_names_its_node(tmp_path, capsys, monkeypatch, command):
+    def failing(*args):
+        raise MemoryError
+
+    # node 0 is a leaf of an empty bag, so node 1 introduces an atom
+    monkeypatch.setattr(dpcore, "_packed_introduce", failing)
+    path = tmp_path / "p.lp"
+    path.write_text("a :- not b. b :- not a. #minimize{ 1:a }.\n", encoding="utf-8")
+    assert cli.run([command, str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: out of memory (handler failed at node 1 (introduce))\n"
+
+
+@pytest.mark.parametrize(
+    "mode, table, cause",
+    [
+        # over the bag (a) keys are A | M << 2: 0 (a false), 1 (a true,
+        # unsupported) and 5 (a true, supported)
+        (Mode.COUNT, dict.fromkeys([0, 1, 5, 2], 1), InvariantError),  # 4 keys over 3^1
+        (Mode.COUNT, {4: 1}, InvariantError),  # a mask bit outside its assignment
+        (Mode.COUNT, {0: 1, 5: 0}, ValueError),  # a count below 1
+        (Mode.OPTCOUNT, {0: (0, 1), 5: (3, 0)}, ValueError),
+    ],
+)
+def test_packed_table_guards_raise_inside_the_pass(monkeypatch, mode, table, cause):
+    program = parse_ground_program("a.")
+    decomp = decompose(instance_graph(program))
+    assert decomp.ntd.nodes[1].kind.value == "introduce"
+    monkeypatch.setattr(dpcore, "_packed_introduce", lambda *args: dict(table))
+    with pytest.raises(HandlerFailureError) as info:
+        aspdp.answer(program, mode, decomp=decomp)
+    assert (info.value.node_id, info.value.kind) == (1, "introduce")
+    assert type(info.value.__cause__) is cause
 
 
 def test_lean_pass_memory_stays_flat():
@@ -231,24 +269,37 @@ def test_only_lean_cnf_counts_and_weights_skip_the_handler_pass(monkeypatch):
     def refuse(*args, **kwargs):
         raise Reached
 
-    # a CNF's lean counts and weights run on dense vectors and its
-    # projected counts on bitset sets of rows; every other call reaches
-    # the handler passes
+    # a CNF's lean counts and weights run on dense vectors, its projected
+    # counts on bitset sets of rows, and a tight program's lean counts and
+    # optima on packed int keys; every other call reaches the handler
+    # passes
     formula = weighted_cnf(5)
-    program = parse_ground_program("a :- not b. b :- not a.")
+    tight = parse_ground_program("a :- not b. b :- not a. c :- a. #minimize{ 1:c }.")
+    loop = parse_ground_program("a :- b. b :- a. a :- not c. c :- not a. #minimize{ 1:a }.")
+    assert tight.is_tight() and not loop.is_tight()
     expected = {mode: aspdp.answer(formula, mode) for mode in CNF_MODES}
+    optimum = aspdp.count_optimal(tight)
     projected = projected_count(formula, {1})
     monkeypatch.setattr(aspdp, "traverse", refuse)
     monkeypatch.setattr(aspdp, "projected_traverse", refuse)
     assert count_models(formula) == expected[Mode.COUNT]
     assert aspdp.answer(formula, Mode.WEIGHTED) == expected[Mode.WEIGHTED]
     assert projected_count(formula, {1}) == projected
+    with monkeypatch.context() as patch:
+        patch.setattr(aspdp, "make_handlers", refuse)
+        assert aspdp.count_answer_sets(tight) == 2
+        assert aspdp.is_consistent(tight)
+        assert aspdp.count_optimal(tight) == optimum == (0, 1)
     for run in (
         lambda: aspdp.answer(formula, Mode.OPTCOUNT),
-        lambda: aspdp.count_answer_sets(program),
+        lambda: aspdp.count_answer_sets(loop),
+        lambda: aspdp.count_optimal(loop),
         lambda: aspdp.build_store(formula, Mode.COUNT),
         lambda: aspdp.build_store(formula, Mode.WEIGHTED),
-        lambda: projected_count(program, {0}),
+        lambda: aspdp.build_store(tight, Mode.COUNT),
+        lambda: aspdp.build_store(tight, Mode.OPTCOUNT),
+        lambda: projected_count(tight, {0}),
+        lambda: projected_count(loop, {0}),
     ):
         with pytest.raises(Reached):
             run()

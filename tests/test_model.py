@@ -347,6 +347,27 @@ def test_cnf_rules_are_clause_constraints():
     assert "rules" not in repr(f)
 
 
+def test_rule_atoms_are_built_once_and_leave_equality_and_hashing_alone():
+    def rule():
+        return Rule(frozenset({0}), frozenset({1, 2}), frozenset({3}))
+
+    built, again = rule(), rule()
+    atoms = built.atoms
+    assert atoms == frozenset({0, 1, 2, 3})
+    assert built.atoms is atoms
+    # the atoms are no part of a rule's identity: equality, hashing and
+    # repr read the three parts alone, and the rule stays frozen
+    assert built == again and hash(built) == hash(again)
+    assert hash(built) == hash((built.head, built.body_pos, built.body_neg))
+    assert repr(built) == (
+        "Rule(head=frozenset({0}), body_pos=frozenset({1, 2}), body_neg=frozenset({3}))"
+    )
+    assert len({built, again}) == 1
+    assert built != Rule(frozenset({0}), frozenset({1, 2}), frozenset())
+    with pytest.raises(AttributeError):
+        built.atoms = frozenset()
+
+
 def chain_program(n: int, closed: bool) -> GroundProgram:
     """a1 :- a0, ..., a(n-1) :- a(n-2), and a0 :- a(n-1) when closed."""
     atoms = [Atom(i, f"a{i}") for i in range(n)]

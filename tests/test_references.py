@@ -1,8 +1,9 @@
-"""Projected counts far past the brute-force oracles, against the
-benchmark's references (`perfbench/references.py`), which count banded
-CNFs by a sliding window and tight programs by a frontier pass, without
-tdcount."""
+"""Projected counts, and a tight program's counts and optima, far past
+the brute-force oracles, against the benchmark's references
+(`perfbench/references.py`), which count banded CNFs by a sliding window
+and tight programs by a frontier pass, without tdcount."""
 
+import io
 import random
 import sys
 import time
@@ -10,8 +11,12 @@ from pathlib import Path
 
 import pytest
 
+from tdcount.aspdp import build_store, count_answer_sets, count_optimal
+from tdcount.dpcore import Mode, root_aggregate
+from tdcount.graphs import instance_graph
 from tdcount.parsers import parse_dimacs, parse_ground_program
 from tdcount.projection import projected_count
+from tdcount.treedecomp import decompose
 
 import corpus
 
@@ -75,3 +80,26 @@ def test_pcount_matches_the_frontier_reference_on_tight_grid_programs(rows, cols
     assert projected_count(program, set(ids.values())) == references.program_projected_count(
         prog, everything
     )
+
+
+@pytest.mark.parametrize("rows, cols, width", [(4, 20, 4), (5, 20, 6), (5, 30, 6)])
+def test_counts_match_the_frontier_reference_on_tight_grid_programs(rows, cols, width):
+    # grids of the benchmark's asp-grid workload: their counts and optima
+    # run on packed keys, and their `Row` store (the handler pass) must
+    # give the same answers and trace records
+    rng = random.Random(f"count:{rows}x{cols}")
+    prog = instances.grid_program(rng, rows, cols)
+    program = parse_ground_program(instances.program_text(prog))
+    assert program.is_tight()
+    count, best, at_best = references.program_counts(prog)
+    assert count > 1
+    decomp = decompose(instance_graph(program))
+    assert decomp.width == width
+    expected = {Mode.COUNT: count, Mode.OPTCOUNT: (best, at_best)}
+    for mode, run in ((Mode.COUNT, count_answer_sets), (Mode.OPTCOUNT, count_optimal)):
+        lean = io.StringIO()
+        assert run(program, decomp=decomp, trace=lean) == expected[mode]
+        rows_trace = io.StringIO()
+        store, _ = build_store(program, mode, decomp=decomp, trace=rows_trace)
+        assert root_aggregate(store, mode) == expected[mode]
+        assert lean.getvalue() == rows_trace.getvalue()
