@@ -1,5 +1,6 @@
 """Parsers for the textual rule grammar, the SModels numeric format,
-and DIMACS CNF with optional literal weight lines."""
+and DIMACS CNF with optional literal weight lines.  A rule-grammar
+token keeps its offset; its line and column are computed only for an error."""
 
 from __future__ import annotations
 
@@ -24,52 +25,39 @@ _TOKEN_RE = re.compile(
       | (?P<var>[A-Z_][A-Za-z0-9]*)
       | (?P<directive>\#[a-z]+)
       | (?P<punct>[.,|{};:])
+      | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 
-class _Token:
-    __slots__ = ("kind", "text", "line", "column")
-
-    def __init__(self, kind, text, line, column):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.column = column
+def _position(text, offset):
+    """The 1-based (line, column) of `offset` in `text`; only "\\n" ends a line."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 def _tokenize(text):
+    """One scan into `(kind, text, offset)` tokens, ending in `eof` at
+    `len(text)`; a position is computed only for an error."""
     tokens = []
-    pos = 0
-    line = 1
-    line_start = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(
-                f"unexpected character {text[pos]!r}", line, pos - line_start + 1
-            )
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        value = m.group()
-        column = pos - line_start + 1
+        if kind == "ws" or kind == "comment":
+            continue
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", *_position(text, m.start()))
         if kind == "var":
             raise VariableTokenError(
-                f"variable token {value!r}; input must be ground", line, column
+                f"variable token {m.group()!r}; input must be ground", *_position(text, m.start())
             )
-        if kind not in ("ws", "comment"):
-            tokens.append(_Token(kind, value, line, column))
-        newlines = value.count("\n")
-        if newlines:
-            line += newlines
-            line_start = pos + value.rfind("\n") + 1
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, pos - line_start + 1))
+        tokens.append((kind, m.group(), m.start()))
+    tokens.append(("eof", "", len(text)))
     return tokens
 
 
 class _ProgramParser:
     def __init__(self, text):
+        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
         self.atom_ids: dict[str, int] = {}
@@ -85,11 +73,13 @@ class _ProgramParser:
         self.i += 1
         return tok
 
+    def error(self, message, offset):
+        return ParseError(message, *_position(self.text, offset))
+
     def expect(self, kind, text=None):
         tok = self.take()
-        if tok.kind != kind or (text is not None and tok.text != text):
-            want = text if text is not None else kind
-            raise ParseError(f"expected {want!r}, got {tok.text!r}", tok.line, tok.column)
+        if tok[0] != kind or (text is not None and tok[1] != text):
+            raise self.error(f"expected {text or kind!r}, got {tok[1]!r}", tok[2])
         return tok
 
     def atom_id(self, name):
@@ -99,36 +89,35 @@ class _ProgramParser:
         return self.atom_ids[name]
 
     def parse(self):
-        while self.peek().kind != "eof":
-            if self.peek().kind == "directive":
+        while (kind := self.peek()[0]) != "eof":
+            if kind == "directive":
                 self.parse_minimize()
             else:
                 self.parse_rule()
         return GroundProgram(self.atoms, self.rules, self.minimize)
 
     def parse_atom(self):
-        tok = self.expect("ident")
-        if tok.text == "not":
-            raise ParseError("'not' is not a valid atom name", tok.line, tok.column)
-        return self.atom_id(tok.text)
+        _, name, offset = self.expect("ident")
+        if name == "not":
+            raise self.error("'not' is not a valid atom name", offset)
+        return self.atom_id(name)
 
     def parse_rule(self):
         head = set()
-        tok = self.peek()
-        if tok.kind == "ident" and tok.text != "not":
+        kind, text, _ = self.peek()
+        if kind == "ident" and text != "not":
             head.add(self.parse_atom())
-            while self.peek().text == "|":
+            while self.peek()[1] == "|":
                 self.take()
                 head.add(self.parse_atom())
         body_pos, body_neg = set(), set()
-        if self.peek().kind == "arrow":
+        if self.peek()[0] == "arrow":
             self.take()
             # an immediately following '.' is the always-violated constraint
-            while self.peek().text != ".":
+            while self.peek()[1] != ".":
                 if body_pos or body_neg:
                     self.expect("punct", ",")
-                tok = self.peek()
-                if tok.kind == "ident" and tok.text == "not":
+                if self.peek()[1] == "not":  # only an ident reads "not"
                     self.take()
                     body_neg.add(self.parse_atom())
                 else:
@@ -139,25 +128,25 @@ class _ProgramParser:
         )
 
     def parse_minimize(self):
-        tok = self.take()
-        if tok.text != "#minimize":
-            raise ParseError(f"unknown directive {tok.text!r}", tok.line, tok.column)
+        _, text, offset = self.take()
+        if text != "#minimize":
+            raise self.error(f"unknown directive {text!r}", offset)
         self.expect("punct", "{")
         if self.minimize is None:
             self.minimize = MinimizeStatement()
         need_separator = False  # each element after the first follows a ';'
-        while self.peek().text != "}":
+        while self.peek()[1] != "}":
             if need_separator:
                 self.expect("punct", ";")
             need_separator = True
-            wtok = self.expect("int")
+            _, weight, _ = self.expect("int")
             self.expect("punct", ":")
             sign = True
-            if self.peek().kind == "ident" and self.peek().text == "not":
+            if self.peek()[1] == "not":
                 self.take()
                 sign = False
             atom = self.parse_atom()
-            self.minimize.add(atom, sign, int(wtok.text))
+            self.minimize.add(atom, sign, int(weight))
         self.expect("punct", "}")
         self.expect("punct", ".")
 

@@ -547,6 +547,22 @@ DIMACS_ERRORS = [
 ]
 
 
+# (input, line, column, message), each exiting 1; a tab and a form feed
+# are one column each, "\r\n" ends one line, and a missing '.' is bad at
+# the end of input
+ASP_ERRORS = [
+    ("a :- b(c).\n", 1, 7, "unexpected character '('"),
+    ("a.\nb :- Xy.\n", 2, 6, "variable token 'Xy'; input must be ground"),
+    ("a :- not not.\n", 1, 10, "'not' is not a valid atom name"),
+    ("a.\nb :- a", 2, 7, "expected ',', got ''"),
+    ("a.\n#maximize{ 1:a }.\n", 2, 1, "unknown directive '#maximize'"),
+    ("a.\n:- b,, c.\n", 2, 6, "expected 'ident', got ','"),
+    ("a.\r\nb :- c.\r\n:- d e.\r\n", 3, 6, "expected ',', got 'e'"),
+    ("% a comment\na :- b c.\n", 2, 8, "expected ',', got 'c'"),
+    ("a.\n\tb :-\x0c $.\n", 2, 8, "unexpected character '$'"),
+]
+
+
 def _blank_lines_before(text, line):
     lines = text.split("\n")
     lines[line - 1 : line - 1] = ["", ""]
@@ -554,19 +570,22 @@ def _blank_lines_before(text, line):
 
 
 def _error_cases(blank):
-    for name, command, table in (("in.sm", "count", SMODELS_ERRORS), ("in.cnf", "mc", DIMACS_ERRORS)):
-        for i, (text, line, code, message) in enumerate(table):
+    tables = (
+        ("in.sm", "count", "count", [(t, ln, "", c, m) for t, ln, c, m in SMODELS_ERRORS]),
+        ("in.cnf", "mc", "mc", [(t, ln, "", c, m) for t, ln, c, m in DIMACS_ERRORS]),
+        ("in.lp", "count", "lp", [(t, ln, f", column {col}", 1, m) for t, ln, col, m in ASP_ERRORS]),
+    )
+    for name, command, prefix, table in tables:
+        for i, (text, line, column, code, message) in enumerate(table):
             if blank:
                 text = _blank_lines_before(text, line or 2)
                 line = line and line + 2
-            case_id = f"{command}-{i}" + ("-blank" if blank else "")
-            yield pytest.param(name, command, text, line, code, message, id=case_id)
+            where = "" if line is None else f"line {line}{column}: "
+            case_id = f"{prefix}-{i}" + ("-blank" if blank else "")
+            yield pytest.param(name, command, text, code, where + message, id=case_id)
 
 
-@pytest.mark.parametrize(
-    "name,command,text,line,code,message", [*_error_cases(False), *_error_cases(True)]
-)
-def test_malformed_input_names_its_line(tmp_path, capsys, name, command, text, line, code, message):
+@pytest.mark.parametrize("name,command,text,code,message", [*_error_cases(False), *_error_cases(True)])
+def test_malformed_input_names_its_line(tmp_path, capsys, name, command, text, code, message):
     got = run(capsys, command, write(tmp_path, name, text))
-    where = "" if line is None else f"line {line}: "
-    assert got == (code, "", f"error: {where}{message}\n")
+    assert got == (code, "", f"error: {message}\n")

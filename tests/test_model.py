@@ -1,9 +1,12 @@
 """Parsing, rendering, and the three input formats."""
 
+import ast
+import random
 from fractions import Fraction
 
 import pytest
 
+from tdcount import cli
 from tdcount.errors import (
     FormatError,
     HeaderMismatchError,
@@ -118,6 +121,49 @@ def test_not_cannot_be_an_atom():
 def test_unknown_directive_rejected():
     with pytest.raises(ParseError):
         parse_ground_program("#maximize{ 1:a }.")
+
+
+# pieces of random rule-grammar texts: tokens, whitespace that `\s` takes
+# but that ends no line, comments, variables, and characters no token takes
+TEXT_PIECES = [
+    "a", "b1", "not", " not ", ":-", "|", ".", ",", ";", ":", "{", "}", "2", "#minimize", "#foo",
+    "\r\n", "\n", "\t", "\x0b", "\x0c", "\x85", " ", "% c\n", "X", "_y", "(", "\u00e9",
+    "a :- b.\n", "#minimize{1:a}.",
+]
+
+
+def test_error_positions_point_at_the_error_and_move_with_a_leading_newline(tmp_path, capsys):
+    rng = random.Random(20)
+    pointed = {ParseError: 0, VariableTokenError: 0}
+    for i in range(400):
+        text = "".join(rng.choice(TEXT_PIECES) for _ in range(rng.randint(0, 20)))
+        try:
+            program = parse_ground_program(text)
+        except ParseError as exc:
+            message = str(exc).split(": ", 1)[1]
+            with pytest.raises(ParseError) as shifted:
+                parse_ground_program("\n" + text)
+            assert type(shifted.value) is type(exc)
+            assert (shifted.value.line, shifted.value.column) == (exc.line + 1, exc.column)
+            assert str(shifted.value).split(": ", 1)[1] == message
+            if message.startswith("unexpected character "):
+                token = ast.literal_eval(message.removeprefix("unexpected character "))
+            elif type(exc) is VariableTokenError:
+                token = ast.literal_eval(message.removeprefix("variable token ").split(";")[0])
+            else:
+                token = None
+            if token is not None:
+                assert text.split("\n")[exc.line - 1][exc.column - 1 :].startswith(token)
+                pointed[type(exc)] += 1
+        else:
+            assert parse_ground_program("\n" + text) == program
+        path = tmp_path / f"{i}.lp"
+        path.write_text(text, encoding="utf-8")
+        code = cli.run(["count", str(path)])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2)
+        assert err == "" or (err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"))
+    assert min(pointed.values()) > 20
 
 
 def test_render_round_trip_examples():
