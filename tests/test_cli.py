@@ -571,16 +571,18 @@ def _blank_lines_before(text, line):
 
 def _error_cases(blank):
     tables = (
-        ("in.sm", "count", "count", [(t, ln, "", c, m) for t, ln, c, m in SMODELS_ERRORS]),
-        ("in.cnf", "mc", "mc", [(t, ln, "", c, m) for t, ln, c, m in DIMACS_ERRORS]),
-        ("in.lp", "count", "lp", [(t, ln, f", column {col}", 1, m) for t, ln, col, m in ASP_ERRORS]),
+        ("in.sm", "count", "count", [(t, ln, None, c, m) for t, ln, c, m in SMODELS_ERRORS]),
+        ("in.cnf", "mc", "mc", [(t, ln, None, c, m) for t, ln, c, m in DIMACS_ERRORS]),
+        ("in.lp", "count", "lp", [(t, ln, col, 1, m) for t, ln, col, m in ASP_ERRORS]),
     )
     for name, command, prefix, table in tables:
         for i, (text, line, column, code, message) in enumerate(table):
             if blank:
                 text = _blank_lines_before(text, line or 2)
                 line = line and line + 2
-            where = "" if line is None else f"line {line}{column}: "
+            where = "" if line is None else f"line {line}: "
+            if column is not None:
+                where = f"line {line}, column {column}: "
             case_id = f"{prefix}-{i}" + ("-blank" if blank else "")
             yield pytest.param(name, command, text, code, where + message, id=case_id)
 
