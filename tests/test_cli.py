@@ -570,24 +570,31 @@ def _blank_lines_before(text, line):
 
 
 def _error_cases(blank):
-    tables = (
-        ("in.sm", "count", "count", [(t, ln, None, c, m) for t, ln, c, m in SMODELS_ERRORS]),
-        ("in.cnf", "mc", "mc", [(t, ln, None, c, m) for t, ln, c, m in DIMACS_ERRORS]),
-        ("in.lp", "count", "lp", [(t, ln, col, 1, m) for t, ln, col, m in ASP_ERRORS]),
-    )
-    for name, command, prefix, table in tables:
-        for i, (text, line, column, code, message) in enumerate(table):
+    for name, command, table in (("in.sm", "count", SMODELS_ERRORS), ("in.cnf", "mc", DIMACS_ERRORS)):
+        for i, (text, line, code, message) in enumerate(table):
             if blank:
                 text = _blank_lines_before(text, line or 2)
                 line = line and line + 2
-            where = "" if line is None else f"line {line}: "
-            if column is not None:
-                where = f"line {line}, column {column}: "
-            case_id = f"{prefix}-{i}" + ("-blank" if blank else "")
-            yield pytest.param(name, command, text, code, where + message, id=case_id)
+            case_id = f"{command}-{i}" + ("-blank" if blank else "")
+            yield pytest.param(name, command, text, line, code, message, id=case_id)
 
 
-@pytest.mark.parametrize("name,command,text,code,message", [*_error_cases(False), *_error_cases(True)])
-def test_malformed_input_names_its_line(tmp_path, capsys, name, command, text, code, message):
+@pytest.mark.parametrize(
+    "name,command,text,line,code,message", [*_error_cases(False), *_error_cases(True)]
+)
+def test_malformed_input_names_its_line(tmp_path, capsys, name, command, text, line, code, message):
     got = run(capsys, command, write(tmp_path, name, text))
-    assert got == (code, "", f"error: {message}\n")
+    where = "" if line is None else f"line {line}: "
+    assert got == (code, "", f"error: {where}{message}\n")
+
+
+def _asp_error_cases():
+    for i, (text, line, column, message) in enumerate(ASP_ERRORS):
+        yield pytest.param(text, line, column, message, id=f"lp-{i}")
+        yield pytest.param(_blank_lines_before(text, line), line + 2, column, message, id=f"lp-{i}-blank")
+
+
+@pytest.mark.parametrize("text,line,column,message", _asp_error_cases())
+def test_malformed_asp_names_its_line_and_column(tmp_path, capsys, text, line, column, message):
+    got = run(capsys, "count", write(tmp_path, "in.lp", text))
+    assert got == (1, "", f"error: line {line}, column {column}: {message}\n")

@@ -5,7 +5,8 @@
 
 Each revision is unpacked with `git archive` into a temporary directory,
 and each side runs its own `perfbench/run.py --trace 0`, so the two
-sides run the benchmark code of their own commit.  Pair i of a workload
+sides run the benchmark code of their own commit.  Every workload of the
+base's `BENCHMARK.json` runs, and pair i of a workload
 uses the i-th seed for both sides; the base runs first in even pairs and
 the head in odd ones.  The output holds the revisions, every run's
 metrics and failed counts, and per workload and end-to-end metric each
@@ -91,7 +92,6 @@ def main(argv=None) -> int:
     parser.add_argument("--base", required=True, help="parent revision")
     parser.add_argument("--head", required=True, help="changed revision")
     parser.add_argument("--seeds", required=True, help="comma-separated workload seeds, one per pair")
-    parser.add_argument("--workloads", help="comma-separated; default: every workload of BENCHMARK.json")
     parser.add_argument("--out", required=True, type=Path)
     args = parser.parse_args(argv)
     seeds = [int(s) for s in args.seeds.split(",")]
@@ -100,7 +100,7 @@ def main(argv=None) -> int:
         trees = {side: Path(tmp) / side for side in SIDES}
         revisions = {side: unpack(getattr(args, side), trees[side]) for side in SIDES}
         bench = json.loads((trees["base"] / "BENCHMARK.json").read_text(encoding="utf-8"))
-        workloads = args.workloads.split(",") if args.workloads else [w["name"] for w in bench["workloads"]]
+        workloads = [w["name"] for w in bench["workloads"]]
         pairs = []
         for i, seed in enumerate(seeds):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
