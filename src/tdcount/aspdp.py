@@ -14,11 +14,13 @@ also says which root keys describe solutions and bounds every table:
   row if the forgotten atom is true and unsupported; a join ORs masks.
   Every rule that mentions an atom is checked at or below the atom's
   forget node, so its support is complete when it is forgotten.
-- Any other program's rows carry a set of witness states.  A witness
-  (B, strict) tracks a sub-interpretation that still satisfies every
-  checked rule of the reduct; `strict` records that it is already
-  properly smaller than the candidate on some decided atom.  A root row
-  describes answer sets exactly when no strict witness survived.
+- Any other program's rows carry two witness sets (w0, w1), each a
+  bitset over the bag's 2^k assignments.  Bit B of w0 is a witness B, a
+  sub-interpretation that still satisfies every checked rule of the
+  reduct, and bit B of w1 the witness B once strict, properly smaller
+  than the candidate on some decided atom.  The steps move whole sets
+  by the block moves of the projected bitset pass (`dpcore._u_steps`).
+  A root row describes answer sets exactly when w1 is empty.
 - A CNF's rows carry the empty state (`EMPTY`), which no step changes.
 
 Minimize costs, both signs, are charged when their atom is forgotten.
@@ -48,6 +50,8 @@ handlers.
 from __future__ import annotations
 
 import heapq
+from functools import reduce
+from operator import or_
 from typing import Callable, NamedTuple
 
 from .dpcore import (
@@ -55,16 +59,16 @@ from .dpcore import (
     Mode,
     TableStore,
     Values,
+    _clash_set,
+    _u_steps,
     clash_masks,
     empty_answer,
-    insert_bit,
     lean_values,
     packed_traverse,
     plan_checks,
     projected_bitset_traverse,
     projected_traverse,
     purge,
-    remove_bit,
     root_aggregate,
     row_values,
     solution_rows,
@@ -79,15 +83,15 @@ from .treedecomp import DecompResult, NiceTreeDecomposition, NodeKind, decompose
 
 class CheckState(NamedTuple):
     """How rows check stability: the leaf's state and one state step per
-    node kind, None where states never change (`EMPTY`).
-    `introduce(state, p)` gives the states of the candidates that set the
-    new bag position p false and true; `forget(due, p)` gives the step
-    `(state, A) -> state | None` of a forget node whose child bag position
-    p goes, with `due` the masks of the rules checked there, for a
-    candidate A that satisfies every due rule, returning None when the
-    state rules A out; `join(left, right)` combines the states of two rows
-    of one assignment.  `solution(state)` tells whether a root key with
-    this state describes solutions; `bound(keys, k)` raises InvariantError
+    node kind, None where states never change (`EMPTY`).  Made once per
+    node, `introduce(k, p)` gives the step `state -> (s_false, s_true)`
+    of a bag of k atoms whose new position p is set false and true, and
+    `forget(due, k, p)` the step `(state, A) -> state | None` of a child
+    bag of k atoms losing position p, for a candidate A that satisfies
+    the masks `due` of the rules checked there, None when the state rules
+    A out; `join(left, right)` combines the states of two rows of one
+    assignment.  `solution(state)` tells whether a root key with this
+    state describes solutions; `bound(keys, k)` raises InvariantError
     when a table's keys over a bag of k atoms break the kind's bound."""
 
     start: object
@@ -112,13 +116,18 @@ def _empty_bound(keys, k):
 EMPTY = CheckState(frozenset(), None, None, None, _always, _empty_bound)
 
 
-def _support_introduce(mask, p):
-    mask = insert_bit(mask, p, 0)
-    return mask, mask
+def _support_introduce(k, p):
+    low = (1 << p) - 1
+
+    def step(mask):
+        mask += mask & ~low  # the bits at and above p move up
+        return mask, mask
+
+    return step
 
 
-def _support_forget(due, p):
-    bit = 1 << p
+def _support_forget(due, k, p):
+    bit, low = 1 << p, (1 << p) - 1
 
     def step(mask, A):
         for head, pos, neg in due:
@@ -128,7 +137,7 @@ def _support_forget(due, p):
                     mask |= true_head  # the rule's only true head atom
         if A & bit and not mask & bit:
             return None  # a true atom leaves without support
-        return remove_bit(mask, p)
+        return (mask & low) | (mask >> 1 & ~low)
 
     return step
 
@@ -149,70 +158,62 @@ def _support_bound(keys, k):
 SUPPORT = CheckState(0, _support_introduce, _support_forget, int.__or__, _always, _support_bound)
 
 
-def _witness_introduce(ws, p):
-    # candidate sets the atom false: witnesses stay below it
-    w_false = frozenset((insert_bit(b, p, 0), s) for b, s in ws)
-    # candidate sets it true: each witness forks; choosing false makes
-    # the witness strictly smaller from here on
-    w_true = frozenset((insert_bit(b, p, 1), s) for b, s in ws) | frozenset(
-        (insert_bit(b, p, 0), True) for b, _ in ws
-    )
-    return w_false, w_true
+def _witness_introduce(k, p):
+    steps = _u_steps(k, p, True, {})
+    block = 1 << p
+
+    def step(state):
+        w0, w1 = state
+        for shift, mask in steps:  # every witness gets bit p false
+            w0 = (w0 | w0 << shift) & mask
+            w1 = (w1 | w1 << shift) & mask
+        # candidate sets the atom false: witnesses stay below it; sets it
+        # true: each witness forks, and choosing false makes it strict
+        return (w0, w1), (w0 << block, w1 << block | w0 | w1)
+
+    return step
 
 
-def _witness_forget(due, p):
-    # witnesses violating a due rule of the reduct w.r.t. A die.  Per
-    # distinct witness b, memoised: the due rules whose positive body b
-    # holds and whose head b leaves false, and b without the forgotten
-    # atom.  `live`: the due rules the reduct w.r.t. A keeps
-    memo: dict[int, tuple[int, int]] = {}
+def _witness_forget(due, k, p):
+    # a due rule of the reduct breaks the witnesses that hold its positive
+    # body and leave its head false, none if the two meet.  Per candidate
+    # A, memoised: the witnesses broken by a rule the reduct w.r.t. A keeps
+    rules = [(neg, _clash_set(head | pos, pos, 1 << k)) for head, pos, neg in due if not head & pos]
+    steps = _u_steps(k, p, False, {})
+    memo: dict[int, int] = {}
 
-    def step(ws, A):
-        live = sum(1 << i for i, (_, _, neg) in enumerate(due) if neg & A == 0)
-        kept = []
-        for b, s in ws:
-            entry = memo.get(b)
-            if entry is None:
-                broken = sum(
-                    1 << i
-                    for i, (head, pos, _) in enumerate(due)
-                    if pos & b == pos and head & b == 0
-                )
-                entry = memo[b] = (broken, remove_bit(b, p))
-            if not entry[0] & live:
-                kept.append((entry[1], s))
-        return frozenset(kept)
+    def step(state, A):
+        broken = memo.get(A)
+        if broken is None:
+            broken = memo[A] = reduce(or_, (clash for neg, clash in rules if not neg & A), 0)
+        w0, w1 = state[0] & ~broken, state[1] & ~broken
+        for shift, mask in steps:  # each witness drops bit p
+            w0 = (w0 | w0 >> shift) & mask
+            w1 = (w1 | w1 >> shift) & mask
+        return w0, w1
 
     return step
 
 
 def _witness_join(left, right):
-    flags: dict[int, set[bool]] = {}
-    for b, s in right:
-        flags.setdefault(b, set()).add(s)
-    return frozenset((b, s1 or s2) for b, s1 in left for s2 in flags.get(b, ()))
-
-
-def _no_strict_witness(ws):
-    return not any(strict for _, strict in ws)
+    (l0, l1), (r0, r1) = left, right
+    return l0 & r0, l1 & (r0 | r1) | (l0 | l1) & r1
 
 
 def _witness_bound(keys, k):
-    cap = 1 << (k + 1)
-    for assignment, ws in keys:
-        if len(ws) > cap:
+    for assignment, (w0, w1) in keys:
+        if (w0 | w1) >> (1 << k):
             raise InvariantError("witness-set bound exceeded")
         # the non-strict self-witness must survive every step
-        if (assignment, False) not in ws:
+        if not w0 >> assignment & 1:
             raise InvariantError("self-witness lost")
 
 
-# other programs: each witness (B, strict) is a sub-interpretation that
-# still satisfies every checked rule of the reduct, and a root key
-# describes answer sets when no strict witness is left
+# other programs: the witness sets (w0, w1), strict ones in w1, as the
+# module docstring says.  A root key describes answer sets when w1 is empty
 WITNESS = CheckState(
-    frozenset({(0, False)}), _witness_introduce, _witness_forget, _witness_join,
-    _no_strict_witness, _witness_bound,
+    (1, 0), _witness_introduce, _witness_forget, _witness_join, lambda state: not state[1],
+    _witness_bound,
 )
 
 
@@ -256,11 +257,9 @@ def make_handlers(
         p = node.bag.index(node.vertex)
         low, bit = (1 << p) - 1, 1 << p
         carry = values.carry
-        split = check.introduce
+        split = check.introduce and check.introduce(len(node.bag), p)
         for (A, state), value in child.items():
-            s_false = s_true = state
-            if split:
-                s_false, s_true = split(state, p)
+            s_false, s_true = split(state) if split else (state, state)
             A = (A >> p << (p + 1)) | (A & low)  # the new position set false
             yield carry((A, s_false), value)
             yield carry((A | bit, s_true), value)
@@ -271,7 +270,7 @@ def make_handlers(
         low = (1 << p) - 1
         due = plan.get(node_id, ())
         clashes = clash_masks(due)
-        step = check.forget and check.forget(due, p)
+        step = check.forget and check.forget(due, len(node.bag) + 1, p)
         charge = values.forget(a)
         for (A, state), value in child.items():
             for span, pos in clashes:

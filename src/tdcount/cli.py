@@ -268,6 +268,15 @@ def _build_parser() -> _Parser:
 
 
 def run(argv=None) -> int:
+    limit = sys.get_int_max_str_digits()  # lifted for this run: counts are arbitrary-precision
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _run(argv) -> int:
     parser = _build_parser()
     started = time.monotonic()
     trace = error = failed_at = None

@@ -113,7 +113,7 @@ class DpTable:
 
 def _max_witness_set(keys) -> int:
     """The largest witness set, for `--trace`; reads the state's type."""
-    return max((len(s) for _, s in keys if not isinstance(s, int)), default=0)
+    return max((sum(map(int.bit_count, s)) for _, s in keys if isinstance(s, tuple)), default=0)
 
 
 class Values:
@@ -1079,18 +1079,3 @@ def require_same_bag(node, left_bag, right_bag) -> None:
         raise BagMismatchError(
             f"join bags differ: {left_bag} vs {right_bag} at bag {node.bag}"
         )
-
-
-# --- bit helpers shared by the concrete handlers ---
-
-
-def insert_bit(mask: int, pos: int, bit: int) -> int:
-    low = mask & ((1 << pos) - 1)
-    high = (mask >> pos) << (pos + 1)
-    return high | (bit << pos) | low
-
-
-def remove_bit(mask: int, pos: int) -> int:
-    low = mask & ((1 << pos) - 1)
-    high = (mask >> (pos + 1)) << pos
-    return high | low

@@ -139,14 +139,18 @@ class _ProgramParser:
             if need_separator:
                 self.expect("punct", ";")
             need_separator = True
-            _, weight, _ = self.expect("int")
+            _, digits, offset = self.expect("int")
+            try:
+                weight = int(digits)
+            except ValueError:  # past the interpreter's limit on digits
+                raise self.error(f"weight of {len(digits)} digits is too long", offset) from None
             self.expect("punct", ":")
             sign = True
             if self.peek()[1] == "not":
                 self.take()
                 sign = False
             atom = self.parse_atom()
-            self.minimize.add(atom, sign, int(weight))
+            self.minimize.add(atom, sign, weight)
         self.expect("punct", "}")
         self.expect("punct", ".")
 

@@ -30,6 +30,7 @@ from tdcount.dpcore import (
     solution_rows,
     traverse,
 )
+from tdcount.errors import InvariantError
 from tdcount.graphs import primal_graph
 from tdcount.model import Atom, GroundProgram, Rule, has_atomless_rule
 from tdcount.oracle import brute_answer_sets, brute_optimum
@@ -81,8 +82,21 @@ def run_on(ntd, text, mode=Mode.COUNT):
     return traverse(ntd, handlers)
 
 
+def witnesses(state):
+    """A witness state (w0, w1) as its sorted (b, strict) pairs: bit b of
+    w0 is the witness b, bit b of w1 the strict witness b."""
+    return tuple(
+        sorted(
+            (b, strict)
+            for strict, bits in enumerate(state)
+            for b in range(bits.bit_length())
+            if bits >> b & 1
+        )
+    )
+
+
 def rows_of(table):
-    return sorted((r.assignment, tuple(sorted(r.state)), r.value) for r in table)
+    return sorted((r.assignment, witnesses(r.state), r.value) for r in table)
 
 
 def test_fact_walkthrough():
@@ -278,9 +292,23 @@ def test_build_store_picks_the_check_state_from_the_instance():
         {type(row.state) for table in store.tables for row in table}
         for store in (tight, looped, cnf)
     ]
-    assert kinds == [{int}, {frozenset}, {frozenset}]
+    assert kinds == [{int}, {tuple}, {frozenset}]
     assert all(row.state == frozenset() for table in cnf.tables for row in table)
+    assert {tuple(map(type, row.state)) for table in looped.tables for row in table} == {(int, int)}
     assert tight.root_table.max_witness_set() == 0
+
+
+def test_witness_bound_rejects_bits_past_the_bag_and_a_lost_self_witness():
+    # over a bag of one atom: witnesses 0 and 1, each non-strict (first
+    # int) or strict (second int); the candidate's own witness is non-strict
+    WITNESS.bound([(0, (0b1, 0b0)), (1, (0b10, 0b1)), (1, (0b11, 0b11))], 1)
+    for key, message in [
+        ((0, (0b101, 0b0)), "witness-set bound exceeded"),
+        ((0, (0b1, 0b100)), "witness-set bound exceeded"),
+        ((1, (0b1, 0b10)), "self-witness lost"),
+    ]:
+        with pytest.raises(InvariantError, match=message):
+            WITNESS.bound([key], 1)
 
 
 def all_answers(program, decomp, proj, heuristic):

@@ -11,7 +11,8 @@ from fractions import Fraction
 import pytest
 
 from tdcount import cli, dpcore, oracle
-from tdcount.parsers import parse_smodels
+from tdcount.errors import ParseError
+from tdcount.parsers import parse_ground_program, parse_smodels
 from tdcount.treedecomp import Violation, ViolationKind
 
 PROG = "a :- not b. b :- not a.\n"
@@ -598,3 +599,42 @@ def _asp_error_cases():
 def test_malformed_asp_names_its_line_and_column(tmp_path, capsys, text, line, column, message):
     got = run(capsys, "count", write(tmp_path, "in.lp", text))
     assert got == (1, "", f"error: line {line}, column {column}: {message}\n")
+
+
+def _lifted(convert):
+    """`convert()` with Python's limit on int/text digits lifted."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return convert()
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_counts_past_the_digit_limit_print_in_full(tmp_path, capsys):
+    # 2^15000 has 4516 digits, past Python's default limit of 4300 on
+    # converting ints to text, which `cli.run` lifts for its own run only
+    limit = sys.get_int_max_str_digits()
+    path = write(tmp_path, "free.cnf", "p cnf 15000 0\n")
+    code, out, err = run(capsys, "mc", path)
+    assert (code, err) == (0, "")
+    assert _lifted(lambda: int(out)) == 2**15000
+    code, out, err = run(capsys, "mc", path, "--json")
+    assert (code, err) == (0, "")
+    assert _lifted(lambda: json.loads(out)["result"]) == 2**15000
+    assert sys.get_int_max_str_digits() == limit
+    assert run(capsys, "mc", write(tmp_path, "bad.cnf", "p cnf 1 1\nx 0\n"))[0] == 1
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_minimize_weights_past_the_digit_limit(tmp_path, capsys):
+    digits = "7" * 5000
+    text = f"a. b.\n#minimize{{ 1:a; {digits}:b }}."
+    code, out, err = run(capsys, "optcount", write(tmp_path, "w.lp", text))
+    assert (code, err) == (0, "")
+    assert out == "7" * 4999 + "8 1\n"  # 1 + the weight
+    # the parser alone keeps the interpreter's limit and names the weight
+    with pytest.raises(ParseError) as info:
+        parse_ground_program(text)
+    assert (info.value.line, info.value.column) == (2, 17)
+    assert str(info.value) == "line 2, column 17: weight of 5000 digits is too long"

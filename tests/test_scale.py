@@ -7,7 +7,9 @@ from fractions import Fraction
 
 import pytest
 
+from tdcount import cli
 from tdcount.aspdp import count_answer_sets, count_optimal
+from tdcount.graphs import primal_graph
 from tdcount.model import Atom, CnfFormula, GroundProgram, MinimizeStatement, Rule
 from tdcount.oracle import (
     brute_answer_sets,
@@ -18,6 +20,7 @@ from tdcount.oracle import (
 from tdcount.parsers import parse_ground_program
 from tdcount.projection import projected_count
 from tdcount.satdp import count_models, weighted_count
+from tdcount.treedecomp import decompose
 
 import corpus
 
@@ -257,6 +260,63 @@ def test_minimize_gadgets_match_the_oracle_when_small():
 @pytest.mark.parametrize("heuristic", HEURISTICS)
 def test_minimize_gadgets_count_optimal_answer_sets(heuristic):
     assert count_optimal(minimize_gadgets(K), heuristic=heuristic) == (2 * K, 2**K)
+
+
+def looped_copies(m: int, ring: bool = False) -> str:
+    """m copies of `a :- b. b :- a. a :- not c. c :- not a.`, which is not
+    tight: each copy's answer sets are {a, b} and {c}, so 2^m in all.  With
+    `ring`, `:- c_i, c_{i+1 mod m}.` links the copies into a cycle, and the
+    answer sets are the sets of c's with no two neighbours: the Lucas
+    number L(m)."""
+    text = "".join(
+        f"a{i} :- b{i}. b{i} :- a{i}. a{i} :- not c{i}. c{i} :- not a{i}.\n" for i in range(m)
+    )
+    if ring:
+        text += "".join(f":- c{i}, c{(i + 1) % m}.\n" for i in range(m))
+    return text
+
+
+def looped_minimize(m: int) -> str:
+    """#minimize{1:c_i}: the one answer set of all a's costs 0."""
+    return "#minimize{ " + "; ".join(f"1:c{i}" for i in range(m)) + " }.\n"
+
+
+def every_other_a(m: int) -> str:
+    return ",".join(f"a{i}" for i in range(0, m, 2))
+
+
+@pytest.mark.parametrize("m", [3, 6])
+def test_looped_copies_match_the_oracle_through_the_cli(tmp_path, capsys, m):
+    text = looped_copies(m)
+    cases = [
+        ("count", text, [], f"{2**m}"),
+        ("optcount", text + looped_minimize(m), [], "0 1"),
+        ("pcount", text, ["--project", every_other_a(m)], f"{2 ** ((m + 1) // 2)}"),
+        ("count", looped_copies(m, ring=True), [], f"{lucas(m)}"),
+    ]
+    for i, (command, program, flags, expected) in enumerate(cases):
+        path = tmp_path / f"{i}.lp"
+        path.write_text(program)
+        code = cli.run([command, str(path), "--oracle-check", *flags])
+        out, err = capsys.readouterr()
+        assert (code, out) == (0, expected + "\n"), command
+        assert err.startswith("oracle-check: ok"), command
+
+
+@pytest.mark.parametrize("m", [40, 150])
+def test_looped_copies_count_in_closed_form(m):
+    program = parse_ground_program(looped_copies(m))
+    assert not program.is_tight()
+    assert count_answer_sets(program) == 2**m
+    optimum = parse_ground_program(looped_copies(m) + looped_minimize(m))
+    assert count_optimal(optimum) == (0, 1)
+    ids = {atom.name: atom.id for atom in program.atoms}
+    projection = {ids[name] for name in every_other_a(m).split(",")}
+    assert projected_count(program, projection) == 2 ** ((m + 1) // 2)
+    ring = parse_ground_program(looped_copies(m, ring=True))
+    decomp = decompose(primal_graph(ring))
+    assert decomp.width == 2
+    assert count_answer_sets(ring, decomp=decomp) == lucas(m)
 
 
 def weighted_banded_cnf(seed: int, n: int) -> CnfFormula:
