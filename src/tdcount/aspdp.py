@@ -407,7 +407,13 @@ def _materialize(store: TableStore, n: int, limit: int | None) -> list[int]:
     ints, by `_tuple_order`.  Each purged row's list of sets is built
     from its derivations' child lists, node by node in the stored
     post-order, dropping a child's lists once its parent is built; join
-    rows recombine only the row pairs that actually joined."""
+    rows recombine only the row pairs that actually joined.  Lists are
+    concatenated, not deduplicated: a partial answer set P (the true
+    atoms at or below the node) fixes its row's key, the assignment being
+    P on the bag and each check-state step a function of it and the
+    forgotten atoms, so child rows hold disjoint lists; and at a join P
+    fixes both halves, whose subtrees share only bag atoms.  The count
+    check thus guards only this function's bookkeeping."""
     ntd = store.ntd
     sets: list[dict[int, list[int]] | None] = [None] * len(ntd.nodes)
     for i, node in enumerate(ntd.nodes):
@@ -421,25 +427,18 @@ def _materialize(store: TableStore, n: int, limit: int | None) -> list[int]:
                     result = [s | 1 << (n - 1 - node.vertex) for s in result]
             elif node.kind is NodeKind.FORGET:
                 child = sets[node.children[0]]
-                gathered: set[int] = set()
-                for (ref,) in row.origins:
-                    gathered.update(child[id(ref)])
-                result = list(gathered)
+                result = [s for (ref,) in row.origins for s in child[id(ref)]]
             else:
                 left, right = (sets[c] for c in node.children)
-                gathered = set()
-                for lrow, rrow in row.origins:
-                    for s1 in left[id(lrow)]:
-                        gathered.update(s1 | s2 for s2 in right[id(rrow)])
-                result = list(gathered)
+                pairs = ((left[id(lrow)], right[id(rrow)]) for lrow, rrow in row.origins)
+                result = [s1 | s2 for ls, rs in pairs for s1 in ls for s2 in rs]
             if len(result) != row.value:
                 raise InvariantError("materialized sets must match the count")
             built[id(row)] = result
         sets[i] = built
         for c in node.children:
             sets[c] = None
-    # the root bag is empty, so its one solution key holds every answer
-    # set, already deduplicated by the count check
+    # the root bag is empty, so its one solution key holds every answer set
     sols = solution_rows(store)
     if len(sols) > 1:
         raise InvariantError("an empty root bag has at most one solution row")

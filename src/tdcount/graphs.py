@@ -21,10 +21,10 @@ class Graph:
         self.neighbors[v].add(u)
 
     def add_clique(self, vertices) -> None:
-        vs = sorted(set(vertices))
-        for i, u in enumerate(vs):
-            for v in vs[i + 1 :]:
-                self.add_edge(u, v)
+        vs = set(vertices)
+        for u in vs:
+            self.neighbors[u] |= vs
+            self.neighbors[u].discard(u)
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.neighbors[u]

@@ -197,11 +197,8 @@ def _eliminate(graph: Graph, vertices) -> tuple[list[int], TreeDecomposition]:
         bags.append(frozenset(ns | {v}))
         for u in ns:
             adj[u].discard(v)
-        ns = sorted(ns)
-        for i, u in enumerate(ns):
-            for w in ns[i + 1 :]:
-                adj[u].add(w)
-                adj[w].add(u)
+            adj[u] |= ns
+            adj[u].discard(u)
     n = len(order)
     if n == 0:
         return order, TreeDecomposition([frozenset()], [[]], 0, 0)
@@ -392,29 +389,29 @@ def read_td(text: str) -> TreeDecomposition:
         if not line or line.startswith("c"):
             continue
         parts = line.split()
-        if parts[0] == "s":
+        kind, start = {"s": ("solution", 2), "b": ("bag", 1)}.get(parts[0], ("edge", 0))
+        try:
+            nums = [int(t) for t in parts[start:]]
+        except ValueError:
+            raise ParseError(f"non-numeric token in {kind} line", line_no) from None
+        if kind != "solution" and num_bags is None:
+            raise ParseError(f"{kind} line before solution line", line_no)
+        if kind == "solution":
             if num_bags is not None:
                 raise ParseError("duplicate solution line", line_no)
-            if len(parts) != 5 or parts[1] != "td":
+            if len(parts) != 5 or parts[1] != "td" or min(nums) < 0:
                 raise ParseError("malformed solution line", line_no)
-            num_bags, _width_plus, num_vertices = (
-                int(parts[2]),
-                int(parts[3]),
-                int(parts[4]),
-            )
-        elif parts[0] == "b":
-            if num_bags is None:
-                raise ParseError("bag line before solution line", line_no)
-            idx = int(parts[1])
-            if idx in bags or not 1 <= idx <= num_bags:
-                raise ParseError(f"bad bag id {idx}", line_no)
-            bags[idx] = frozenset(int(t) - 1 for t in parts[2:])
+            num_bags, _width_plus, num_vertices = nums
+        elif kind == "bag":
+            if not nums or nums[0] in bags or not 1 <= nums[0] <= num_bags:
+                raise ParseError(f"bad bag id in {line!r}", line_no)
+            if not all(1 <= v <= num_vertices for v in nums[1:]):
+                raise ParseError(f"bag vertex out of range 1..{num_vertices}", line_no)
+            bags[nums[0]] = frozenset(v - 1 for v in nums[1:])
+        elif len(parts) != 2:
+            raise ParseError("malformed edge line", line_no)
         else:
-            if num_bags is None:
-                raise ParseError("edge line before solution line", line_no)
-            if len(parts) != 2:
-                raise ParseError("malformed edge line", line_no)
-            edges.append((int(parts[0]), int(parts[1])))
+            edges.append((nums[0], nums[1]))
     if num_bags is None:
         raise ParseError("missing solution line")
     if set(bags) != set(range(1, num_bags + 1)):

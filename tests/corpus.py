@@ -152,3 +152,15 @@ def banded_cnf(seed: int, n: int) -> CnfFormula:
         chosen = rng.sample(range(start, start + 8), 3)
         clauses.append(frozenset(v if rng.random() < 0.5 else -v for v in chosen))
     return CnfFormula(n, clauses)
+
+
+def alternating_chain(seed, n):
+    """`a_i :- not a_{i+1}` for every i, and `a_{i+2} :- a_i` with
+    probability one half, as the benchmark's chains are built."""
+    rng = random.Random(seed)
+    rules = []
+    for i in range(n - 1):
+        rules.append(Rule(frozenset({i}), frozenset(), frozenset({i + 1})))
+        if i + 2 < n and rng.random() < 0.5:
+            rules.append(Rule(frozenset({i + 2}), frozenset({i}), frozenset()))
+    return GroundProgram([Atom(i, f"a{i}") for i in range(n)], rules)

@@ -229,21 +229,9 @@ def test_enumerate_choice_pairs_in_closed_form():
     assert list(enumerate_answer_sets(program)) == expected
 
 
-def alternating_chain(seed, n):
-    """`a_i :- not a_{i+1}` for every i, and `a_{i+2} :- a_i` with
-    probability one half, as the benchmark's chains are built."""
-    rng = random.Random(seed)
-    rules = []
-    for i in range(n - 1):
-        rules.append(Rule(frozenset({i}), frozenset(), frozenset({i + 1})))
-        if i + 2 < n and rng.random() < 0.5:
-            rules.append(Rule(frozenset({i + 2}), frozenset({i}), frozenset()))
-    return GroundProgram([Atom(i, f"a{i}") for i in range(n)], rules)
-
-
 def test_enumerate_with_limit_keeps_no_set_per_answer():
     # 16,872 answer sets; building each as a frozenset peaked near 47 MB
-    program = alternating_chain(3, 100)
+    program = corpus.alternating_chain(3, 100)
     assert count_answer_sets(program) == 16_872
     tracemalloc.start()
     try:

@@ -34,6 +34,11 @@ def test_add_clique():
     assert sorted(g.edges()) == [(0, 2), (0, 3), (2, 3)]
     assert g.degree(0) == 2
     assert g.degree(1) == 0
+    g.add_clique([1, 1])
+    assert g.degree(1) == 0
+    for vertices in ([4], [0, 4]):
+        with pytest.raises(IndexError):
+            g.add_clique(vertices)
 
 
 def test_primal_graph_cliques_per_rule():

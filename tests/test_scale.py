@@ -2,13 +2,14 @@
 closed-form families, a metamorphic relation between CNFs and programs,
 and answers that must not change when ids are permuted."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from tdcount import cli
-from tdcount.aspdp import count_answer_sets, count_optimal
+from tdcount.aspdp import count_answer_sets, count_optimal, enumerate_answer_sets
 from tdcount.graphs import primal_graph
 from tdcount.model import Atom, CnfFormula, GroundProgram, MinimizeStatement, Rule
 from tdcount.oracle import (
@@ -319,6 +320,47 @@ def test_looped_copies_count_in_closed_form(m):
     assert count_answer_sets(ring, decomp=decomp) == lucas(m)
 
 
+def looped_answer_sets(program: GroundProgram, m: int, ring: bool) -> list[tuple[int, ...]]:
+    """The answer sets of `looped_copies(m, ring)` as sorted atom tuples,
+    in sorted order: a set of copies takes {c_i} (no two ring neighbours
+    with `ring`), the others {a_i, b_i}."""
+    ids = {atom.name: atom.id for atom in program.atoms}
+    out = []
+    for chosen in itertools.product((False, True), repeat=m):
+        if ring and any(chosen[i] and chosen[(i + 1) % m] for i in range(m)):
+            continue
+        names = []
+        for i, c in enumerate(chosen):
+            names += [f"c{i}"] if c else [f"a{i}", f"b{i}"]
+        out.append(tuple(sorted(ids[name] for name in names)))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("case", ["looped", "ring", "altchain"])
+def test_enumeration_past_the_oracle(case):
+    """Full listings far past the oracle: no duplicates, as many as the
+    count, in sorted-tuple order, the closed forms exactly, and the same
+    sets after the atom ids are reversed."""
+    if case == "altchain":
+        program = corpus.alternating_chain(3, 100)  # tight
+        expected = None
+    else:
+        ring = case == "ring"
+        program = parse_ground_program(looped_copies(12, ring))  # not tight
+        expected = looped_answer_sets(program, 12, ring)
+        assert len(expected) == (lucas(12) if ring else 2**12)
+    listing = [tuple(sorted(s)) for s in enumerate_answer_sets(program)]
+    assert len(set(listing)) == len(listing) == count_answer_sets(program)
+    assert listing == sorted(listing)
+    if expected is None:
+        assert len(listing) == 16_872
+    else:
+        assert listing == expected
+    reverse = list(range(program.num_atoms))[::-1]
+    renamed = enumerate_answer_sets(rename_program(program, reverse))
+    assert sorted(tuple(sorted(reverse[a] for a in s)) for s in renamed) == listing
+
+
 def weighted_banded_cnf(seed: int, n: int) -> CnfFormula:
     """`corpus.banded_cnf` with seeded weights on every literal."""
     rng = random.Random(seed)
@@ -416,19 +458,25 @@ def permute_program(program: GroundProgram, rng: random.Random):
     carrying #minimize along; returns the program and the renaming."""
     rename = list(range(program.num_atoms))
     rng.shuffle(rename)
+    return rename_program(program, rename, rng.shuffle), rename
+
+
+def rename_program(program: GroundProgram, rename: list[int], shuffle=lambda rules: None):
+    """The program with atom a renumbered to rename[a], its rules passed
+    through `shuffle`."""
     atoms = sorted((Atom(rename[a.id], a.name) for a in program.atoms), key=lambda a: a.id)
 
     def move(ids):
         return frozenset(rename[a] for a in ids)
 
     rules = [Rule(move(r.head), move(r.body_pos), move(r.body_neg)) for r in program.rules]
-    rng.shuffle(rules)
+    shuffle(rules)
     minimize = None
     if program.minimize is not None:
         minimize = MinimizeStatement(
             {(rename[a], sign): w for (a, sign), w in program.minimize.weights.items()}
         )
-    return GroundProgram(atoms, rules, minimize), rename
+    return GroundProgram(atoms, rules, minimize)
 
 
 def program_answers(program: GroundProgram, projection, heuristic: str):

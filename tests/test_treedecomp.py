@@ -247,6 +247,26 @@ def test_read_td_rejects_cycles():
         read_td(text)
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("s td x 1 1\n", 1),
+        ("s td 1 1 1\nb z 1\n", 2),
+        ("s td 1 1 1\nb 1 x\n", 2),
+        ("s td 2 1 2\nb 1 1\nb 2 2\n1 q\n", 4),
+        ("s td 1 1 1\nb\n", 2),
+        ("s td 1 1 1\nb 1 5\n", 2),
+        ("s td 1 1 1\nb 1 0\n", 2),
+    ],
+    ids=["solution-token", "bag-id-token", "bag-vertex-token", "edge-token",
+         "bare-bag", "vertex-past-count", "vertex-zero"],
+)
+def test_read_td_rejects_malformed_lines_at_their_line(text, line):
+    with pytest.raises(ParseError) as info:
+        read_td(text)
+    assert info.value.line == line
+
+
 def test_read_td_requires_solution_line():
     with pytest.raises(ParseError):
         read_td("b 1 1\n")
