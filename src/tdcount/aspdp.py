@@ -27,24 +27,25 @@ Minimize costs, both signs, are charged when their atom is forgotten.
 
 One planner (`dpcore.plan_checks`), one handler set (`make_handlers`),
 one `build_store` and one `answer` serve programs and CNFs alike: a
-CNF's `rules` are its clauses as constraints.
-`answer`, behind every count, decision, optimum and weight, runs the
-handlers on lean tables of the mode's bare values (`mode_values`);
-`build_store`, for enumeration, on `Row` tables that carry the same
-values plus their derivations.  `table_pass` runs them with any value
-kind, and with `PROVENANCE` for the pass over sets of rows of a
-program's projected counting.  A CNF's keys all keep `EMPTY`, so two of
-its passes skip the handlers, with the same answers and traces:
-`table_pass` gives its lean COUNT and WEIGHTED kinds to
-`dpcore.vector_traverse`, which holds each table as a dense vector over
-the bag assignments, and its projected count to
-`dpcore.projected_bitset_traverse`, which holds each set of rows as a
-bitset over the unprojected bag assignments.  A tight program's lean
-COUNT and OPTCOUNT kinds, behind its count, consistency and optimum,
-skip them too: `dpcore.packed_traverse` runs the steps of `SUPPORT` on
-keys packed into one int, assignment and support mask side by side.
-Its enumeration (`build_store`) and projected count still run the
-handlers.
+CNF's `rules` are its clauses as constraints.  `answer`, behind every
+count, decision, optimum and weight, makes the mode's value kind
+(`mode_values`) and passes lean tables of its bare values; `build_store`,
+for enumeration, passes `Row` tables that carry the same values plus
+their derivations.  `table_pass` routes each pass:
+
+- a projected count runs over sets of rows, with the entries of
+  `PROVENANCE` (`dpcore.projected_traverse`), or for a CNF, whose keys
+  all keep `EMPTY`, on bitsets over the unprojected bag assignments
+  (`dpcore.projected_bitset_traverse`);
+- a CNF's lean COUNT and WEIGHTED kinds run on dense vectors over the
+  bag assignments (`dpcore.vector_traverse`);
+- a tight program's lean COUNT and OPTCOUNT kinds, behind its count,
+  consistency and optimum, run the steps of `SUPPORT` on keys packed
+  into one int, assignment and support mask side by side
+  (`dpcore.packed_traverse`);
+- every other pass runs the handlers (`dpcore.traverse`).
+
+The routes give the same answers and traces.
 """
 
 from __future__ import annotations
@@ -321,36 +322,32 @@ def table_pass(
     decomp: DecompResult | None = None,
     projected=None,
 ) -> tuple[TableStore | int, DecompResult]:
-    """Run the one handler set with the value kind `values`, on lean
-    tables unless it keeps derivations, with the instance's check state.
-    With `projected` graph vertices and `PROVENANCE`, the pass over sets
-    of rows (`dpcore.projected_traverse`) gives the projected count.  A
-    CNF, whose check state is `EMPTY`, runs no handlers in two passes:
-    its projected count runs on bitset sets of rows
-    (`dpcore.projected_bitset_traverse`), and its lean COUNT or WEIGHTED
-    kind, the only kinds with weight factors (`Values.scale`), on dense
-    vector tables (`dpcore.vector_traverse`).  A tight program, whose
-    check state is `SUPPORT`, runs no handlers for its lean COUNT or
-    OPTCOUNT kind either: those run on packed int keys
-    (`dpcore.packed_traverse`).  A given `decomp` must forget exactly the
-    instance's vertices, else ValueError."""
+    """Run the table pass of the value kind `values` with the instance's
+    check state, by the route the module docstring lists: with
+    `projected` graph vertices and `PROVENANCE`, the pass over sets of
+    rows, which gives the projected count; with a lean kind, the dense or
+    packed pass where one applies, else the handlers on lean tables; with
+    a `Row` kind (`dpcore.row_values`), the handlers on `Row` tables.  A
+    given `decomp` must forget exactly the instance's vertices, else
+    ValueError."""
     if decomp is None:
         decomp = decompose(instance_graph(instance), heuristic, seed, seeds)
     if set(decomp.ntd.forget_node_of) != set(range(vertex_count(instance))):
         raise ValueError("the decomposition must forget exactly the instance's vertices")
-    plan = plan_checks(decomp.ntd, instance.rules)
+    ntd = decomp.ntd
+    plan = plan_checks(ntd, instance.rules)
     check = check_state(instance)
-    if check is EMPTY and projected is not None:
-        return projected_bitset_traverse(decomp.ntd, plan, projected, trace), decomp
-    if check is EMPTY and values.scale is not None:
-        return vector_traverse(decomp.ntd, plan, values, check, trace), decomp
-    # `PROVENANCE`, the kind of projected counts, has no mode
-    if check is SUPPORT and not values.derivations and values.mode in (Mode.COUNT, Mode.OPTCOUNT):
-        return packed_traverse(decomp.ntd, plan, values, check, trace), decomp
-    handlers = make_handlers(decomp.ntd, plan, check=check, values=values)
     if projected is not None:
-        return projected_traverse(decomp.ntd, handlers, projected, trace), decomp
-    return traverse(decomp.ntd, handlers, trace), decomp
+        if check is EMPTY:
+            return projected_bitset_traverse(ntd, plan, projected, trace), decomp
+        handlers = make_handlers(ntd, plan, check=check, values=values)
+        return projected_traverse(ntd, handlers, projected, trace), decomp
+    if not values.derivations:
+        if check is EMPTY and values.scale is not None:
+            return vector_traverse(ntd, plan, values, check, trace), decomp
+        if check is SUPPORT and values.mode in (Mode.COUNT, Mode.OPTCOUNT):
+            return packed_traverse(ntd, plan, values, check, trace), decomp
+    return traverse(ntd, make_handlers(ntd, plan, check=check, values=values), trace), decomp
 
 
 def build_store(

@@ -9,25 +9,28 @@ yields.  Every table is keyed by (assignment, state): a bag assignment
 and a state of the pass's check state (`aspdp.CheckState`), which alone
 knows its format: it bounds each table and tells the root's solutions.
 
-Each mode has one value kind (`Values`, made by `lean_values`), which
-writes once what a key's value is and how it is combined: a count
-(COUNT), a (cost, count) pair (OPTCOUNT) or a weight numerator over the
-product of each forgotten variable's common weight denominator
-(WEIGHTED); the charges at forget nodes, the product at joins, the merge
-rule of two values of one key and the root total.  A lean pass maps each
-key to its bare value and drops each child table once its parent is
-built.  A CNF's lean COUNT and WEIGHTED passes, whose keys carry no
-state, run on dense tables instead (`vector_traverse`): a list of
-2^|bag| values indexed by the bag assignment, 0 for a missing key,
-scaled by the same kind's weight factors (`Values.scale`).  A tight
-program's lean COUNT and OPTCOUNT passes, whose keys carry a support
-mask, run on packed int keys (`packed_traverse`): the key (A, M) is the
-one int A | M << width, so that a node's steps are a few int operations
-per key, with OPTCOUNT's costs added by `Values.charges`.  `row_values`
-wraps a mode's kind into `Row`s that carry the same value plus their
-derivations, each with one row per child, so that later passes (purge,
-enumeration, projection) walk the derivation structure instead of
-materializing solutions; every `Row` table is kept until the pass ends.
+Each mode has one value kind (`Values`, made by `lean_values`): its
+value arithmetic, a semiring with per-atom labels, as in algebraic model
+counting (Kimmig, Van den Broeck and De Raedt, J. Applied Logic 2017).
+A value is a count (COUNT), a (cost, count) pair (OPTCOUNT) or a weight
+numerator over the product of each forgotten variable's common weight
+denominator (WEIGHTED).  The kind gives a leaf's value, the product at
+joins, the merge rule of two values of one key, the root total and the
+labels charged at forget nodes; `Values`' methods make every mode's
+handler entries from them.  A lean pass maps each key to its bare value
+and drops each child table once its parent is built.  A CNF's lean
+COUNT and WEIGHTED passes, whose keys carry no state, run on dense
+tables instead (`vector_traverse`): a list of 2^|bag| values indexed by
+the bag assignment, 0 for a missing key, scaled by the kind's factors
+(`Values.scale`).  A tight program's lean COUNT and OPTCOUNT passes,
+whose keys carry a support mask, run on packed int keys
+(`packed_traverse`): the key (A, M) is the one int A | M << width, so
+that a node's steps are a few int operations per key, on the kind's
+values and costs (`Values.charges`).  `row_values` makes a lean kind's
+`Row` kind, whose rows carry the same values plus their derivations,
+each with one row per child, so that later passes (purge, enumeration,
+projection) walk the derivation structure instead of materializing
+solutions; every `Row` table is kept until the pass ends.
 
 A table keeps one value per key, of the cheapest cost seen: values of
 equal cost merge, so above the leaves a count is the sum over a key's
@@ -36,12 +39,12 @@ is no cost and merging is plain summing.  `root_aggregate` maps the
 root's solution keys to the answer.
 
 `projected_traverse`, the pass of projected counts, maps sets of rows
-to counts of projections, from entries of the kind `PROVENANCE`.  A
-CNF's projected count, whose rows carry no state, runs on bitsets
-instead (`projected_bitset_traverse`): each set of rows is one int
-that holds the set's unprojected bag assignments as bits, under the
-projected bag bits its rows share, so one big-int operation works on a
-whole set.
+to counts of projections, from the entries of `PROVENANCE`, which name
+their preimage and carry no value.  A CNF's projected count, whose rows
+carry no state, runs on bitsets instead (`projected_bitset_traverse`):
+each set of rows is one int that holds the set's unprojected bag
+assignments as bits, under the projected bag bits its rows share, so
+one big-int operation works on a whole set.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .errors import BagMismatchError, HandlerFailureError, InvariantError
 from .model import Rule
@@ -117,50 +121,63 @@ def _max_witness_set(keys) -> int:
 
 
 class Values:
-    """A pass's value kind: what its tables map each (assignment, state)
-    key to, and the entry a handler yields for a key.  `leaf(key)` is a
-    leaf's entry; `carry(key, value)` an introduce entry, which keeps the
-    child's value; `forget(atom)` the step `(key, value, bit) -> entry |
-    None` of the node forgetting `atom` with truth `bit`, which charges
-    the atom's cost and weight and gives None when the weight becomes 0;
-    `join(key, left, right)` the entry of a joined pair.  `merge(old,
-    new)` is the value of a key that receives a second value: `new`
-    itself when it replaces `old`, `old` itself when `new` is dropped,
-    else a merged value.  `least(values)` is the smallest count of a
-    table, which must be at least 1, and `total(values)` the answer from
-    the root's solution values.  `table(entries)` builds a table from
-    (key, value) entries: a dict from key to value, or with
-    `derivations` a `DpTable` of `Row`s.  `mode` is the `Mode` whose
-    answer `total` gives, None for `PROVENANCE`, which no table holds.
-    `scale(atom)`, given only by the lean COUNT and WEIGHTED kinds, is
-    the pair of integer factors (if false, if true) by which forgetting
-    `atom` multiplies a value; their `forget` charges through it, and
-    so does `vector_traverse`.  `charges(atom)`, given only by the lean
-    OPTCOUNT kind, is the pair of costs (if false, if true) that
-    forgetting `atom` adds; its `forget` charges through it, and so does
-    `packed_traverse`."""
+    """A mode's value arithmetic, a semiring with per-atom labels: `one`
+    is a leaf's value and `times(left, right)` the value of a joined
+    pair.  `merge(old, new)` is the value of a key that receives a second
+    value: `new` itself when it replaces `old`, `old` itself when `new`
+    is dropped, else a merged value.  `least(values)` is the smallest
+    count of a table, which must be at least 1, and `total(values)` the
+    mode's answer from the root's solution values.  The labels are
+    `charges(atom)` for OPTCOUNT, the costs (if false, if true) that
+    forgetting `atom` adds, or else `scale(atom)`, the integer factors
+    (if false, if true) by which it multiplies a value; the dense and
+    packed passes read them too.  `table(entries)` builds a lean table,
+    a dict from key to value, from (key, value) entries.
 
-    __slots__ = (
-        "leaf", "carry", "forget", "join", "merge", "least", "total", "derivations",
-        "mode", "table", "scale", "charges",
-    )
+    The methods make the entries a handler yields for a key: `leaf(key)`
+    a leaf's, `carry(key, value)` an introduce's, which keeps the child's
+    value, `forget(atom)` the step `(key, value, bit) -> entry | None` of
+    the node forgetting `atom` with truth `bit`, which charges the atom's
+    label and gives None when the value becomes 0, and `join(key, left,
+    right)` a joined pair's."""
 
-    def __init__(
-        self, leaf, carry, forget, join, merge, least, total, derivations=False, mode=None,
-        scale=None, charges=None,
-    ):
-        self.leaf = leaf
-        self.carry = carry
-        self.forget = forget
-        self.join = join
+    __slots__ = ("mode", "one", "times", "merge", "least", "total", "scale", "charges", "table")
+    derivations = False  # lean tables keep no derivations
+
+    def __init__(self, mode, one, times, merge, least, total, scale=None, charges=None):
+        self.mode = mode
+        self.one = one
+        self.times = times
         self.merge = merge
         self.least = least
         self.total = total
-        self.derivations = derivations
-        self.mode = mode
         self.scale = scale
         self.charges = charges
-        self.table = _lean_table(merge, least, DpTable if derivations else None)
+        self.table = _lean_table(merge, least)
+
+    def leaf(self, key):
+        return key, self.one
+
+    @staticmethod
+    def carry(key, value):
+        return key, value
+
+    def forget(self, atom):
+        if self.charges is not None:
+            charge = self.charges(atom)
+            return lambda key, value, bit: (key, (value[0] + charge[bit], value[1]))
+        factor = self.scale(atom)  # once: WEIGHTED's scale grows the root denominator
+        if factor[0] == factor[1] == 1:
+            return _keep
+
+        def step(key, value, bit):
+            value *= factor[bit]
+            return (key, value) if value else None
+
+        return step
+
+    def join(self, key, left, right):
+        return key, self.times(left, right)
 
 
 def _lean_table(merge, least, wrap=None):
@@ -182,16 +199,17 @@ def _check_counts(values, least) -> None:
         raise ValueError("row count must be positive")
 
 
-def row_values(lean: Values) -> Values:
-    """`Row` entries that carry the values of the lean kind `lean` and
-    their derivations, merged and totalled by `lean`'s rules.  A key's
-    second row replaces its row, is dropped, or merges into it with the
-    derivations concatenated.  A handler derives at most one row per key
-    from each child row (unary nodes) or each joined pair, so no
+def row_values(lean: Values) -> SimpleNamespace:
+    """The `Row` kind of the lean kind `lean`: entries, a `table` builder
+    and a `total` as a lean kind has, on `Row`s that carry `lean`'s
+    values and their derivations, merged and totalled by `lean`'s rules.
+    A key's second row replaces its row, is dropped, or merges into it
+    with the derivations concatenated.  A handler derives at most one row
+    per key from each child row (unary nodes) or each joined pair, so no
     derivation is merged twice."""
 
     def leaf(key):
-        return key, Row(*key, lean.leaf(key)[1], ())
+        return key, Row(*key, lean.one, ())
 
     def carry(key, row):
         return key, Row(*key, row.value, ((row,),))
@@ -206,7 +224,7 @@ def row_values(lean: Values) -> Values:
         return step
 
     def join(key, left, right):
-        return key, Row(*key, lean.join(key, left.value, right.value)[1], ((left, right),))
+        return key, Row(*key, lean.times(left.value, right.value), ((left, right),))
 
     def merge(old, new):
         value = lean.merge(old.value, new.value)
@@ -217,17 +235,16 @@ def row_values(lean: Values) -> Values:
             old.origins += new.origins
         return old
 
+    def least(rows):
+        return lean.least(row.value for row in rows)
+
     def total(rows):
         return lean.total([row.value for row in rows])
 
-    return Values(
-        leaf, carry, forget, join, merge, lambda rows: lean.least(r.value for r in rows),
-        total, derivations=True, mode=lean.mode,
+    return SimpleNamespace(
+        leaf=leaf, carry=carry, forget=forget, join=join, table=_lean_table(merge, least, DpTable),
+        total=total, mode=lean.mode, derivations=True,
     )
-
-
-def _pair(key, value):
-    return key, value
 
 
 def _keep(key, value, bit):
@@ -250,7 +267,8 @@ def _cost_product(left, right):
     return left[0] + right[0], left[1] * right[1]
 
 
-_count_of = operator.itemgetter(1)  # the count of a (cost, count) value
+def _min_count(values):
+    return min(count for _, count in values)
 
 
 def _optimum(values):
@@ -273,67 +291,36 @@ def lean_values(mode: Mode, costs=None, weights=None) -> Values:
         def charges(atom):
             return costs(atom) if costs else (0, 0)
 
-        def forget(atom):
-            charge = charges(atom)
-            return lambda key, value, bit: (key, (value[0] + charge[bit], value[1]))
+        return Values(mode, (0, 1), _cost_product, _cheapest, _min_count, _optimum, charges=charges)
+    if mode is Mode.COUNT:
+        return Values(mode, 1, operator.mul, operator.add, min, sum, scale=_unit)
+    denominator = 1
 
-        return Values(
-            lambda key: (key, (0, 1)),
-            _pair,
-            forget,
-            lambda key, left, right: (key, _cost_product(left, right)),
-            _cheapest,
-            lambda values: min(map(_count_of, values)),
-            _optimum,
-            mode=mode,
-            charges=charges,
-        )
-    if mode is Mode.WEIGHTED:
-        denominator = 1
+    def scale(atom):
+        nonlocal denominator
+        pair = [Fraction(w) for w in weights(atom)]
+        d = math.lcm(*(w.denominator for w in pair))
+        denominator *= d
+        return [w.numerator * (d // w.denominator) for w in pair]
 
-        def scale(atom):
-            nonlocal denominator
-            pair = [Fraction(w) for w in weights(atom)]
-            d = math.lcm(*(w.denominator for w in pair))
-            denominator *= d
-            return [w.numerator * (d // w.denominator) for w in pair]
+    def total(values):
+        return Fraction(sum(values), denominator)
 
-        def forget(atom):
-            factor = scale(atom)
-
-            def step(key, value, bit):
-                value *= factor[bit]
-                return (key, value) if value else None
-
-            return step
-
-        def total(values):
-            return Fraction(sum(values), denominator)
-
-    else:
-        forget, total, scale = lambda atom: _keep, sum, _unit
-    return Values(
-        lambda key: (key, 1),
-        _pair,
-        forget,
-        lambda key, left, right: (key, left * right),
-        operator.add,
-        min,
-        total,
-        mode=mode,
-        scale=scale,
-    )
+    return Values(mode, 1, operator.mul, operator.add, min, total, scale=scale)
 
 
 def _unit(atom):
     return 1, 1
 
 
-# the kind of `projected_traverse`, whose entries name their preimage:
-# the child row's number, or the (left, right) pair of numbers at a join
-PROVENANCE = Values(
-    lambda key: (key, None), _pair, lambda atom: _keep,
-    lambda key, left, right: (key, (left, right)), None, None, None,
+# the entry makers of `projected_traverse`, whose entries name their
+# preimage: the child row's number, or the (left, right) pair of numbers
+# at a join
+PROVENANCE = SimpleNamespace(
+    leaf=lambda key: (key, None),
+    carry=Values.carry,
+    forget=lambda atom: _keep,
+    join=lambda key, left, right: (key, (left, right)),
 )
 
 
@@ -341,8 +328,9 @@ PROVENANCE = Values(
 class Handlers:
     """One entry generator per node kind, each named by its `NodeKind`
     value and called with the node id, the node and the child tables;
-    `values` is the value kind that makes their entries and tables, and
-    `check` the keys' check state (`aspdp.CheckState`)."""
+    `values` makes their entries, and the tables of `traverse`: a lean
+    kind (`Values`), a `Row` kind (`row_values`) or `PROVENANCE`.
+    `check` is the keys' check state (`aspdp.CheckState`)."""
 
     leaf: callable
     introduce: callable
@@ -542,14 +530,12 @@ def packed_traverse(ntd: NiceTreeDecomposition, plan, values: Values, check, tra
     nodes = ntd.nodes
     width = max(len(node.bag) for node in nodes) + 1
     bound = _PackedSupport(width)
-    merge, least, charges = values.merge, values.least, values.charges
-    times = _cost_product if values.mode is Mode.OPTCOUNT else operator.mul
-    one = values.leaf((0, check.start))[1]
+    merge, least, charges, times = values.merge, values.least, values.charges, values.times
 
     def build(i, node):
         kind, kids = node.kind, node.children
         if kind is NodeKind.LEAF:
-            table = {0: one}
+            table = {0: values.one}
         elif kind is NodeKind.INTRODUCE:
             table = _packed_introduce(tables[kids[0]], node.bag.index(node.vertex), width)
         elif kind is NodeKind.FORGET:

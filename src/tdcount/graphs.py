@@ -17,11 +17,16 @@ class Graph:
     def add_edge(self, u: int, v: int) -> None:
         if u == v:
             raise ValueError(f"self-loop at {u}")
-        self.neighbors[u].add(v)
-        self.neighbors[v].add(u)
+        if min(u, v) < 0:
+            raise IndexError(f"negative vertex id in edge {u} {v}")
+        at_u, at_v = self.neighbors[u], self.neighbors[v]  # an id >= n fails before any change
+        at_u.add(v)
+        at_v.add(u)
 
     def add_clique(self, vertices) -> None:
         vs = set(vertices)
+        if vs and min(vs) < 0:
+            raise IndexError(f"negative vertex id in clique {sorted(vs)}")
         for u in vs:
             self.neighbors[u] |= vs
             self.neighbors[u].discard(u)

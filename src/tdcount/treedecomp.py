@@ -379,11 +379,16 @@ def write_td(td: TreeDecomposition) -> str:
 
 
 def read_td(text: str) -> TreeDecomposition:
-    """Parse a .td file; the tree is rooted at bag 1."""
+    """Parse a .td file; the tree is rooted at bag 1.  A malformed file
+    raises ParseError at its first fault in file order, naming the fault's
+    line, except a missing solution line, bag ids that do not cover the
+    declared range and a bag graph with too few edges to connect it,
+    which no single line causes."""
     num_bags = None
     num_vertices = None
     bags: dict[int, frozenset[int]] = {}
     edges: list[tuple[int, int]] = []
+    parent: list[int] = []  # union-find over bag ids, to find the edge that closes a cycle
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -402,6 +407,7 @@ def read_td(text: str) -> TreeDecomposition:
             if len(parts) != 5 or parts[1] != "td" or min(nums) < 0:
                 raise ParseError("malformed solution line", line_no)
             num_bags, _width_plus, num_vertices = nums
+            parent = list(range(num_bags + 1))
         elif kind == "bag":
             if not nums or nums[0] in bags or not 1 <= nums[0] <= num_bags:
                 raise ParseError(f"bad bag id in {line!r}", line_no)
@@ -411,32 +417,41 @@ def read_td(text: str) -> TreeDecomposition:
         elif len(parts) != 2:
             raise ParseError("malformed edge line", line_no)
         else:
-            edges.append((nums[0], nums[1]))
+            a, b = nums
+            if not (1 <= a <= num_bags and 1 <= b <= num_bags):
+                raise ParseError(f"edge endpoint out of range: {a} {b}", line_no)
+            root_a, root_b = _find(parent, a), _find(parent, b)
+            if root_a == root_b:
+                raise ParseError("bag graph has a cycle", line_no)
+            parent[root_a] = root_b
+            edges.append((a, b))
     if num_bags is None:
         raise ParseError("missing solution line")
     if set(bags) != set(range(1, num_bags + 1)):
         raise ParseError("bag ids do not cover the declared range")
+    if len(edges) != num_bags - 1:  # acyclic, so too few edges to connect
+        raise ParseError("bag graph is not a connected tree")
     neigh: list[list[int]] = [[] for _ in range(num_bags + 1)]
     for a, b in edges:
-        if not (1 <= a <= num_bags and 1 <= b <= num_bags):
-            raise ParseError(f"edge endpoint out of range: {a} {b}")
         neigh[a].append(b)
         neigh[b].append(a)
     children: list[list[int]] = [[] for _ in range(num_bags)]
     seen = {1}
     stack = [1]
-    reached = 1
     while stack:
         cur = stack.pop()
         for nxt in neigh[cur]:
             if nxt not in seen:
                 seen.add(nxt)
-                reached += 1
                 children[cur - 1].append(nxt - 1)
                 stack.append(nxt)
-    if reached != num_bags:
-        raise ParseError("bag graph is not a connected tree")
-    if len(edges) != num_bags - 1:
-        raise ParseError("bag graph has a cycle")
     bag_list = [bags[i + 1] for i in range(num_bags)]
     return TreeDecomposition(bag_list, children, 0, num_vertices)
+
+
+def _find(parent: list[int], x: int) -> int:
+    """The root of x's set in the union-find `parent`, halving its path."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x

@@ -36,9 +36,18 @@ def test_add_clique():
     assert g.degree(1) == 0
     g.add_clique([1, 1])
     assert g.degree(1) == 0
-    for vertices in ([4], [0, 4]):
+    for vertices in ([4], [0, 4], [-1], [-1, 0], [0, -4]):
         with pytest.raises(IndexError):
             g.add_clique(vertices)
+    assert g.neighbors[1] == set() and g.degree(2) == 2
+
+
+def test_add_edge_rejects_out_of_range_ids():
+    g = Graph(3)
+    for u, v in ((-1, 0), (0, -3), (0, 3)):
+        with pytest.raises(IndexError):
+            g.add_edge(u, v)
+    assert g.num_edges == 0 and [g.degree(v) for v in range(3)] == [0, 0, 0]
 
 
 def test_primal_graph_cliques_per_rule():

@@ -3,6 +3,7 @@ the brute-force oracles, against the benchmark's references
 (`perfbench/references.py`), which count banded CNFs by a sliding window
 and tight programs by a frontier pass, without tdcount."""
 
+import contextlib
 import io
 import random
 import sys
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from tdcount import cli
 from tdcount.aspdp import build_store, count_answer_sets, count_optimal
 from tdcount.dpcore import Mode, root_aggregate
 from tdcount.graphs import instance_graph
@@ -23,6 +25,7 @@ import corpus
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import instances  # noqa: E402
 import references  # noqa: E402
+import spans  # noqa: E402
 
 
 # each count takes well under 1 s on a 2-CPU machine; the bound is loose,
@@ -103,3 +106,34 @@ def test_counts_match_the_frontier_reference_on_tight_grid_programs(rows, cols, 
         store, _ = build_store(program, mode, decomp=decomp, trace=rows_trace)
         assert root_aggregate(store, mode) == expected[mode]
         assert lean.getvalue() == rows_trace.getvalue()
+
+
+def _small_instances():
+    """One small instance of each command the benchmark's workloads run."""
+    rng = random.Random("traced")
+    yield from (instances.cnf_instance(rng, 30, command) for command in ("mc", "wmc"))
+    yield instances.cnf_instance(rng, 30, "pmc", 5)
+    yield from (instances.grid_instance(rng, 3, 5, command) for command in ("count", "optcount"))
+    yield instances.grid_instance(rng, 3, 5, "pcount", 5)
+    yield instances.chain_instance(rng, 12)
+
+
+def test_the_benchmark_traced_path_gives_the_cli_answers(tmp_path):
+    # `perfbench/run.py` imports `spans` on every run, and its traced run
+    # solves each instance layer by layer through `spans.run_traced`
+    commands = []
+    for inst in _small_instances():
+        path = tmp_path / f"{inst.label}-{inst.command}{inst.suffix}"
+        path.write_text(inst.text, encoding="utf-8")
+        totals = dict.fromkeys(spans.COUNTERS, 0)
+        traced = spans.run_traced(spans.Tracer(), inst, path, totals)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.run([inst.command, str(path), "--seed", str(spans.TD_SEED), *inst.options])
+        assert code == 0, inst.label
+        assert traced == out.getvalue().splitlines() == references.expected_lines(inst), inst.label
+        assert totals["nice.nodes"] > 0 and totals["parse.bytes"] == len(inst.text), inst.label
+        commands.append(inst.command)
+    assert sorted(commands) == sorted(
+        ["mc", "wmc", "pmc", "count", "optcount", "pcount", "enumerate"]
+    )

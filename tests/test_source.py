@@ -6,6 +6,7 @@ from pathlib import Path
 
 import tdcount
 from tdcount import cli
+from tdcount.dpcore import PROVENANCE
 
 PACKAGE = Path(tdcount.__file__).parent
 REPO = Path(__file__).resolve().parents[1]
@@ -121,6 +122,28 @@ def test_dpcore_reads_no_state_kind_from_a_type():
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
     ]
     assert callers == ["_max_witness_set"]
+
+
+def test_passes_take_their_arithmetic_from_the_value_kind():
+    # a pass reads a mode's leaf value, product, merge rule and labels
+    # from its `Values`, never by naming the mode
+    tree = ast.parse((PACKAGE / "dpcore.py").read_text(encoding="utf-8"))
+    passes = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name.endswith("traverse")]
+    assert {"traverse", "vector_traverse", "packed_traverse"} <= {f.name for f in passes}
+    readers = [
+        f"{scope.name}:{node.lineno}"
+        for scope in passes
+        for node in ast.walk(scope)
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "Mode"
+    ]
+    assert readers == []
+
+
+def test_provenance_holds_only_entry_makers():
+    # the pass over sets of rows keeps no value, so its kind has nothing
+    # to merge, bound or total
+    assert all(callable(getattr(PROVENANCE, name)) for name in ("leaf", "carry", "forget", "join"))
+    assert [name for name in ("merge", "least", "total") if hasattr(PROVENANCE, name)] == []
 
 
 def _owners(tree) -> dict:

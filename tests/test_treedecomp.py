@@ -257,9 +257,16 @@ def test_read_td_rejects_cycles():
         ("s td 1 1 1\nb\n", 2),
         ("s td 1 1 1\nb 1 5\n", 2),
         ("s td 1 1 1\nb 1 0\n", 2),
+        ("s td 2 1 1\nb 1 1\nb 2 1\n1 5\n", 4),
+        ("s td 2 1 1\nb 1 1\nb 2 1\n0 1\n", 4),
+        ("s td 3 2 3\nb 1 1\nb 2 2\nb 3 3\n1 2\n2 3\n3 1\n", 7),
+        ("s td 2 1 1\nb 1 1\n1 1\nb 2 1\n", 3),
+        ("s td 2 1 1\nb 1 1\nb 2 1\n1 2\n2 1\n", 5),
+        ("s td 2 1 1\n1 3\nb 1 9\n", 2),
     ],
     ids=["solution-token", "bag-id-token", "bag-vertex-token", "edge-token",
-         "bare-bag", "vertex-past-count", "vertex-zero"],
+         "bare-bag", "vertex-past-count", "vertex-zero", "edge-past-count", "edge-zero",
+         "cycle", "self-loop", "repeated-edge", "first-fault-in-file-order"],
 )
 def test_read_td_rejects_malformed_lines_at_their_line(text, line):
     with pytest.raises(ParseError) as info:
@@ -273,8 +280,9 @@ def test_read_td_requires_solution_line():
 
 
 def test_read_td_rejects_disconnected_tree():
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as info:
         read_td("s td 3 2 3\nb 1 1\nb 2 2\nb 3 3\n1 2\n")
+    assert info.value.line is None  # too few edges: no single line is at fault
 
 
 
