@@ -13,6 +13,7 @@ class Graph:
             raise ValueError("negative vertex count")
         self.num_vertices = num_vertices
         self.neighbors: list[set[int]] = [set() for _ in range(num_vertices)]
+        self._ids = frozenset(range(num_vertices))
 
     def add_edge(self, u: int, v: int) -> None:
         if u == v:
@@ -25,11 +26,15 @@ class Graph:
 
     def add_clique(self, vertices) -> None:
         vs = set(vertices)
-        if vs and min(vs) < 0:
-            raise IndexError(f"negative vertex id in clique {sorted(vs)}")
+        if not vs <= self._ids:  # checked before any change
+            raise IndexError(
+                f"vertex id out of range 0..{self.num_vertices - 1} in clique {sorted(vs)}"
+            )
+        neighbors = self.neighbors
         for u in vs:
-            self.neighbors[u] |= vs
-            self.neighbors[u].discard(u)
+            at_u = neighbors[u]
+            at_u |= vs
+            at_u.discard(u)
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.neighbors[u]

@@ -173,21 +173,23 @@ class CnfFormula:
     rules: list[Rule] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.num_vars < 0:
+        n = self.num_vars
+        if n < 0:
             raise ValueError("negative variable count")
-        self.rules = []
+        self.rules = rules = []
+        no_head = frozenset()
         for clause in self.clauses:
             body_pos, body_neg = [], []
             for lit in clause:
-                if lit == 0 or not 1 <= abs(lit) <= self.num_vars:
+                if not 0 < abs(lit) <= n:
                     raise ValueError(f"literal {lit} out of range")
                 if -lit in clause:
                     raise ValueError(f"clause contains both {lit} and {-lit}")
                 if lit < 0:
-                    body_pos.append(-lit - 1)
+                    body_pos.append(~lit)  # -lit - 1
                 else:
                     body_neg.append(lit - 1)
-            self.rules.append(Rule(frozenset(), frozenset(body_pos), frozenset(body_neg)))
+            rules.append(Rule(no_head, frozenset(body_pos), frozenset(body_neg)))
         if self.weights is not None:
             for lit, w in self.weights.items():
                 if lit == 0 or not 1 <= abs(lit) <= self.num_vars:

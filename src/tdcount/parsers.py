@@ -5,6 +5,7 @@ token keeps its offset; its line and column are computed only for an error."""
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from fractions import Fraction
 
 from .errors import (
@@ -316,17 +317,27 @@ def _weight(text: str) -> Fraction:
 
 def parse_dimacs(text: str) -> CnfFormula:
     """Parse DIMACS CNF.  Weight lines `w <lit> <num>/<den> 0` must
-    precede the clauses; clause and variable counts must match the header."""
+    precede the clauses; clause and variable counts must match the header.
+
+    Each clause line's tokens become ints once, appended to one list of
+    literals and 0s; the clauses are its runs between 0s, and
+    `CnfFormula` checks them.  A fault is reported as a reading in file
+    order would meet it: a malformed line first, then a literal out of
+    range or whose complement comes earlier in its clause, then an
+    unterminated last clause, then a wrong clause count."""
     num_vars = None
     num_clauses = None
     weights: dict[int, Fraction] = {}
-    clause_tokens: list[tuple[int, int]] = []  # (literal-or-0, line number)
+    weight_of: dict[str, Fraction] = {}  # a weight's text -> its value, read once
+    literals: list[int] = []  # every clause token, 0s included, in file order
+    ends: list[int] = []  # len(literals) after each clause line ...
+    end_lines: list[int] = []  # ... and that line's number
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("c"):
+        if not line or line[0] == "c":
             continue
-        if line.startswith("p"):
+        if line[0] == "p":
             if num_vars is not None:
                 raise ParseError("duplicate header", line_no)
             parts = line.split()
@@ -339,17 +350,19 @@ def parse_dimacs(text: str) -> CnfFormula:
             if num_vars < 0 or num_clauses < 0:
                 raise ParseError("negative header counts", line_no)
             continue
-        if line.startswith("w"):
+        if line[0] == "w":
             if num_vars is None:
                 raise ParseError("weight line before header", line_no)
-            if clause_tokens:
+            if literals:
                 raise ParseError("weight line after clauses", line_no)
             parts = line.split()
             if len(parts) != 4 or parts[3] != "0":
                 raise ParseError("malformed weight line; expected 'w <lit> <weight> 0'", line_no)
             try:
                 lit = int(parts[1])
-                value = _weight(parts[2])
+                value = weight_of.get(parts[2])
+                if value is None:
+                    value = weight_of[parts[2]] = _weight(parts[2])
             except (ValueError, ZeroDivisionError):
                 raise ParseError("malformed weight value", line_no) from None
             if lit == 0 or abs(lit) > num_vars:
@@ -362,34 +375,68 @@ def parse_dimacs(text: str) -> CnfFormula:
             continue
         if num_vars is None:
             raise ParseError("clause before header", line_no)
-        for tok in line.split():
-            try:
-                lit = int(tok)
-            except ValueError:
-                raise ParseError(f"unexpected token {tok!r}", line_no) from None
-            clause_tokens.append((lit, line_no))
+        parts = line.split()
+        try:
+            literals.extend(map(int, parts))
+        except ValueError:
+            bad = next(tok for tok in parts if not _is_int(tok))
+            raise ParseError(f"unexpected token {bad!r}", line_no) from None
+        ends.append(len(literals))
+        end_lines.append(line_no)
 
     if num_vars is None:
         raise ParseError("missing 'p cnf' header")
 
     clauses: list[frozenset[int]] = []
+    start = 0
+    for end in _zeros(literals):
+        clauses.append(frozenset(literals[start:end]))
+        start = end + 1
+    if start == len(literals) and len(clauses) == num_clauses:
+        try:
+            return CnfFormula(num_vars, clauses, weights or None)
+        except ValueError:
+            _raise_literal_fault(literals, ends, end_lines, num_vars)
+            raise
+    _raise_literal_fault(literals, ends, end_lines, num_vars)
+    if start < len(literals):
+        raise ParseError("unterminated clause at end of input", end_lines[-1])
+    raise HeaderMismatchError(f"header declares {num_clauses} clauses, found {len(clauses)}")
+
+
+def _is_int(token: str) -> bool:
+    try:
+        int(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _zeros(literals: list[int]):
+    """The positions of the 0s in `literals`, ascending."""
+    end = -1
+    try:
+        while True:
+            end = literals.index(0, end + 1)
+            yield end
+    except ValueError:
+        return
+
+
+def _raise_literal_fault(literals, ends, end_lines, num_vars) -> None:
+    """Raise ParseError at the first literal, in file order, that
+    exceeds the declared variables or whose complement is earlier in its
+    clause; the line is that of the clause line holding it."""
     current: set[int] = set()
-    last_line = None
-    for lit, line_no in clause_tokens:
-        last_line = line_no
+    for k, lit in enumerate(literals):
         if lit == 0:
-            clauses.append(frozenset(current))
             current = set()
             continue
         if abs(lit) > num_vars:
-            raise ParseError(f"literal {lit} exceeds declared variables", line_no)
-        if -lit in current:
-            raise ParseError(f"tautological clause mixes {lit} and {-lit}", line_no)
-        current.add(lit)
-    if current:
-        raise ParseError("unterminated clause at end of input", last_line)
-    if len(clauses) != num_clauses:
-        raise HeaderMismatchError(
-            f"header declares {num_clauses} clauses, found {len(clauses)}"
-        )
-    return CnfFormula(num_vars, clauses, weights or None)
+            message = f"literal {lit} exceeds declared variables"
+        elif -lit in current:
+            message = f"tautological clause mixes {lit} and {-lit}"
+        else:
+            current.add(lit)
+            continue
+        raise ParseError(message, end_lines[bisect_right(ends, k)])

@@ -72,7 +72,7 @@ class NiceTreeDecomposition:
 
     def __post_init__(self) -> None:
         for i, node in enumerate(self.nodes):
-            if not all(c < i for c in node.children):
+            if node.children and max(node.children) >= i:
                 raise ValueError(f"nodes must be post-ordered (node {i})")
         if not self.nodes or self.nodes[-1].bag != ():
             raise ValueError("root bag must be empty")
@@ -109,36 +109,77 @@ def _min_fill_score(adj, v):
     return missing // 2  # each non-adjacent pair was counted from both ends
 
 
-def _fill_lowered(adj, v) -> dict[int, int]:
-    """Per vertex x outside N(v) ∪ {v}, the number of fill edges of
-    eliminating v (the non-adjacent pairs of N(v)) whose ends are both
-    adjacent to x: each lowers x's min-fill score by one, while x's
-    neighbors stay the same."""
+def _make_clique(adj, v) -> None:
+    """Eliminate v from the fill-in graph `adj`: its neighbors lose v and
+    become a clique.  `adj[v]` is left as it was."""
     ns = adj[v]
-    lowered: dict[int, int] = {}
     for u in ns:
-        for w in ns - adj[u]:
-            if u < w:
-                for x in (adj[u] & adj[w]) - ns:
-                    if x != v:
-                        lowered[x] = lowered.get(x, 0) + 1
-    return lowered
+        at_u = adj[u]
+        at_u.discard(v)
+        at_u |= ns
+        at_u.discard(u)
+
+
+def _make_clique_counted(adj, v, missing) -> set[int]:
+    """Eliminate v as `_make_clique` does, one fill edge at a time, and
+    keep `missing[x]`, the min-fill score of x (the non-adjacent pairs of
+    N(x)), exact for every live x.  A fill edge (a, b) pairs b with each
+    neighbor of a, of which those in N(a) ∩ N(b) were already adjacent
+    to b, and likewise for a; it also joins a pair of N(c) for each
+    common neighbor c of a and b.  Once N(v) is a clique, each u in N(v)
+    loses v, and with it the pairs of v and u's neighbors outside N(v).
+    Returns the vertices whose score may have changed."""
+    ns = adj[v]
+    changed = set(ns)
+    left = missing[v]  # fill edges still to add
+    for a in ns:
+        if not left:
+            break
+        at_a = adj[a]
+        for b in ns - at_a:
+            if b != a:
+                at_b = adj[b]
+                common = at_a & at_b
+                missing[a] += len(at_a) - len(common)
+                missing[b] += len(at_b) - len(common)
+                for c in common:
+                    missing[c] -= 1
+                changed |= common
+                at_a.add(b)
+                at_b.add(a)
+                left -= 1
+    for u in ns:
+        at_u = adj[u]
+        missing[u] -= len(at_u) - len(ns)
+        at_u.discard(v)
+    changed.discard(v)
+    return changed
+
+
+def _in_order(adj, ordering):
+    """Yield the given ordering, eliminating each vertex once resumed."""
+    for v in ordering:
+        yield v
+        _make_clique(adj, v)
 
 
 def _greedy(adj, heuristic: str, seed: int, defer):
-    """Yield a greedy ordering while the caller eliminates each yielded
-    vertex from `adj`: the lowest score among the live vertices outside
-    `defer` (among all live ones once only deferred ones remain).  Ties
-    are a uniform draw, from a generator seeded with `seed`, from the
-    tied vertices in ascending order; a single lowest vertex is taken
-    without a draw, so it leaves the generator's state alone.
+    """Yield a greedy ordering, eliminating each yielded vertex from the
+    fill-in graph `adj` once resumed: the lowest score among the live
+    vertices outside `defer` (among all live ones once only deferred
+    ones remain).  Ties are a uniform draw, from a generator seeded with
+    `seed`, from the tied vertices in ascending order; a single lowest
+    vertex is taken without a draw, so it leaves the generator's state
+    alone.
 
     Each live vertex keeps its score, indexed by (deferred, score) in a
-    bucket kept sorted, so a draw needs no sort of the ties.  Once the
-    caller has eliminated v, N(v) is re-scored.  Under min-fill the fill
-    edges, which v's own score counts, also lower the score of each other
-    vertex adjacent to both of their ends (`_fill_lowered`); they are
-    found before the yield, since the caller then changes `adj`."""
+    bucket kept sorted, so a draw needs no sort of the ties.  Every
+    vertex is scored once, at the start; after that the scores are kept
+    exact as the graph changes.  Under min-degree an elimination changes
+    only the degrees of N(v).  Under min-fill `_make_clique_counted`
+    adds the fill edges one at a time and updates the score of each
+    vertex an edge touches: its ends, their common neighbors, and N(v)
+    as it loses v."""
     if heuristic == "min-fill":
         score = _min_fill_score
     elif heuristic == "min-degree":
@@ -146,59 +187,53 @@ def _greedy(adj, heuristic: str, seed: int, defer):
     else:
         raise ValueError(f"unknown heuristic {heuristic!r}")
     fill = score is _min_fill_score
-    deferred = frozenset(defer)
     rng = random.Random(seed)
-    key = {}  # live vertex -> (deferred, score); False sorts first
+    scores = [score(adj, v) for v in range(len(adj))]
+    deferred = frozenset(defer)
+    key = [(v in deferred, s) for v, s in enumerate(scores)]  # False sorts first
     index: dict[tuple[bool, int], list[int]] = {}  # key -> sorted live vertices
+    for v, k in enumerate(key):
+        index.setdefault(k, []).append(v)
 
-    def place(u, k):
-        key[u] = k
-        insort(index.setdefault(k, []), u)
-
-    def unplace(u):
-        k = key.pop(u)
+    def unplace(u, k):
         bucket = index[k]
         del bucket[bisect_left(bucket, u)]
         if not bucket:
             del index[k]
 
-    for v in range(len(adj)):
-        place(v, (v in deferred, score(adj, v)))
     while index:
         ties = index[min(index)]
         v = ties[0] if len(ties) == 1 else rng.choice(ties)
-        lowered = _fill_lowered(adj, v) if fill and key[v][1] else {}
-        unplace(v)
-        touched = list(adj[v])
+        unplace(v, key[v])
         yield v
-        for u in touched:
-            k = (u in deferred, score(adj, u))
-            if k != key[u]:
-                unplace(u)
-                place(u, k)
-        for x, fewer in lowered.items():
-            deferred_x, old = key[x]
-            unplace(x)
-            place(x, (deferred_x, old - fewer))
+        if fill:
+            changed = _make_clique_counted(adj, v, scores)
+        else:
+            _make_clique(adj, v)
+            changed = adj[v]
+            for u in changed:
+                scores[u] = len(adj[u])
+        for u in changed:
+            old = key[u]
+            if old[1] != scores[u]:
+                unplace(u, old)
+                key[u] = k = (old[0], scores[u])
+                insort(index.setdefault(k, []), u)
 
 
 def _eliminate(graph: Graph, vertices) -> tuple[list[int], TreeDecomposition]:
-    """The one elimination pass: remove the vertices in the order
-    `vertices(adj)` yields them, making each one's remaining neighbors a
-    clique of the fill-in graph `adj`.  Returns the ordering and the
-    bucket decomposition built along it (see `td_from_ordering`); nodes
-    with an empty bag remainder attach to the last node."""
+    """The one elimination pass over a copy `adj` of the graph:
+    `vertices(adj)` yields the vertices in order and, once resumed, has
+    eliminated the one it yielded, its remaining neighbors made a
+    clique of the fill-in graph.  Returns the ordering and the bucket
+    decomposition built along it (see `td_from_ordering`); nodes with an
+    empty bag remainder attach to the last node."""
     adj = [set(ns) for ns in graph.neighbors]
     order = []
     bags = []
     for v in vertices(adj):
         order.append(v)
-        ns = adj[v]
-        bags.append(frozenset(ns | {v}))
-        for u in ns:
-            adj[u].discard(v)
-            adj[u] |= ns
-            adj[u].discard(u)
+        bags.append(frozenset(adj[v] | {v}))
     n = len(order)
     if n == 0:
         return order, TreeDecomposition([frozenset()], [[]], 0, 0)
@@ -232,7 +267,7 @@ def td_from_ordering(graph: Graph, ordering: list[int]) -> TreeDecomposition:
     vertex of its bag remainder."""
     if sorted(ordering) != list(range(graph.num_vertices)):
         raise ValueError("ordering must be a permutation of the vertices")
-    return _eliminate(graph, lambda adj: ordering)[1]
+    return _eliminate(graph, lambda adj: _in_order(adj, ordering))[1]
 
 
 def validate_td(graph: Graph, td: TreeDecomposition) -> Violation | None:
@@ -275,19 +310,23 @@ def make_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
     preserved, every source bag appears, and Forget nodes are inserted
     above the old root until the bag is empty."""
     nodes: list[NiceNode] = []
-
-    def emit(kind, bag, vertex, children):
-        nodes.append(NiceNode(kind, tuple(sorted(bag)), vertex, tuple(children)))
-        return len(nodes) - 1
+    add = nodes.append
+    forget, introduce = NodeKind.FORGET, NodeKind.INTRODUCE
 
     def chain_to(cur, cur_bag, target_bag):
-        bag = set(cur_bag)
+        """Extend node `cur` to `target_bag`: forget the vertices it
+        lacks, then introduce the new ones, each in ascending order.
+        The running bag is a sorted list, so a node's bag is a copy.
+        Returns the top node, whose bag is `target_bag` sorted."""
+        bag = sorted(cur_bag)
         for v in sorted(cur_bag - target_bag):
-            bag.discard(v)
-            cur = emit(NodeKind.FORGET, bag, v, (cur,))
+            del bag[bisect_left(bag, v)]
+            add(NiceNode(forget, tuple(bag), v, (cur,)))
+            cur = len(nodes) - 1
         for v in sorted(target_bag - cur_bag):
-            bag.add(v)
-            cur = emit(NodeKind.INTRODUCE, bag, v, (cur,))
+            insort(bag, v)
+            add(NiceNode(introduce, tuple(bag), v, (cur,)))
+            cur = len(nodes) - 1
         return cur
 
     # iterative post-order over the source tree
@@ -301,31 +340,28 @@ def make_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
 
     built: dict[int, int] = {}
     for t in order:
-        bag = set(td.bags[t])
+        bag = td.bags[t]
         kids = td.children[t]
         if not kids:
-            cur = emit(NodeKind.LEAF, (), None, ())
-            cur = chain_to(cur, set(), bag)
+            add(NiceNode(NodeKind.LEAF, (), None, ()))
+            cur = chain_to(len(nodes) - 1, frozenset(), bag)
         else:
-            tops = [chain_to(built[c], set(td.bags[c]), bag) for c in kids]
+            tops = [chain_to(built[c], td.bags[c], bag) for c in kids]
             cur = tops[0]
             for other in tops[1:]:
-                cur = emit(NodeKind.JOIN, bag, None, (cur, other))
+                add(NiceNode(NodeKind.JOIN, nodes[cur].bag, None, (cur, other)))
+                cur = len(nodes) - 1
         built[t] = cur
 
-    cur = built[td.root]
-    cur = chain_to(cur, set(td.bags[td.root]), set())
+    cur = chain_to(built[td.root], td.bags[td.root], frozenset())
     if cur != len(nodes) - 1:
         raise InvariantError("the root must be the last nice node")
 
     ntd = NiceTreeDecomposition(nodes, td.num_graph_vertices)
     if ntd.width() != td.width():
         raise InvariantError("nice form changed the width")
-    covered = set()
-    for node in nodes:
-        covered.update(node.bag)
-    if set(ntd.forget_node_of) != covered:
-        raise InvariantError("each covered vertex must be forgotten exactly once")
+    if ntd.forget_node_of.keys() != set().union(*td.bags):
+        raise InvariantError("each vertex of a bag must be forgotten exactly once")
     return ntd
 
 

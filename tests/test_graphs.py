@@ -42,6 +42,15 @@ def test_add_clique():
     assert g.neighbors[1] == set() and g.degree(2) == 2
 
 
+def test_add_clique_with_an_id_past_the_last_vertex_changes_nothing():
+    g = Graph(4)
+    g.add_clique([0, 1])
+    for vertices in ([0, 4], [1, 2, 3, 4], [3, 9]):
+        with pytest.raises(IndexError, match="out of range"):
+            g.add_clique(vertices)
+        assert g.neighbors == [{1}, {0}, set(), set()]
+
+
 def test_add_edge_rejects_out_of_range_ids():
     g = Graph(3)
     for u, v in ((-1, 0), (0, -3), (0, 3)):

@@ -1,7 +1,9 @@
 """Elimination orderings, decomposition construction, validation,
 nice-form conversion, and .td round trips."""
 
+import itertools
 import os
+import random
 import subprocess
 import sys
 
@@ -27,6 +29,7 @@ from tdcount.treedecomp import (
 )
 
 import corpus
+from test_elimination_reference import reference_ordering
 
 
 def path_graph(n):
@@ -126,6 +129,67 @@ def test_ordering_scores_each_vertex_a_bounded_number_of_times(monkeypatch, heur
     graph = primal_graph_cnf(corpus.banded_cnf(1, n))
     assert sorted(elimination_ordering(graph, heuristic)) == list(range(n))
     assert calls <= 40 * n
+
+
+def test_min_fill_scores_each_vertex_once(monkeypatch):
+    """Min-fill scores every vertex once, at the start, and then keeps
+    the scores as the graph changes, so the count is exactly n."""
+    calls = 0
+    score = treedecomp._min_fill_score
+
+    def counting(adj, v):
+        nonlocal calls
+        calls += 1
+        return score(adj, v)
+
+    monkeypatch.setattr(treedecomp, "_min_fill_score", counting)
+    n = 2000
+    graph = primal_graph_cnf(corpus.banded_cnf(1, n))
+    assert sorted(elimination_ordering(graph, "min-fill")) == list(range(n))
+    assert calls <= n
+
+
+def dense_graph(seed):
+    """A random graph on up to 40 vertices with edge probability 0.3-0.7."""
+    rng = random.Random(seed)
+    n = rng.randint(8, 40)
+    p = rng.uniform(0.3, 0.7)
+    g = Graph(n)
+    for u, v in itertools.combinations(range(n), 2):
+        if rng.random() < p:
+            g.add_edge(u, v)
+    return g
+
+
+def shared_neighbor_graph(seed):
+    """Complete bipartite K(a, b) plus a few edges: eliminating a vertex
+    of one side adds fill edges among the other side, and both ends of
+    each share the rest of the first side as common neighbors."""
+    rng = random.Random(seed)
+    a, b = rng.randint(2, 7), rng.randint(3, 12)
+    g = Graph(a + b)
+    for u in range(a):
+        for v in range(a, a + b):
+            g.add_edge(u, v)
+    for _ in range(rng.randint(0, a + b)):
+        g.add_edge(*rng.sample(range(a + b), 2))
+    return g
+
+
+@pytest.mark.parametrize("heuristic", ["min-fill", "min-degree"])
+def test_kept_scores_match_the_rescanning_reference(heuristic):
+    """The scores kept through each elimination give the orderings of
+    the reference, which scores every live vertex afresh at each step,
+    on graphs where many fill edges share common neighbors."""
+    graphs = [dense_graph(s) for s in range(24)] + [shared_neighbor_graph(s) for s in range(36)]
+    for index, graph in enumerate(graphs):
+        rng = random.Random(index)
+        n = graph.num_vertices
+        for defer in ((), frozenset(rng.sample(range(n), rng.randint(1, n - 1)))):
+            for seed in range(5):
+                expected = reference_ordering(graph, heuristic, seed, defer)
+                assert elimination_ordering(graph, heuristic, seed, defer) == expected, (
+                    index, seed, defer)
 
 
 def test_min_degree_star_orders_leaves_first():
