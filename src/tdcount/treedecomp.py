@@ -254,10 +254,12 @@ def elimination_ordering(
     the tied vertices in ascending order, and a single lowest vertex is
     taken without a draw, so repeated calls with identical arguments
     agree.  Vertices in `defer` are eliminated only once every other
-    vertex is gone.  After each elimination only the vertices whose score
-    it can change are re-scored: the eliminated vertex's neighbors, and
-    under min-fill the vertices adjacent to both ends of a fill edge,
-    whose scores fall by one per such edge."""
+    vertex is gone.  Each vertex is scored once, at the start; each
+    elimination then updates only the scores it changes.  A vertex's
+    min-fill score is the number of non-adjacent pairs among its
+    neighbors: a fill edge raises the score of each end by its neighbors
+    not adjacent to the other end, and lowers the score of every common
+    neighbor of both ends by one."""
     return _eliminate(graph, lambda adj: _greedy(adj, heuristic, seed, defer))[0]
 
 
@@ -338,29 +340,30 @@ def make_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
         stack.extend(td.children[t])
     order.reverse()
 
+    bags = [frozenset(bag) for bag in td.bags]  # no copy of a frozenset
     built: dict[int, int] = {}
     for t in order:
-        bag = td.bags[t]
+        bag = bags[t]
         kids = td.children[t]
         if not kids:
             add(NiceNode(NodeKind.LEAF, (), None, ()))
             cur = chain_to(len(nodes) - 1, frozenset(), bag)
         else:
-            tops = [chain_to(built[c], td.bags[c], bag) for c in kids]
+            tops = [chain_to(built[c], bags[c], bag) for c in kids]
             cur = tops[0]
             for other in tops[1:]:
                 add(NiceNode(NodeKind.JOIN, nodes[cur].bag, None, (cur, other)))
                 cur = len(nodes) - 1
         built[t] = cur
 
-    cur = chain_to(built[td.root], td.bags[td.root], frozenset())
+    cur = chain_to(built[td.root], bags[td.root], frozenset())
     if cur != len(nodes) - 1:
         raise InvariantError("the root must be the last nice node")
 
     ntd = NiceTreeDecomposition(nodes, td.num_graph_vertices)
     if ntd.width() != td.width():
         raise InvariantError("nice form changed the width")
-    if ntd.forget_node_of.keys() != set().union(*td.bags):
+    if ntd.forget_node_of.keys() != set().union(*bags):
         raise InvariantError("each vertex of a bag must be forgotten exactly once")
     return ntd
 
