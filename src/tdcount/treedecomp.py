@@ -172,14 +172,14 @@ def _greedy(adj, heuristic: str, seed: int, defer):
     vertex is taken without a draw, so it leaves the generator's state
     alone.
 
-    Each live vertex keeps its score, indexed by (deferred, score) in a
-    bucket kept sorted, so a draw needs no sort of the ties.  Every
-    vertex is scored once, at the start; after that the scores are kept
-    exact as the graph changes.  Under min-degree an elimination changes
-    only the degrees of N(v).  Under min-fill `_make_clique_counted`
-    adds the fill edges one at a time and updates the score of each
-    vertex an edge touches: its ends, their common neighbors, and N(v)
-    as it loses v."""
+    Each live vertex keeps its score, filed under its key (the score,
+    plus n² if deferred) in a bucket kept sorted, so a draw needs no
+    sort of the ties.  Every vertex is scored once, at the start; after
+    that the scores are kept exact as the graph changes.  Under
+    min-degree an elimination changes only the degrees of N(v).  Under
+    min-fill `_make_clique_counted` adds the fill edges one at a time
+    and updates the score of each vertex an edge touches: its ends,
+    their common neighbors, and N(v) as it loses v."""
     if heuristic == "min-fill":
         score = _min_fill_score
     elif heuristic == "min-degree":
@@ -188,10 +188,14 @@ def _greedy(adj, heuristic: str, seed: int, defer):
         raise ValueError(f"unknown heuristic {heuristic!r}")
     fill = score is _min_fill_score
     rng = random.Random(seed)
-    scores = [score(adj, v) for v in range(len(adj))]
+    n = len(adj)
+    scores = [score(adj, v) for v in range(n)]
+    # n² exceeds any score, so a deferred vertex is drawn only once no
+    # other vertex is left
     deferred = frozenset(defer)
-    key = [(v in deferred, s) for v, s in enumerate(scores)]  # False sorts first
-    index: dict[tuple[bool, int], list[int]] = {}  # key -> sorted live vertices
+    shift = [n * n if v in deferred else 0 for v in range(n)]
+    key = [s + d for s, d in zip(scores, shift)]
+    index: dict[int, list[int]] = {}  # key -> sorted live vertices
     for v, k in enumerate(key):
         index.setdefault(k, []).append(v)
 
@@ -214,10 +218,10 @@ def _greedy(adj, heuristic: str, seed: int, defer):
             for u in changed:
                 scores[u] = len(adj[u])
         for u in changed:
-            old = key[u]
-            if old[1] != scores[u]:
-                unplace(u, old)
-                key[u] = k = (old[0], scores[u])
+            k = scores[u] + shift[u]
+            if k != key[u]:
+                unplace(u, key[u])
+                key[u] = k
                 insort(index.setdefault(k, []), u)
 
 
@@ -237,12 +241,14 @@ def _eliminate(graph: Graph, vertices) -> tuple[list[int], TreeDecomposition]:
     n = len(order)
     if n == 0:
         return order, TreeDecomposition([frozenset()], [[]], 0, 0)
-    pos = {v: i for i, v in enumerate(order)}
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
     root = n - 1
     children: list[list[int]] = [[] for _ in range(n)]
     for i in range(root):
-        rest = [pos[u] for u in bags[i] if u != order[i]]
-        children[min(rest) if rest else root].append(i)
+        rest = adj[order[i]]  # left as it was when order[i] was eliminated
+        children[min(map(pos.__getitem__, rest)) if rest else root].append(i)
     return order, TreeDecomposition(bags, children, root, n)
 
 
