@@ -45,7 +45,8 @@ their derivations.  `table_pass` routes each pass:
   (`dpcore.packed_traverse`);
 - every other pass runs the handlers (`dpcore.traverse`).
 
-The routes give the same answers and traces.
+The routes give the same answers and traces.  A lean pass returns the
+answer itself, a `Row` pass its store.
 """
 
 from __future__ import annotations
@@ -321,15 +322,16 @@ def table_pass(
     trace=None,
     decomp: DecompResult | None = None,
     projected=None,
-) -> tuple[TableStore | int, DecompResult]:
+) -> tuple[object, DecompResult]:
     """Run the table pass of the value kind `values` with the instance's
     check state, by the route the module docstring lists: with
     `projected` graph vertices and `PROVENANCE`, the pass over sets of
     rows, which gives the projected count; with a lean kind, the dense or
-    packed pass where one applies, else the handlers on lean tables; with
-    a `Row` kind (`dpcore.row_values`), the handlers on `Row` tables.  A
-    given `decomp` must forget exactly the instance's vertices, else
-    ValueError."""
+    packed pass where one applies, else the handlers on lean tables, each
+    of which gives the kind's answer; with a `Row` kind
+    (`dpcore.row_values`), the handlers on `Row` tables, which give the
+    store.  A given `decomp` must forget exactly the instance's vertices,
+    else ValueError."""
     if decomp is None:
         decomp = decompose(instance_graph(instance), heuristic, seed, seeds)
     if set(decomp.ntd.forget_node_of) != set(range(vertex_count(instance))):
@@ -344,10 +346,12 @@ def table_pass(
         return projected_traverse(ntd, handlers, projected, trace), decomp
     if not values.derivations:
         if check is EMPTY and values.scale is not None:
-            return vector_traverse(ntd, plan, values, check, trace), decomp
+            return vector_traverse(ntd, plan, values, trace), decomp
+        # the packed pass ignores `scale`, so a WEIGHTED kind takes the handlers
         if check is SUPPORT and values.mode in (Mode.COUNT, Mode.OPTCOUNT):
-            return packed_traverse(ntd, plan, values, check, trace), decomp
-    return traverse(ntd, make_handlers(ntd, plan, check=check, values=values), trace), decomp
+            return packed_traverse(ntd, plan, values, trace), decomp
+    store = traverse(ntd, make_handlers(ntd, plan, check=check, values=values), trace)
+    return (store if values.derivations else root_aggregate(store, values.mode)), decomp
 
 
 def build_store(
@@ -360,14 +364,13 @@ def build_store(
 
 
 def answer(instance: GroundProgram | CnfFormula, mode: Mode, **options):
-    """The mode's answer for a program or CNF, from a lean pass that
-    keeps no derivations and drops each child table once its parent is
-    built.  An atomless rule (`:- .`, an empty clause) is never
-    satisfied: then no table is built."""
+    """The mode's answer for a program or CNF, as `table_pass` gives it
+    from a lean pass that keeps no derivations and drops each child
+    table once its parent is built.  An atomless rule (`:- .`, an empty
+    clause) is never satisfied: then no table is built."""
     if has_atomless_rule(instance):
         return empty_answer(mode)
-    store, _ = table_pass(instance, mode_values(instance, mode), **options)
-    return root_aggregate(store, mode)
+    return table_pass(instance, mode_values(instance, mode), **options)[0]
 
 
 def count_answer_sets(program: GroundProgram, **options) -> int:

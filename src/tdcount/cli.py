@@ -238,7 +238,10 @@ COMMANDS = {
         flag=("--project-vars", {"default": "", "help": "comma-separated variables"}),
         keywords=lambda formula, args: {"projection": _project_vars(formula, args.project_vars)},
     ),
-    "td-stats": Command("decomposition width statistics", None, run=_td_stats, seeds=5),
+    "td-stats": Command(
+        "decomposition width statistics", None, run=_td_stats, seeds=5,
+        flag=("--graph", {"choices": ["primal", "incidence"], "default": "primal"}),
+    ),
 }
 
 EXPECTS = {GroundProgram: "a ground program", CnfFormula: "a DIMACS formula"}
@@ -251,7 +254,6 @@ def _build_parser() -> _Parser:
     for name, command in COMMANDS.items():
         p = sub.add_parser(name, help=command.help)
         p.add_argument("path", help="input file, or - for stdin")
-        p.add_argument("--graph", choices=["primal", "incidence"], default="primal")
         p.add_argument("--heuristic", choices=["min-fill", "min-degree"], default="min-fill")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument(
@@ -259,7 +261,8 @@ def _build_parser() -> _Parser:
         )
         p.add_argument("--format", choices=[*PARSERS, "auto"], default="auto")
         p.add_argument("--json", action="store_true")
-        p.add_argument("--trace", metavar="FILE", help="line-delimited JSON per-node trace")
+        if command.answer is not None:  # a table pass to trace
+            p.add_argument("--trace", metavar="FILE", help="line-delimited JSON per-node trace")
         p.add_argument("--oracle-check", action="store_true")
         if command.flag is not None:
             flag, options = command.flag
@@ -283,9 +286,6 @@ def _run(argv) -> int:
     try:
         args = parser.parse_args(argv)
         command = COMMANDS[args.command]
-        # only td-stats's own run reads --graph
-        if command.run is _run_command and args.graph == "incidence":
-            raise _UsageError("--graph incidence is only available for td-stats")
         if args.seeds < 1:
             raise _UsageError("--seeds must be positive")
         if getattr(args, "limit", None) is not None and args.limit < 1:
@@ -300,7 +300,7 @@ def _run(argv) -> int:
         instance = PARSERS[fmt](text)
         if command.reads is not None and not isinstance(instance, command.reads):
             raise _UsageError(f"{args.command} expects {EXPECTS[command.reads]}")
-        if args.trace:
+        if getattr(args, "trace", None):
             trace = open(args.trace, "w", encoding="utf-8")
         result, lines, width, seed, code = command.run(command, args, instance, trace)
     except (UnsupportedRuleError, TooLargeError) as exc:

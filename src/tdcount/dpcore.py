@@ -35,8 +35,10 @@ solutions; every `Row` table is kept until the pass ends.
 A table keeps one value per key, of the cheapest cost seen: values of
 equal cost merge, so above the leaves a count is the sum over a key's
 derivations of the product of their counts.  Outside optimization there
-is no cost and merging is plain summing.  `root_aggregate` maps the
-root's solution keys to the answer.
+is no cost and merging is plain summing.  The dense and packed passes
+return the answer, their kind's total of the root's values;
+`root_aggregate` gives it from the root solution keys of a `traverse`
+store.
 
 `projected_traverse`, the pass of projected counts, maps sets of rows
 to counts of projections, from the entries of `PROVENANCE`, which name
@@ -408,19 +410,17 @@ def traverse(ntd: NiceTreeDecomposition, handlers: Handlers, trace=None) -> Tabl
     return store
 
 
-def vector_traverse(ntd: NiceTreeDecomposition, plan, values: Values, check, trace=None):
-    """The lean pass of a CNF's COUNT or WEIGHTED kind `values` on dense
-    tables, as gpusat keeps them (Fichte, Hecher, Woltran and Zisser, ESA
-    2018): a node's table is a list of 2^|bag| ints indexed by the bag
-    assignment, 0 where the dict pass has no key, since values are never
-    negative and a value of 0 drops its key.  `plan` maps forget nodes to
-    their clauses' masks (`plan_checks`), and `check` is the empty check
-    state.  Answers, handler failures and `trace` records equal
-    `traverse`'s, with `rows` the nonzero entries; each child table is
-    dropped once its parent is built, and the root's becomes the dict
-    `{(0, check.start): value}` that `root_aggregate` reads."""
-    store = TableStore(ntd, values, check)
-    tables = store.tables
+def vector_traverse(ntd: NiceTreeDecomposition, plan, values: Values, trace=None):
+    """The answer of a CNF's lean COUNT or WEIGHTED kind `values`, from a
+    pass on dense tables, as gpusat keeps them (Fichte, Hecher, Woltran
+    and Zisser, ESA 2018): a node's table is a list of 2^|bag| ints
+    indexed by the bag assignment, 0 where the dict pass has no key,
+    since values are never negative and a value of 0 drops its key.
+    `plan` maps forget nodes to their clauses' masks (`plan_checks`).
+    Answers, handler failures and `trace` records equal `traverse`'s,
+    with `rows` the nonzero entries; each child table is dropped once its
+    parent is built, and the root's one entry is totalled."""
+    tables: list = [None] * len(ntd.nodes)
 
     def build(i, node):
         if node.kind is NodeKind.LEAF:
@@ -437,9 +437,7 @@ def vector_traverse(ntd: NiceTreeDecomposition, plan, values: Values, check, tra
         return len(table) - table.count(0), 0
 
     _post_order(ntd, tables, build, report, trace)
-    (value,) = tables[ntd.root]
-    tables[ntd.root] = {(0, check.start): value} if value else {}
-    return store
+    return values.total(tables[ntd.root])
 
 
 def _spread(child: list, p: int) -> list:
@@ -507,27 +505,25 @@ def _clashing(span: int, pos: int, n: int):
         sub = (sub - 1) & free
 
 
-def packed_traverse(ntd: NiceTreeDecomposition, plan, values: Values, check, trace=None):
-    """The lean pass of a tight program's COUNT or OPTCOUNT kind `values`
-    on packed int keys, as gpusat keeps bit-level tables (Fichte, Hecher,
-    Woltran and Zisser, ESA 2018): the key (A, M) of the support check
-    state `check` (`aspdp.SUPPORT`), a bag assignment A and a support
-    mask M, is the one int A | M << width, with width the largest bag
-    size plus one.  `plan` maps forget nodes to their rules' masks
-    (`plan_checks`).  An introduce inserts a false bit into both fields
-    of each key, and gives it once more with the new atom true; a forget
+def packed_traverse(ntd: NiceTreeDecomposition, plan, values: Values, trace=None):
+    """The answer of a tight program's lean COUNT or OPTCOUNT kind `values`,
+    from a pass on packed int keys, as gpusat keeps bit-level tables
+    (Fichte, Hecher, Woltran and Zisser, ESA 2018): the key (A, M) of the
+    support check state (`aspdp.SUPPORT`), a bag assignment A and a
+    support mask M, is the one int A | M << width, with width the largest
+    bag size plus one.  `plan` maps forget nodes to their rules' masks
+    (`plan_checks`).  An introduce inserts a false bit into both fields of
+    each key, and gives it once more with the new atom true; a forget
     looks up, memoised on the bits of A its due rules read, either a
     classical clash or the support the rules add, drops a true and
     unsupported atom and removes its bit from both fields; a join pairs
     keys of equal A and ORs them.  Answers, handler failures and `trace`
-    records equal `traverse`'s; every table is checked against the
-    support bound read off packed keys (`_PackedSupport`), and its
-    counts must be at least 1.  Each child table is dropped once its
-    parent is built, and the root's becomes the dict `{(0, check.start):
-    value}` that `root_aggregate` reads."""
-    store = TableStore(ntd, values, check)
-    tables = store.tables
+    records equal `traverse`'s; every table is checked against the support
+    bound read off packed keys (`_PackedSupport`), and its counts must be
+    at least 1.  Each child table is dropped once its parent is built, and
+    the root's values are totalled."""
     nodes = ntd.nodes
+    tables: list = [None] * len(nodes)
     width = max(len(node.bag) for node in nodes) + 1
     bound = _PackedSupport(width)
     merge, least, charges, times = values.merge, values.least, values.charges, values.times
@@ -552,9 +548,7 @@ def packed_traverse(ntd: NiceTreeDecomposition, plan, values: Values, check, tra
         return len(table), 0
 
     _post_order(ntd, tables, build, report, trace)
-    # the root bag is empty, so its one key, if any, is 0
-    tables[ntd.root] = {(0, check.start): value for value in tables[ntd.root].values()}
-    return store
+    return values.total(list(tables[ntd.root].values()))
 
 
 class _PackedSupport:

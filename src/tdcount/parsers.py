@@ -228,7 +228,8 @@ def parse_smodels(data) -> GroundProgram:
     """Parse grounder output: rules, symbol table, compute section.
 
     Rule types 2 (constraint), 3 (choice) and 5 (weight) are reported as
-    unsupported; B+/B- compute entries become integrity constraints."""
+    unsupported, a negative minimize weight as malformed; B+/B- compute
+    entries become integrity constraints."""
     reader = _SmodelsReader(data)
     rules: list[Rule] = []
     minimize: MinimizeStatement | None = None
@@ -245,8 +246,11 @@ def parse_smodels(data) -> GroundProgram:
             nneg, lits, wlist = _literals(rest[1:], line_no, "minimize", per_literal=2)
             if minimize is None:
                 minimize = MinimizeStatement()
-            for k, a in enumerate(lits):
-                minimize.add(reader.intern(a, line_no), k >= nneg, wlist[k])
+            for k, (a, weight) in enumerate(zip(lits, wlist)):
+                atom = reader.intern(a, line_no)
+                if weight < 0:
+                    raise FormatError(f"negative minimize weight {weight}", line=line_no)
+                minimize.add(atom, k >= nneg, weight)
             continue
         # a basic rule is a disjunctive rule with one head, but numbers
         # its head after checking its counts, a disjunctive rule before
@@ -306,15 +310,6 @@ def parse_smodels(data) -> GroundProgram:
 # --- DIMACS CNF with optional weight lines ---
 
 
-def _weight(text: str) -> Fraction:
-    """`Fraction(text)`, skipping its regex when the numerator and any
-    denominator are ASCII digits: the same value, or the same error."""
-    num, slash, den = text.partition("/")
-    if num.isascii() and num.isdigit() and (not slash or den.isascii() and den.isdigit()):
-        return Fraction(int(num), int(den) if slash else 1)
-    return Fraction(text)
-
-
 def parse_dimacs(text: str) -> CnfFormula:
     """Parse DIMACS CNF.  Weight lines `w <lit> <num>/<den> 0` must
     precede the clauses; clause and variable counts must match the header.
@@ -362,7 +357,7 @@ def parse_dimacs(text: str) -> CnfFormula:
                 lit = int(parts[1])
                 value = weight_of.get(parts[2])
                 if value is None:
-                    value = weight_of[parts[2]] = _weight(parts[2])
+                    value = weight_of[parts[2]] = Fraction(parts[2])
             except (ValueError, ZeroDivisionError):
                 raise ParseError("malformed weight value", line_no) from None
             if lit == 0 or abs(lit) > num_vars:

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import weakref
@@ -248,8 +249,8 @@ def test_usage_errors(tmp_path, capsys):
     prog = write(tmp_path, "p.lp", PROG)
     cnf = write(tmp_path, "f.cnf", CNF)
     assert run(capsys, "count", prog, "--graph", "incidence")[0] == 1
-    only_td_stats = "error: --graph incidence is only available for td-stats\n"
-    assert run(capsys, "mc", cnf, "--graph", "incidence") == (1, "", only_td_stats)
+    unrecognized = "error: unrecognized arguments: --graph incidence\n"
+    assert run(capsys, "mc", cnf, "--graph", "incidence") == (1, "", unrecognized)
     assert run(capsys, "pmc", cnf, "--graph", "incidence", "--project-vars", "1")[0] == 1
     assert run(capsys, "count", prog, "--seeds", "0")[0] == 1
 
@@ -518,6 +519,7 @@ SMODELS_ERRORS = [
     ("6 0 1\n0\n", 1, 1, "truncated minimize rule"),
     ("6 1 1 0 1 1\n0\n", 1, 1, "truncated minimize rule"),
     ("6 0 1 0 1\n0\n", 1, 1, "bad literal counts in minimize rule"),
+    ("6 0 1 0 1 -3\n0\n1 a\n0\nB+\n0\nB-\n0\n1\n", 1, 1, "negative minimize weight -3"),
     ("8\n0\n", 1, 1, "truncated disjunctive rule"),
     ("8 -1 0 0\n0\n", 1, 1, "bad head count in disjunctive rule"),
     ("8 3 1 2 0 0\n0\n", 1, 1, "bad head count in disjunctive rule"),
@@ -638,3 +640,117 @@ def test_minimize_weights_past_the_digit_limit(tmp_path, capsys):
         parse_ground_program(text)
     assert (info.value.line, info.value.column) == (2, 17)
     assert str(info.value) == "line 2, column 17: weight of 5000 digits is too long"
+
+
+TABLE_PASS_COMMANDS = {
+    "count": ("p.lp", PROG, ()),
+    "solve": ("p.lp", PROG, ()),
+    "enumerate": ("p.lp", PROG, ("--limit", "1")),
+    "optcount": ("p.lp", PROG, ()),
+    "pcount": ("p.lp", PROG, ("--project", "a")),
+    "mc": ("f.cnf", CNF, ()),
+    "wmc": ("w.cnf", WCNF, ()),
+    "pmc": ("f.cnf", CNF, ("--project-vars", "1")),
+}
+
+
+def test_each_command_takes_only_the_options_it_reads(tmp_path, capsys):
+    # --graph is td-stats's own option, and --trace belongs to the
+    # commands that run a table pass
+    assert set(TABLE_PASS_COMMANDS) | {"td-stats"} == set(cli.COMMANDS)
+    prog = write(tmp_path, "p.lp", PROG)
+    assert run(capsys, "count", prog, "--graph", "primal") == (
+        1, "", "error: unrecognized arguments: --graph primal\n"
+    )
+    trace = tmp_path / "stats.jsonl"
+    code, out, err = run(capsys, "td-stats", prog, "--trace", str(trace))
+    assert (code, out) == (1, "") and err.startswith("error: unrecognized arguments: --trace")
+    assert not trace.exists()
+    code, out, _ = run(capsys, "td-stats", prog, "--graph", "incidence", "--seeds", "2")
+    assert (code, out) == (0, "seed=0 width=2\nseed=1 width=2\nbest seed=0 width=2\n")
+    for command, (name, text, options) in TABLE_PASS_COMMANDS.items():
+        trace = tmp_path / f"{command}.jsonl"
+        code, _, err = run(capsys, command, write(tmp_path, name, text), *options, "--trace", str(trace))
+        assert (code, err) == (10 if command == "solve" else 0, ""), command
+        records = [json.loads(line) for line in trace.read_text().splitlines()]
+        assert records and records[-1]["bag"] == [], command
+
+
+def _random_smodels(rng) -> str:
+    """Rule lines of types 1, 2, 3, 5, 6, 8 and an unknown type, mostly
+    of the right shape but with random signed ints, then a symbol table
+    and the compute sections, each sometimes cut short."""
+
+    def odd(good, bad):  # mostly `good`, now and then `bad`
+        return bad() if rng.random() < 0.1 else good()
+
+    def atoms(k):
+        return [rng.randint(1, 4) if rng.random() > 0.03 else rng.randint(-2, 0) for _ in range(k)]
+
+    lines = []
+    for _ in range(rng.randint(0, 4)):
+        rtype = odd(lambda: rng.choice([1, 1, 6, 8]), lambda: rng.choice([2, 3, 5, rng.randint(-2, 12)]))
+        n = rng.randint(0, 3)
+        neg = odd(lambda: rng.randint(0, n), lambda: rng.choice([-1, n + 1]))
+        if rtype == 6:
+            weights = [rng.randint(-1, 4) for _ in range(n)]
+            fields = [6, odd(lambda: 0, lambda: 1), n, neg, *atoms(n), *weights]
+        elif rtype == 8:
+            heads = odd(lambda: rng.randint(1, 2), lambda: rng.randint(-1, 0))
+            fields = [8, heads, *atoms(max(heads, 0)), n, neg, *atoms(n)]
+        else:
+            fields = [rtype, *atoms(1), n, neg, *atoms(n)]
+        if rng.random() < 0.05:
+            del fields[rng.randrange(len(fields)) :]
+        lines.append(" ".join(map(str, fields)))
+    lines.append("0")
+    named = rng.sample(range(1, 5), rng.randint(0, 3))
+    lines += [f"{a} {odd(lambda: name, lambda: 'a')}" for a, name in zip(named, "bcd")]
+    lines.append("0")
+    if rng.random() < 0.8:
+        for marker in ("B+", "B-"):
+            lines.append(marker)
+            lines += [" ".join(map(str, atoms(1))) for _ in range(rng.randint(0, 2))]
+            lines.append("0")
+        lines.append(str(rng.randint(0, 2)))
+    if rng.random() < 0.05:
+        del lines[rng.randrange(len(lines)) :]
+    return "\n".join(lines) + "\n"
+
+
+def _random_dimacs(rng) -> str:
+    """A header, weight lines and clause lines from random tokens."""
+
+    def odd(good, bad):  # mostly `good`, now and then `bad`
+        return rng.choice(bad) if rng.random() < 0.05 else good
+
+    n, m = rng.randint(1, 4), rng.randint(0, 4)
+    header = ["p", "cnf", str(n), str(m)]
+    if rng.random() < 0.1:
+        header[rng.randrange(4)] = rng.choice(["-1", "x", "wcnf", ""])
+    lines = [" ".join(header)]
+    for _ in range(rng.randint(0, 3)):
+        lit = odd(rng.choice([1, -1]) * rng.randint(1, n), [n + 1, 0])
+        weight = odd(rng.choice(["1/2", "0", "3", "2/3", "0.5", "1e-3"]), ["-1/2", "1/0", "x", "/4"])
+        lines.append(f"w {lit} {weight} {odd('0', ['x', ''])}")
+    for _ in range(odd(m, [m - 1, m + 1])):
+        tokens = [str(rng.randint(-n - 1, n + 1) or 1) for _ in range(rng.randint(0, 3))]
+        lines.append(" ".join(tokens + [odd("0", ["", "y"])]))
+    if rng.random() < 0.05:
+        rng.shuffle(lines)
+    return "\n".join(lines) + "\n"
+
+
+def test_random_inputs_end_in_an_exit_code_and_at_most_one_error_line(capsys, monkeypatch):
+    # whatever the parsers are given, the CLI answers or reports one error
+    rng = random.Random(40)
+    cases = [("smodels", cmd, _random_smodels) for cmd in ("count", "optcount", "solve")]
+    cases += [("dimacs", cmd, _random_dimacs) for cmd in ("mc", "wmc", "td-stats")]
+    for _ in range(70):
+        for fmt, command, make in cases:
+            text = make(rng)
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            code, out, err = run(capsys, command, "-", "--format", fmt)
+            assert isinstance(code, int), text
+            assert err == "" or (code in (1, 2) and err.startswith("error: ")), text
+            assert len(err.splitlines()) <= 1, text

@@ -260,7 +260,7 @@ def test_every_pass_refuses_a_join_of_other_bags(kind):
 
     passes = {
         "traverse": lambda: traverse(ntd, handlers(lean_values(Mode.COUNT))),
-        "vector": lambda: vector_traverse(ntd, cnf_plan, lean_values(Mode.COUNT), aspdp.EMPTY),
+        "vector": lambda: vector_traverse(ntd, cnf_plan, lean_values(Mode.COUNT)),
         "projected": lambda: projected_traverse(ntd, handlers(PROVENANCE), {0}),
         "bitset": lambda: projected_bitset_traverse(ntd, cnf_plan, {0}),
     }

@@ -68,14 +68,14 @@ def test_lean_answers_and_traces_match_the_row_store():
 
 
 def test_lean_pass_builds_no_row_and_keeps_no_child_table(monkeypatch):
-    stores = []
+    passes = []  # the tables list of each pass's node loop
+    post_order = dpcore._post_order
 
-    class Store(dpcore.TableStore):
-        def __init__(self, *args):
-            super().__init__(*args)
-            stores.append(self)
+    def watched(ntd, tables, *args, **options):
+        passes.append(tables)
+        return post_order(ntd, tables, *args, **options)
 
-    monkeypatch.setattr(dpcore, "TableStore", Store)
+    monkeypatch.setattr(dpcore, "_post_order", watched)
     monkeypatch.setattr(dpcore, "Row", None)  # building a row would raise
 
     for instance, mode in [
@@ -93,13 +93,13 @@ def test_lean_pass_builds_no_row_and_keeps_no_child_table(monkeypatch):
             def write(self, line):
                 i = json.loads(line)["node"]
                 built.append(i)
-                live = {j for j, t in enumerate(stores[-1].tables) if t is not None}
+                live = {j for j, t in enumerate(passes[-1]) if t is not None}
                 # a table lives from its node until its parent is built
                 assert live == {j for j in range(i + 1) if parent.get(j, i + 1) > i}
 
         aspdp.answer(instance, mode, decomp=decomp, trace=Trace())
         assert built == list(range(len(nodes)))
-        assert [t is not None for t in stores[-1].tables].count(True) == 1
+        assert [t is not None for t in passes[-1]].count(True) == 1
 
 
 def test_a_failing_handler_in_the_lean_pass_names_its_node():

@@ -15,7 +15,7 @@ from tdcount.errors import (
     VariableTokenError,
 )
 from tdcount.model import Atom, GroundProgram, Rule, render_program
-from tdcount.parsers import _weight, parse_dimacs, parse_ground_program, parse_smodels
+from tdcount.parsers import parse_dimacs, parse_ground_program, parse_smodels
 
 import corpus
 
@@ -316,8 +316,8 @@ WEIGHT_TOKENS = [  # (token, its weight, or the ParseError message)
 
 @pytest.mark.parametrize("token, expected", WEIGHT_TOKENS)
 def test_dimacs_weight_tokens_read_as_fractions_do(token, expected):
-    # ASCII digit tokens skip `Fraction`'s string parser; every token
-    # gives the value or the error that parsing it as a Fraction gives
+    # every token gives the value or the error that parsing it as a
+    # Fraction gives
     text = f"p cnf 1 0\nw 1 {token} 0\n"
     if isinstance(expected, str):
         with pytest.raises(ParseError) as info:
@@ -329,14 +329,17 @@ def test_dimacs_weight_tokens_read_as_fractions_do(token, expected):
 
 
 def test_dimacs_weight_reader_agrees_with_fraction():
-    for token in [t for t, _ in WEIGHT_TOKENS] + [" 3/4", "3/", "/4", "007/010", "1/-2"]:
+    for token in [t for t, _ in WEIGHT_TOKENS] + ["3/", "/4", "007/010", "1/-2"]:
+        text = f"p cnf 1 0\nw 1 {token} 0\n"
         try:
             expected = Fraction(token)
-        except (ValueError, ZeroDivisionError) as exc:
-            with pytest.raises(type(exc)):
-                _weight(token)
+        except (ValueError, ZeroDivisionError):
+            expected = None
+        if expected is None or expected < 0:
+            with pytest.raises(ParseError):
+                parse_dimacs(text)
         else:
-            assert _weight(token) == expected, token
+            assert parse_dimacs(text).literal_weight(1) == expected, token
 
 
 def test_dimacs_weight_after_clause_rejected():
